@@ -73,6 +73,7 @@ from .losses import (
     multiclass_gradient,
     multiclass_loss,
     per_example_gradients,
+    step_terms,
 )
 from .optimizer import (
     OptimizerConfig,

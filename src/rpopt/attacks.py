@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import Dataset
-from .losses import LossSpec, ModelParams, _log_softmax, _softmax
+from .losses import LossSpec, ModelParams, _softmax_terms
 
 
 @dataclass(frozen=True)
@@ -71,21 +71,15 @@ def _pointwise_loss_and_grad(theta: np.ndarray, y: np.ndarray):
         return binary
 
     yi = y.astype(np.int64)
-    idx = np.arange(y.shape[0])
 
     def softmax_xent(x):
-        logits = x @ theta.T
-        values = -_log_softmax(logits)[idx, yi]
-        probs = _softmax(logits)
-        probs[idx, yi] -= 1.0
-        return values, probs @ theta
+        log_p, residual = _softmax_terms(x @ theta.T, yi)
+        return -log_p, residual @ theta
 
     return softmax_xent
 
 
-def _project(delta: np.ndarray, budget: float, p: float) -> np.ndarray:
-    if p == math.inf:
-        return np.clip(delta, -budget, budget)
+def _project_l2(delta: np.ndarray, budget: float) -> np.ndarray:
     norms = np.linalg.norm(delta, axis=1, keepdims=True)
     factors = np.minimum(1.0, budget / np.maximum(norms, 1e-300))
     return delta * factors
@@ -98,11 +92,21 @@ def _ascent_direction(grads: np.ndarray, p: float) -> np.ndarray:
     return np.where(norms > 0, grads / np.maximum(norms, 1e-300), 0.0)
 
 
-def _box_clamp(x, delta, box):
+def _constraint(x, budget, p, box):
+    """Map a perturbation into the budget ball and, if given, the input box.
+
+    For l_inf both sets are coordinate intervals, so their intersection
+    [max(-c, lo - x), min(c, hi - x)] is one clip.
+    """
+    if p == math.inf:
+        lower, upper = -budget, budget
+        if box is not None:
+            lower, upper = np.maximum(lower, box[0] - x), np.minimum(upper, box[1] - x)
+        return lambda delta: np.clip(delta, lower, upper)
     if box is None:
-        return delta
+        return lambda delta: _project_l2(delta, budget)
     lo, hi = box
-    return np.clip(x + delta, lo, hi) - x
+    return lambda delta: np.clip(x + _project_l2(delta, budget), lo, hi) - x
 
 
 def _random_start(rng, n, d, budget, p):
@@ -135,6 +139,7 @@ def pgd_batch(
     c, p = attack.budget, attack.p
     alpha = attack.effective_step_size
 
+    constrain = _constraint(x, c, p, box)
     best_delta = np.zeros((n, d))
     best_values, clean_grads = loss_and_grad(x)
     best_values = best_values.copy()
@@ -148,22 +153,21 @@ def pgd_batch(
         return grads
 
     # one-shot maximal step from the clean input: exact for linear logits
-    consider(_box_clamp(x, _project(c * _ascent_direction(clean_grads, p), c, p), box))
+    consider(constrain(c * _ascent_direction(clean_grads, p)))
 
     for restart in range(attack.restarts):
         rng = np.random.default_rng([attack.seed, restart])
         if restart == 0 and init_delta is not None:
-            delta = _project(np.array(init_delta, dtype=np.float64, copy=True), c, p)
+            delta = np.asarray(init_delta, dtype=np.float64)
         else:
             delta = _random_start(rng, n, d, c, p)
-        delta = _box_clamp(x, delta, box)
+        delta = constrain(delta)
         for _ in range(attack.steps):
             values, grads = loss_and_grad(x + delta)
             better = values > best_values
             best_values = np.where(better, values, best_values)
             best_delta[better] = delta[better]
-            delta = delta + alpha * _ascent_direction(grads, p)
-            delta = _box_clamp(x, _project(delta, c, p), box)
+            delta = constrain(delta + alpha * _ascent_direction(grads, p))
         consider(delta)
     return best_delta
 

@@ -4,8 +4,12 @@ Two noise regimes are supported.  In ``theory`` mode Gaussian noise with
 per-coordinate std sigma is added to the mean batch gradient and clipping is
 not applied (the analysed setting: the logistic losses here are already
 1-Lipschitz).  In ``dpsgd`` mode every per-example gradient is clipped to
-norm k, the clipped gradients are summed, noise with std sigma * k is added
-to the sum, and the result is divided by the batch size.
+norm k and the clipped gradients are averaged; noise with std sigma * k / n
+is added to that mean (std sigma * k on the sum, for batch size n).  A
+linear model's per-example gradient is rank one, so its norm comes from the
+row norms of the residuals and the inputs, and the clipped mean is one
+matrix product (see :func:`rpopt.losses.step_terms`); no per-example
+gradient tensor is built.
 """
 
 from __future__ import annotations
@@ -191,8 +195,6 @@ def train(dataset: Dataset, config: OptimizerConfig) -> TrainTrace:
     """
     multiclass = not dataset.is_binary
     spec = config.spec
-    if config.noise_mode == "dpsgd" and config.sigma > 0 and math.isinf(config.clip_k):
-        raise ValueError("dpsgd mode with sigma > 0 requires a finite clip_k")
     x_all = dataset.features
     if multiclass:
         y_all = dataset.labels
@@ -203,43 +205,24 @@ def train(dataset: Dataset, config: OptimizerConfig) -> TrainTrace:
     n_all = dataset.n
     if config.batch is not None and config.batch > n_all:
         raise ValueError("batch size exceeds dataset size")
+    noise_std = noise_calibration(config, config.batch or n_all) if config.sigma > 0 else 0.0
 
     rng = np.random.default_rng(config.seed)
     rows = np.zeros((config.steps + 1, 5))
-    dpsgd = config.noise_mode == "dpsgd"
+    clip_k = config.clip_k if config.noise_mode == "dpsgd" else math.inf
 
     def eval_at(xb, yb, t):
         """Losses and mean clipped gradient at the current iterate."""
-        if multiclass:
-            nominal = losses_mod.multiclass_loss(theta, xb, yb)
-            if spec.c > 0:
-                attack = AttackConfig(
-                    budget=spec.c,
-                    p=spec.p,
-                    steps=config.attack_steps,
-                    seed=config.seed + 7919 * (t + 1),
-                )
-                x_adv = xb + pgd_batch(theta, xb, yb, attack, box=dataset.box)
-                adversarial = losses_mod.multiclass_loss(theta, x_adv, yb)
-                grad_input = (x_adv, yb)
-            else:
-                adversarial = nominal
-                grad_input = (xb, yb)
-            grad_spec = LossSpec.nominal()
-        else:
-            nominal = losses_mod.logistic_loss(theta, xb, yb)
-            if spec.c > 0:
-                adversarial = losses_mod.adversarial_logistic_loss(theta, xb, yb, spec)
-            else:
-                adversarial = nominal
-            grad_input = (xb, yb)
-            grad_spec = spec
-        if dpsgd:
-            per = losses_mod.per_example_gradients(theta, *grad_input, grad_spec)
-            mean_grad = clip_rows(per, config.clip_k).sum(axis=0) / xb.shape[0]
-        else:
-            mean_grad = losses_mod.gradient(theta, *grad_input, grad_spec)
-        return nominal, adversarial, mean_grad
+        x_adv = None
+        if multiclass and spec.c > 0:
+            attack = AttackConfig(
+                budget=spec.c,
+                p=spec.p,
+                steps=config.attack_steps,
+                seed=config.seed + 7919 * (t + 1),
+            )
+            x_adv = xb + pgd_batch(theta, xb, yb, attack, box=dataset.box)
+        return losses_mod.step_terms(theta, xb, yb, spec, clip_k, x_adv)
 
     for t in range(config.steps):
         if config.batch is None:
@@ -253,11 +236,7 @@ def train(dataset: Dataset, config: OptimizerConfig) -> TrainTrace:
         rows[t] = (t, nominal, adversarial, np.linalg.norm(theta), np.linalg.norm(mean_grad))
         update = mean_grad
         if config.sigma > 0:
-            if dpsgd:
-                noise_std = config.sigma * config.clip_k
-                update = update + rng.normal(0.0, noise_std, size=theta.shape) / xb.shape[0]
-            else:
-                update = update + rng.normal(0.0, config.sigma, size=theta.shape)
+            update = update + rng.normal(0.0, noise_std, size=theta.shape)
         eta_t = config.resolved_first_step_eta if t == 0 else config.eta
         theta = theta - eta_t * update
         if not np.all(np.isfinite(theta)):
