@@ -74,6 +74,7 @@ from .losses import (
     multiclass_loss,
     per_example_gradients,
     step_terms,
+    step_terms_stack,
 )
 from .optimizer import (
     OptimizerConfig,
@@ -81,6 +82,7 @@ from .optimizer import (
     expected_norm_bound,
     noise_calibration,
     train,
+    train_stack,
     validate_config,
 )
 from .plotting import PlotSpec, render_plot

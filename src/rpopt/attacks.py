@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import Dataset
-from .losses import LossSpec, ModelParams, _softmax_terms
+from .losses import LossSpec, _softmax_terms, model_weights
 
 
 @dataclass(frozen=True)
@@ -49,12 +49,6 @@ class AttackConfig:
         if self.steps == 0:
             return 0.0
         return 2.5 * self.budget / self.steps
-
-
-def _weights_of(model) -> np.ndarray:
-    if isinstance(model, ModelParams):
-        return model.weights
-    return np.asarray(model, dtype=np.float64)
 
 
 def _pointwise_loss_and_grad(theta: np.ndarray, y: np.ndarray):
@@ -128,7 +122,7 @@ def pgd_batch(
     loss_and_grad=None,
 ) -> np.ndarray:
     """Per-example perturbations maximizing the loss, shape (n, d)."""
-    theta = _weights_of(model)
+    theta = model_weights(model)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y))
     n, d = x.shape
@@ -224,7 +218,7 @@ def _correct(theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def robust_accuracy(model, dataset: Dataset, attack: AttackConfig) -> float:
     """Fraction of examples still classified correctly after the attack."""
-    theta = _weights_of(model)
+    theta = model_weights(model)
     deltas = attack_dataset(model, dataset, attack)
     return float(np.mean(_correct(theta, dataset.features + deltas, dataset.labels)))
 
@@ -235,7 +229,7 @@ def exact_linear_robust_accuracy(model, dataset: Dataset, budget: float, p: floa
     An l_p attacker with radius c flips an example iff the margin
     y <x, theta> does not exceed c ||theta||_q, q the dual exponent.
     """
-    theta = _weights_of(model)
+    theta = model_weights(model)
     if theta.ndim != 1:
         raise ValueError("exact robust accuracy is only defined for binary linear models")
     if not dataset.is_binary:

@@ -30,6 +30,7 @@ from .experiments import (
     ExperimentConfig,
     load_experiment_config,
     parse_grid,
+    parse_p,
     parse_seeds,
     run_experiment,
 )
@@ -46,10 +47,6 @@ def _env_seed() -> int | None:
     if raw is None or raw == "":
         return None
     return int(raw)
-
-
-def _parse_p(text: str) -> float:
-    return math.inf if str(text).strip() in ("inf", "oo") else float(text)
 
 
 # ---------------------------------------------------------------------------
@@ -79,16 +76,38 @@ def _cmd_gen_data(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_TRAIN_KEYS = (
+    "eta",
+    "steps",
+    "c",
+    "p",
+    "clip_k",
+    "sigma",
+    "noise_mode",
+    "first_step_eta",
+    "batch",
+    "seed",
+    "attack_steps",
+)
+
+
 def load_train_config(path) -> OptimizerConfig:
-    """OptimizerConfig from an INI file with a [train] section."""
+    """OptimizerConfig from an INI file with a [train] section.
+
+    Unknown keys are rejected so typos cannot silently fall back to
+    defaults.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     if not parser.read(path):
         raise ValueError(f"cannot read config file {path}")
     if "train" not in parser:
         raise ValueError("config needs a [train] section")
     section = parser["train"]
+    unknown = set(section) - set(_TRAIN_KEYS)
+    if unknown:
+        raise ValueError(f"unknown [train] keys: {sorted(unknown)}")
     c = section.getfloat("c", 0.0)
-    p = _parse_p(section.get("p", "2"))
+    p = parse_p(section.get("p", "2"))
     spec = LossSpec.adversarial(c, p) if c > 0 else LossSpec.nominal()
     clip_raw = section.get("clip_k", "inf")
     first_raw = section.get("first_step_eta", "")
@@ -251,7 +270,7 @@ def _cmd_sweep(args) -> int:
     )
     common = dict(
         test_dataset=test_ds,
-        p=_parse_p(args.p),
+        p=parse_p(args.p),
         workers=args.workers,
         curvature_examples=args.curvature_examples,
         eval_attack_steps=args.eval_attack_steps,

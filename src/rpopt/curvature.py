@@ -20,8 +20,8 @@ from .attacks import AttackConfig, pgd_batch
 from .bounds import accountant_sigma
 from .data import Dataset, split
 from .errors import DivergenceError, SingularityError
-from .losses import LossSpec, ModelParams
-from .optimizer import OptimizerConfig, train
+from .losses import LossSpec, model_weights
+from .optimizer import OptimizerConfig, train_stack
 
 SWEEP_COLUMNS = (
     "c",
@@ -111,12 +111,6 @@ def power_iteration(matvec, dim, tol=1e-8, max_iters=1000, seed=0) -> SpectrumRe
     )
 
 
-def _model_weights(model) -> np.ndarray:
-    if isinstance(model, ModelParams):
-        return model.weights
-    return np.asarray(model, dtype=np.float64)
-
-
 def _hvp_operator(theta, x, y, spec: LossSpec):
     """Flattened Hessian-vector product closure for power iteration."""
     shape = theta.shape
@@ -137,7 +131,7 @@ def max_eigenvalue(
     seed: int = 0,
 ) -> SpectrumReport:
     """Top Hessian eigenvalue of the given loss at the model's parameters."""
-    theta = _model_weights(model)
+    theta = model_weights(model)
     if not np.all(np.isfinite(theta)):
         raise ValueError("model parameters must be finite")
     x = dataset.features
@@ -166,7 +160,7 @@ def attacked_max_eigenvalue(
     frozen.  This is the tractable stand-in for the worst-case curvature:
     the perturbations are recomputed at the given parameters and held fixed
     while the Hessian is probed."""
-    theta = _model_weights(model)
+    theta = model_weights(model)
     x_adv = x + pgd_batch(theta, x, y, attack, box=box)
     report = power_iteration(
         _hvp_operator(theta, x_adv, y, LossSpec.nominal()),
@@ -278,7 +272,7 @@ def cell_seed(seed: int, row: int, col: int) -> int:
 
 
 def accuracy(model, dataset: Dataset) -> float:
-    theta = _model_weights(model)
+    theta = model_weights(model)
     scores = dataset.features @ (theta.T if theta.ndim == 2 else theta)
     if theta.ndim == 2:
         return float(np.mean(np.argmax(scores, axis=1) == dataset.labels))
@@ -297,24 +291,37 @@ class _SweepContext:
     eval_attack_steps: int
 
 
-def _evaluate_cell(ctx: _SweepContext, job) -> SweepCell:
-    """Train one grid cell and score it; divergence is recorded, not raised."""
-    row, col, c, knob, clip_k, sigma = job
-    seed = cell_seed(ctx.base_config.seed, row, col)
+def _evaluate_row(ctx: _SweepContext, job) -> list[SweepCell]:
+    """Train one c-row of the grid as one stack, then score each cell.
+
+    A row shares its loss spec, so its cells differ only in clip_k, sigma
+    and seed and train together; divergence is recorded, not raised.
+    """
+    row, c, cells = job
     spec = LossSpec.adversarial(c, ctx.p) if c > 0 else LossSpec.nominal()
-    config = replace(
-        ctx.base_config,
-        spec=spec,
-        clip_k=clip_k,
-        sigma=sigma,
-        noise_mode="dpsgd",
-        seed=seed,
-    )
-    try:
-        trace = train(ctx.train_dataset, config)
-    except DivergenceError:
+    configs = [
+        replace(
+            ctx.base_config,
+            spec=spec,
+            clip_k=clip_k,
+            sigma=sigma,
+            noise_mode="dpsgd",
+            seed=cell_seed(ctx.base_config.seed, row, col),
+        )
+        for col, _, clip_k, sigma in cells
+    ]
+    outcomes = train_stack(ctx.train_dataset, configs)
+    return [
+        _score_cell(ctx, row, col, c, knob, config, outcome)
+        for (col, knob, _, _), config, outcome in zip(cells, configs, outcomes)
+    ]
+
+
+def _score_cell(ctx, row, col, c, knob, config, outcome) -> SweepCell:
+    """Test accuracy and top Hessian eigenvalue of one trained cell."""
+    if isinstance(outcome, DivergenceError):
         return SweepCell(row, col, c, knob, math.nan, math.nan, math.nan, False, True)
-    theta = trace.final_params.weights
+    theta = outcome.final_params.weights
     test_acc = accuracy(theta, ctx.test_dataset)
     limit = min(ctx.curvature_examples, ctx.train_dataset.n)
     xs = ctx.train_dataset.features[:limit]
@@ -324,20 +331,20 @@ def _evaluate_cell(ctx: _SweepContext, job) -> SweepCell:
             theta,
             xs,
             ys,
-            AttackConfig(budget=c, p=ctx.p, steps=ctx.eval_attack_steps, seed=seed + 1),
+            AttackConfig(budget=c, p=ctx.p, steps=ctx.eval_attack_steps, seed=config.seed + 1),
             box=ctx.train_dataset.box,
             tol=ctx.curvature_tol,
             max_iters=ctx.curvature_iters,
-            seed=seed + 2,
+            seed=config.seed + 2,
         )
     else:
         ys_typed = ys if theta.ndim == 2 else ys.astype(np.float64)
         report = power_iteration(
-            _hvp_operator(theta, xs, ys_typed, spec),
+            _hvp_operator(theta, xs, ys_typed, config.spec),
             theta.size,
             tol=ctx.curvature_tol,
             max_iters=ctx.curvature_iters,
-            seed=seed + 2,
+            seed=config.seed + 2,
         )
     return SweepCell(
         row=row,
@@ -360,18 +367,23 @@ def _init_sweep_worker(ctx: _SweepContext) -> None:
     _WORKER_CONTEXT = ctx
 
 
-def _run_sweep_job(job) -> SweepCell:
+def _run_sweep_job(job) -> list[SweepCell]:
     assert _WORKER_CONTEXT is not None
-    return _evaluate_cell(_WORKER_CONTEXT, job)
+    return _evaluate_row(_WORKER_CONTEXT, job)
 
 
 def _run_sweep(ctx: _SweepContext, jobs, workers: int) -> list[SweepCell]:
+    """Evaluate the row jobs (row, c, [(col, knob, clip_k, sigma), ...]), in
+    a process pool when workers > 1; rows are independent, so the cells are
+    the same either way."""
     if workers <= 1:
-        return [_evaluate_cell(ctx, job) for job in jobs]
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_sweep_worker, initargs=(ctx,)
-    ) as pool:
-        return list(pool.map(_run_sweep_job, jobs))
+        rows = [_evaluate_row(ctx, job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_sweep_worker, initargs=(ctx,)
+        ) as pool:
+            rows = list(pool.map(_run_sweep_job, jobs))
+    return [cell for row in rows for cell in row]
 
 
 def _resolve_split(dataset, test_dataset, seed):
@@ -416,11 +428,7 @@ def clipping_smoothness_curve(
     train_ds, test_ds = _resolve_split(dataset, test_dataset, base_config.seed)
     ctx = _make_context(train_ds, test_ds, base_config, p, curvature_examples,
                         curvature_tol, curvature_iters, eval_attack_steps)
-    jobs = [
-        (i, j, c, k, k, 0.0)
-        for i, c in enumerate(c_grid)
-        for j, k in enumerate(k_grid)
-    ]
+    jobs = [(i, c, [(j, k, k, 0.0) for j, k in enumerate(k_grid)]) for i, c in enumerate(c_grid)]
     cells = _run_sweep(ctx, jobs, workers)
     return SweepTable("clip", tuple(c_grid), tuple(k_grid), tuple(cells))
 
@@ -459,9 +467,8 @@ def privacy_smoothness_curve(
         for eps in epsilon_grid
     }
     jobs = [
-        (i, j, c, eps, k, sigma_by_eps[eps])
+        (i, c, [(j, eps, k, sigma_by_eps[eps]) for j, eps in enumerate(epsilon_grid)])
         for i, c in enumerate(c_grid)
-        for j, eps in enumerate(epsilon_grid)
     ]
     cells = _run_sweep(ctx, jobs, workers)
     return SweepTable("dp", tuple(c_grid), tuple(epsilon_grid), tuple(cells))

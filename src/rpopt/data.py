@@ -35,6 +35,10 @@ class Dataset:
         margin: optional minimum of y_i * <x_i, separator> over the data.
         name: short identifier used in manifests.
         box: optional (lo, hi) coordinate-wise domain, e.g. (0, 1) for images.
+        binary: the label kind, fixed at construction.  None infers it from
+            the labels ({-1, +1} means binary); subsets pass their parent's
+            kind, so a multi-class subset whose labels are all 1 stays
+            multi-class.
     """
 
     features: np.ndarray
@@ -43,6 +47,7 @@ class Dataset:
     margin: float | None = None
     name: str = ""
     box: tuple[float, float] | None = None
+    binary: bool | None = None
 
     def __post_init__(self):
         features = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
@@ -67,6 +72,12 @@ class Dataset:
             raise ValueError(
                 "labels must be {-1,+1} (binary) or non-negative class indices"
             )
+        if self.binary is None:
+            object.__setattr__(self, "binary", values <= {-1, 1})
+        elif self.binary and not values <= {-1, 1}:
+            raise ValueError("binary labels must be -1 or +1")
+        elif not self.binary and -1 in values:
+            raise ValueError("multi-class labels must be non-negative class indices")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
         if self.separator is not None:
@@ -100,8 +111,7 @@ class Dataset:
 
     @property
     def is_binary(self) -> bool:
-        values = set(np.unique(self.labels).tolist())
-        return values <= {-1, 1}
+        return self.binary
 
     @property
     def num_classes(self) -> int | None:
@@ -261,6 +271,7 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
             margin=margin,
             name=f"{dataset.name}-{tag}" if dataset.name else tag,
             box=dataset.box,
+            binary=dataset.is_binary,
         )
 
     return take(train_idx, "train"), take(test_idx, "test")
@@ -342,6 +353,8 @@ def load_idx(images_path: str, labels_path: str, limit: int | None = None) -> Da
 
     Pixels are scaled to [0, 1]; any flattened image with norm above 1 is
     divided by its own norm.  ``limit`` keeps at most that many examples.
+    IDX labels are class indices, so the dataset is multi-class whatever
+    labels the kept examples carry.
     """
     if limit is not None and limit <= 0:
         raise DataFormatError("limit must be a positive number of examples")
@@ -371,6 +384,7 @@ def load_idx(images_path: str, labels_path: str, limit: int | None = None) -> Da
         labels=labels,
         name=os.path.basename(images_path),
         box=(0.0, 1.0),
+        binary=False,
     )
 
 

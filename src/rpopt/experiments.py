@@ -34,9 +34,9 @@ from .attacks import AttackConfig, exact_linear_robust_accuracy, robust_accuracy
 from .bounds import BoundInputs, log_spaced_steps
 from .curvature import clipping_smoothness_curve, privacy_smoothness_curve
 from .data import Dataset, generate_separable, load_csv, load_idx, split
-from .errors import ExperimentError
+from .errors import DivergenceError, ExperimentError
 from .losses import LossSpec, adversarial_logistic_loss, gradient
-from .optimizer import OptimizerConfig, train, validate_config
+from .optimizer import OptimizerConfig, train, train_stack, validate_config
 
 KINDS = (
     "fig1-convergence",
@@ -209,6 +209,11 @@ def parse_grid(text: str) -> list:
     return values
 
 
+def parse_p(value) -> float:
+    """A perturbation norm: "inf" (or "oo") or a number."""
+    return math.inf if str(value).strip() in ("inf", "oo") else float(value)
+
+
 def load_experiment_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = parser.read(path)
@@ -322,7 +327,10 @@ def _mean_and_se(stack: np.ndarray) -> tuple:
 
 
 def _averaged_losses(dataset, base: OptimizerConfig, seeds, column: str):
-    traces = [train(dataset, replace(base, seed=seed)) for seed in seeds]
+    traces = train_stack(dataset, [replace(base, seed=seed) for seed in seeds])
+    for trace in traces:
+        if isinstance(trace, DivergenceError):
+            raise trace
     stack = np.stack([getattr(trace, column) for trace in traces])
     return _mean_and_se(stack)
 
@@ -515,10 +523,6 @@ def _sweep_base_config(config, params) -> OptimizerConfig:
     )
 
 
-def _parse_p(value) -> float:
-    return math.inf if str(value).strip() in ("inf", "oo") else float(value)
-
-
 def _run_fig8(config, params, artifacts):
     artifacts.stage = "load-data"
     dataset = _sweep_dataset(params)
@@ -530,7 +534,7 @@ def _run_fig8(config, params, artifacts):
         parse_grid(params["k_grid"]),
         _sweep_base_config(config, params),
         test_dataset=test_ds,
-        p=_parse_p(params["p"]),
+        p=parse_p(params["p"]),
         workers=int(params["workers"]),
         curvature_examples=int(params["curvature_examples"]),
         curvature_tol=params["curvature_tol"],
@@ -555,7 +559,7 @@ def _run_fig9(config, params, artifacts):
         base,
         delta=params["delta"],
         test_dataset=test_ds,
-        p=_parse_p(params["p"]),
+        p=parse_p(params["p"]),
         workers=int(params["workers"]),
         curvature_examples=int(params["curvature_examples"]),
         curvature_tol=params["curvature_tol"],
@@ -606,7 +610,7 @@ def _run_attack_eval(config, params, artifacts):
         d=params["d"], n=params["n"], gamma=params["gamma"], seed=params["data_seed"]
     )
     train_ds, test_ds = split(dataset, params["test_fraction"], seed=config.seeds[0])
-    p = _parse_p(params["p"])
+    p = parse_p(params["p"])
     eta, steps, c_train = params["eta"], int(params["steps"]), params["c_train"]
 
     artifacts.stage = "train-standard"

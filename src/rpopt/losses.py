@@ -41,6 +41,13 @@ class ModelParams:
         return self._norm
 
 
+def model_weights(model) -> np.ndarray:
+    """The weight array of a ModelParams, or the model itself as an array."""
+    if isinstance(model, ModelParams):
+        return model.weights
+    return np.asarray(model, dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class LossSpec:
     """Which loss to evaluate: nominal, or worst-case with budget c under l_p."""
@@ -72,19 +79,29 @@ class LossSpec:
         """Exponent of the dual norm applied to the weights."""
         return 2.0 if self.p == 2.0 else 1.0
 
-    def weight_norm(self, theta: np.ndarray) -> float:
+    def weight_norm(self, theta: np.ndarray):
+        """Dual norm of the weights; per cell for a (K, d) stack."""
         if self.dual_q == 2.0:
-            return float(np.linalg.norm(theta))
-        return float(np.abs(theta).sum())
+            return l2_norms(theta)
+        return np.abs(theta).sum(axis=-1)
 
     def weight_norm_subgradient(self, theta: np.ndarray) -> np.ndarray:
-        """Subgradient of the dual weight norm; 0 at theta = 0 by convention."""
+        """Subgradient of the dual weight norm (per cell for a (K, d) stack);
+        0 at theta = 0 by convention."""
         if self.dual_q == 2.0:
-            norm = np.linalg.norm(theta)
-            if norm == 0.0:
-                return np.zeros_like(theta)
-            return theta / norm
+            norms = l2_norms(theta)[..., None]
+            return np.divide(theta, norms, out=np.zeros_like(theta), where=norms != 0.0)
         return np.sign(theta)
+
+
+def l2_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis, one BLAS dot per row.
+
+    Each entry is bit-identical to np.linalg.norm of that row alone, which
+    np.linalg.norm(a, axis=-1) is not (it sums the squares another way).
+    """
+    a = np.asarray(a, dtype=np.float64)
+    return np.sqrt((a[..., None, :] @ a[..., :, None])[..., 0, 0])
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -156,22 +173,24 @@ def gradient(theta, x, y, spec: LossSpec) -> np.ndarray:
             )
         return multiclass_gradient(theta, x, y)
     x, y = _as_batch(x, y)
-    return _binary_gradient(theta, x, y, spec, expit(_binary_margins(theta, x, y, spec)))
+    sig = expit(_binary_margins(theta, x, y, spec))
+    return _binary_gradient(theta[None], x, y, spec, sig[None])[0]
 
 
 def _binary_gradient(theta, x, y, spec: LossSpec, sig: np.ndarray) -> np.ndarray:
-    grad = -(sig * y) @ x / x.shape[0]
+    """Mean gradient of each cell of a (K, d) stack, from its sigmoids (K, n)."""
+    grad = (-(sig * y)[:, None, :] @ x)[:, 0] / x.shape[-2]
     if spec.c > 0.0:
-        grad = grad + spec.c * float(sig.mean()) * spec.weight_norm_subgradient(theta)
+        grad = grad + (spec.c * sig.mean(axis=-1))[:, None] * spec.weight_norm_subgradient(theta)
     return grad
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
-    # a third of the cost of np.linalg.norm(a, axis=1) on training batches
-    return np.sqrt(np.einsum("ij,ij->i", a, a))
+    # a third of the cost of np.linalg.norm(a, axis=-1) on training batches
+    return np.sqrt(np.einsum("...ij,...ij->...i", a, a))
 
 
-def _clip_factors(norms: np.ndarray, k: float) -> np.ndarray:
+def _clip_factors(norms: np.ndarray, k) -> np.ndarray:
     """Per-row scale that brings a row of norm ``norms[i]`` to at most k."""
     return np.minimum(1.0, k / np.maximum(norms, 1e-300))
 
@@ -191,39 +210,83 @@ def step_terms(theta, x, y, spec: LossSpec, clip_k: float = math.inf, x_adv=None
     The multi-class worst-case loss has no closed form: with spec.c > 0 pass
     the attacked batch as ``x_adv``; the worst-case loss and the gradient
     are then taken there and the nominal loss on ``x``.
+
+    This is the one-cell case of :func:`step_terms_stack`.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim == 2:
-        if (spec.c > 0.0) != (x_adv is not None):
-            raise ValueError("multi-class worst-case terms need the attacked batch x_adv")
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         y = np.atleast_1d(np.asarray(y)).astype(np.int64)
-        _check_classes(theta, y)
-        log_p, r = _softmax_terms(_logits(theta, x), y)
-        nominal = adversarial = -float(log_p.mean())
+    else:
+        x, y = _as_batch(x, y)
+    if x_adv is not None:
+        x_adv = np.atleast_2d(np.asarray(x_adv, dtype=np.float64))[None]
+    nominal, adversarial, grad = step_terms_stack(
+        theta[None], x, y, spec, np.array([clip_k], dtype=np.float64), x_adv
+    )
+    return float(nominal[0]), float(adversarial[0]), grad[0]
+
+
+def step_terms_stack(theta, x, y, spec: LossSpec, clip_k, x_adv=None):
+    """:func:`step_terms` for a stack of K independent cells.
+
+    ``theta`` is (K, d) or (K, C, d).  The batch is shared, x (n, d) and
+    y (n,), or one per cell, x (K, n, d) and y (K, n); labels are float
+    {-1, +1} for binary and integer classes for multi-class cells.
+    ``clip_k`` holds each cell's threshold, shape (K,), and ``x_adv`` each
+    cell's attacked batch, (K, n, d).  Returns the nominal and worst-case
+    losses, shape (K,), and the mean gradients, shaped like theta.
+
+    Every operation acts on one cell at a time: one BLAS call per cell
+    (a stacked matmul) and reductions along a cell's own axes, never one
+    product across cells.  Each cell's numbers are therefore bit-identical
+    to a one-cell call, whatever the other cells hold.
+    """
+    clip_k = np.asarray(clip_k, dtype=np.float64)
+    unclipped = np.isinf(clip_k)
+    if unclipped.any() and not unclipped.all():
+        # the unclipped gradient is another expression: split the stack
+        nominal, adversarial = np.empty(len(clip_k)), np.empty(len(clip_k))
+        grad = np.empty_like(theta)
+        for cells in (unclipped, ~unclipped):
+            nominal[cells], adversarial[cells], grad[cells] = step_terms_stack(
+                theta[cells],
+                x[cells] if x.ndim == 3 else x,
+                y[cells] if y.ndim == 2 else y,
+                spec,
+                clip_k[cells],
+                None if x_adv is None else x_adv[cells],
+            )
+        return nominal, adversarial, grad
+    n = x.shape[-2]
+    if theta.ndim == 3:
+        if (spec.c > 0.0) != (x_adv is not None):
+            raise ValueError("multi-class worst-case terms need the attacked batch x_adv")
+        _check_classes(theta[0], y)
+        log_p, r = _softmax_terms(x @ theta.transpose(0, 2, 1), y)
+        nominal = adversarial = -log_p.mean(axis=-1)
         if x_adv is not None:
-            x = np.atleast_2d(np.asarray(x_adv, dtype=np.float64))
-            log_p, r = _softmax_terms(_logits(theta, x), y)
-            adversarial = -float(log_p.mean())
-        if not math.isinf(clip_k):
-            r *= _clip_factors(_row_norms(r) * _row_norms(x), clip_k)[:, None]
-        return nominal, adversarial, r.T @ x / x.shape[0]
+            x = x_adv
+            log_p, r = _softmax_terms(x @ theta.transpose(0, 2, 1), y)
+            adversarial = -log_p.mean(axis=-1)
+        if not unclipped.all():
+            r *= _clip_factors(_row_norms(r) * _row_norms(x), clip_k[:, None])[..., None]
+        return nominal, adversarial, r.transpose(0, 2, 1) @ x / n
     if x_adv is not None:
         raise ValueError("the binary worst-case loss is closed-form; x_adv is not used")
-    x, y = _as_batch(x, y)
-    z = -y * (x @ theta)
-    nominal = adversarial = float(_softplus(z).mean())
+    z = -y * (x @ theta[:, :, None])[..., 0]
+    nominal = adversarial = _softplus(z).mean(axis=-1)
     if spec.c > 0.0:
-        z = z + spec.c * spec.weight_norm(theta)
-        adversarial = float(_softplus(z).mean())
+        z = z + (spec.c * spec.weight_norm(theta))[:, None]
+        adversarial = _softplus(z).mean(axis=-1)
     sig = expit(z)
-    if math.isinf(clip_k):
+    if unclipped.all():
         return nominal, adversarial, _binary_gradient(theta, x, y, spec, sig)
-    r = -y[:, None] * x
+    r = -y[..., None] * x
     if spec.c > 0.0:
-        r = r + spec.c * spec.weight_norm_subgradient(theta)[None, :]
-    weights = sig * _clip_factors(sig * _row_norms(r), clip_k)
-    return nominal, adversarial, weights @ r / x.shape[0]
+        r = r + (spec.c * spec.weight_norm_subgradient(theta))[:, None, :]
+    weights = sig * _clip_factors(sig * _row_norms(r), clip_k[:, None])
+    return nominal, adversarial, (weights[:, None, :] @ r)[:, 0] / n
 
 
 def hessian_vector_product(theta, v, x, y, spec: LossSpec) -> np.ndarray:
@@ -291,16 +354,20 @@ def _softmax_terms(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.nd
     """Label log-probabilities and residuals softmax - e_y from one exp pass.
 
     Bit-identical to indexing :func:`_log_softmax` and to :func:`_softmax`
-    minus the one-hot labels.
+    minus the one-hot labels.  ``logits`` may carry leading cell axes,
+    (..., n, C), with labels (n,) shared or (..., n) per cell.
     """
-    idx = np.arange(y.shape[0])
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    total = e.sum(axis=1, keepdims=True)
-    log_p = shifted[idx, y] - np.log(total[:, 0])
+    total = e.sum(axis=-1, keepdims=True)
     r = e / total
-    r[idx, y] -= 1.0
-    return log_p, r
+    # index (row, label) pairs of the flattened leading axes
+    num_classes = logits.shape[-1]
+    labels = np.broadcast_to(y, logits.shape[:-1]).ravel()
+    rows = np.arange(labels.shape[0])
+    log_p = shifted.reshape(-1, num_classes)[rows, labels] - np.log(total.ravel())
+    r.reshape(-1, num_classes)[rows, labels] -= 1.0
+    return log_p.reshape(logits.shape[:-1]), r
 
 
 def _check_classes(theta, y):

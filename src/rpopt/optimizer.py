@@ -10,13 +10,20 @@ linear model's per-example gradient is rank one, so its norm comes from the
 row norms of the residuals and the inputs, and the clipped mean is one
 matrix product (see :func:`rpopt.losses.step_terms`); no per-example
 gradient tensor is built.
+
+Independent runs on one dataset that differ only in clip_k, sigma and seed
+(a sweep row, the seeds of a curve) train as one stack: :func:`train_stack`
+keeps their iterates as one (K, d) or (K, C, d) array and takes each step
+with one call of :func:`rpopt.losses.step_terms_stack`.  Each cell keeps
+its own random streams and divergence, and its numbers are bit-identical
+to training it alone; :func:`train` is the one-cell case.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -191,73 +198,139 @@ def train(dataset: Dataset, config: OptimizerConfig) -> TrainTrace:
 
     Raises DivergenceError (with the offending step) if an iterate or a
     recorded loss stops being finite.  Identical dataset, config, and seed
-    give bit-identical traces.
+    give bit-identical traces.  This is the one-cell case of
+    :func:`train_stack`.
     """
+    (outcome,) = train_stack(dataset, [config])
+    if isinstance(outcome, DivergenceError):
+        raise outcome
+    return outcome
+
+
+# the only fields in which the configs of one stack may differ
+STACKED_FIELDS = ("clip_k", "sigma", "seed")
+
+
+def train_stack(dataset: Dataset, configs) -> list:
+    """Train one independent cell per config, as one stacked program.
+
+    The configs may differ only in ``clip_k``, ``sigma`` and ``seed``.  The
+    iterates are stacked as (K, d) or (K, C, d) and every step is one call
+    of :func:`rpopt.losses.step_terms_stack`; each cell keeps its own
+    Generator (batch choice and noise) and its own PGD seeds, and
+    multi-class cells are attacked one at a time.  Entry i of the result is
+    what ``train(dataset, configs[i])`` returns, bit for bit, or the
+    DivergenceError it raises: a cell that diverges stops updating and never
+    changes another cell's numbers.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ValueError("train_stack needs at least one config")
+    first = configs[0]
+    for config in configs[1:]:
+        differ = [
+            f.name
+            for f in fields(OptimizerConfig)
+            if f.name not in STACKED_FIELDS and getattr(config, f.name) != getattr(first, f.name)
+        ]
+        if differ:
+            raise ValueError(
+                f"stacked configs may differ only in {', '.join(STACKED_FIELDS)}, "
+                f"not in {', '.join(differ)}"
+            )
     multiclass = not dataset.is_binary
-    spec = config.spec
+    spec, steps, batch = first.spec, first.steps, first.batch
     x_all = dataset.features
     if multiclass:
         y_all = dataset.labels
-        theta = np.zeros((dataset.num_classes, dataset.dim))
+        shape = (dataset.num_classes, dataset.dim)
     else:
         y_all = dataset.labels.astype(np.float64)
-        theta = np.zeros(dataset.dim)
+        shape = (dataset.dim,)
     n_all = dataset.n
-    if config.batch is not None and config.batch > n_all:
+    if batch is not None and batch > n_all:
         raise ValueError("batch size exceeds dataset size")
-    noise_std = noise_calibration(config, config.batch or n_all) if config.sigma > 0 else 0.0
-
-    rng = np.random.default_rng(config.seed)
-    rows = np.zeros((config.steps + 1, 5))
-    clip_k = config.clip_k if config.noise_mode == "dpsgd" else math.inf
+    noise_std = [
+        noise_calibration(config, batch or n_all) if config.sigma > 0 else 0.0
+        for config in configs
+    ]
+    clip_k = np.array(
+        [config.clip_k if config.noise_mode == "dpsgd" else math.inf for config in configs]
+    )
+    rngs = [np.random.default_rng(config.seed) for config in configs]
+    # per cell and iterate: nominal loss, worst-case loss, ||theta||, ||grad||
+    rows = np.zeros((len(configs), steps + 1, 4))
+    outcomes: list = [None] * len(configs)
+    live = np.arange(len(configs))  # the cell of each row of the stack
+    theta = np.zeros((len(configs),) + shape)
 
     def eval_at(xb, yb, t):
-        """Losses and mean clipped gradient at the current iterate."""
+        """Losses and mean clipped gradients of the live cells."""
         x_adv = None
         if multiclass and spec.c > 0:
-            attack = AttackConfig(
-                budget=spec.c,
-                p=spec.p,
-                steps=config.attack_steps,
-                seed=config.seed + 7919 * (t + 1),
-            )
-            x_adv = xb + pgd_batch(theta, xb, yb, attack, box=dataset.box)
-        return losses_mod.step_terms(theta, xb, yb, spec, clip_k, x_adv)
+            x_adv = np.empty((len(live),) + xb.shape[-2:])
+            for i, k in enumerate(live):
+                xk, yk = (xb, yb) if xb.ndim == 2 else (xb[i], yb[i])
+                attack = AttackConfig(
+                    budget=spec.c,
+                    p=spec.p,
+                    steps=first.attack_steps,
+                    seed=configs[k].seed + 7919 * (t + 1),
+                )
+                x_adv[i] = xk + pgd_batch(theta[i], xk, yk, attack, box=dataset.box)
+        return losses_mod.step_terms_stack(theta, xb, yb, spec, clip_k, x_adv)
 
-    for t in range(config.steps):
-        if config.batch is None:
+    def record(t, terms):
+        """Keep the cells whose losses are finite and write their row t."""
+        nominal, adversarial, grad = terms
+        keep = np.isfinite(nominal) & np.isfinite(adversarial)
+        if not keep.all():
+            drop(keep, t)
+            nominal, adversarial, grad = nominal[keep], adversarial[keep], grad[keep]
+        for column, values in enumerate(
+            (nominal, adversarial, _cell_norms(theta), _cell_norms(grad))
+        ):
+            rows[live, t, column] = values
+        return grad
+
+    def drop(keep, step):
+        nonlocal theta, live, clip_k
+        for k in live[~keep]:
+            outcomes[k] = DivergenceError(step)
+        theta, live, clip_k = theta[keep], live[keep], clip_k[keep]
+
+    for t in range(steps + 1):
+        if not len(live):
+            break
+        if batch is None or t == steps:  # the final row is on the full set
             xb, yb = x_all, y_all
         else:
-            idx = rng.choice(n_all, size=config.batch, replace=False)
+            idx = np.array([rngs[k].choice(n_all, size=batch, replace=False) for k in live])
             xb, yb = x_all[idx], y_all[idx]
-        nominal, adversarial, mean_grad = eval_at(xb, yb, t)
-        if not (math.isfinite(nominal) and math.isfinite(adversarial)):
-            raise DivergenceError(t)
-        rows[t] = (t, nominal, adversarial, np.linalg.norm(theta), np.linalg.norm(mean_grad))
-        update = mean_grad
-        if config.sigma > 0:
-            update = update + rng.normal(0.0, noise_std, size=theta.shape)
-        eta_t = config.resolved_first_step_eta if t == 0 else config.eta
+        update = record(t, eval_at(xb, yb, t))
+        if t == steps:
+            break
+        for i, k in enumerate(live):
+            if configs[k].sigma > 0:
+                update[i] += rngs[k].normal(0.0, noise_std[k], size=shape)
+        eta_t = first.resolved_first_step_eta if t == 0 else first.eta
         theta = theta - eta_t * update
-        if not np.all(np.isfinite(theta)):
-            raise DivergenceError(t + 1)
+        if not np.isfinite(theta).all():
+            drop(np.isfinite(theta).reshape(len(live), math.prod(shape)).all(axis=1), t + 1)
 
-    nominal, adversarial, mean_grad = eval_at(x_all, y_all, config.steps)
-    if not (math.isfinite(nominal) and math.isfinite(adversarial)):
-        raise DivergenceError(config.steps)
-    rows[config.steps] = (
-        config.steps,
-        nominal,
-        adversarial,
-        np.linalg.norm(theta),
-        np.linalg.norm(mean_grad),
-    )
-    return TrainTrace(
-        t=rows[:, 0].astype(np.int64),
-        nominal_loss=rows[:, 1],
-        adversarial_loss=rows[:, 2],
-        theta_norm=rows[:, 3],
-        grad_norm=rows[:, 4],
-        final_params=ModelParams(theta),
-        config=config,
-    )
+    for i, k in enumerate(live):
+        outcomes[k] = TrainTrace(
+            t=np.arange(steps + 1),
+            nominal_loss=rows[k, :, 0],
+            adversarial_loss=rows[k, :, 1],
+            theta_norm=rows[k, :, 2],
+            grad_norm=rows[k, :, 3],
+            final_params=ModelParams(theta[i].copy()),
+            config=configs[k],
+        )
+    return outcomes
+
+
+def _cell_norms(stack: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each cell's flattened entries, bit for bit."""
+    return losses_mod.l2_norms(stack.reshape(len(stack), math.prod(stack.shape[1:])))

@@ -167,11 +167,20 @@ def _verify_fig3(run_dir, manifest):
     return checks
 
 
-def _spearman_check(name, a, b, want_positive):
-    coeff = float(spearmanr(a, b).statistic)
+def _spearman_check(table, a, b, want_positive, name):
+    """Sign of the rank correlation of columns a and b.  Undefined (and not
+    passed) when fewer than 2 rows are left or a column is constant."""
+    title = f"spearman({name}) {'>' if want_positive else '<'} 0"
+    rows = len(table[a])
+    if rows < 2:
+        return _check(title, False, f"coefficient undefined: {rows} row(s) left, need 2")
+    constant = [col for col in (a, b) if np.all(table[col] == table[col][0])]
+    if constant:
+        columns = " and ".join(f"{col} (all {table[col][0]:g})" for col in constant)
+        return _check(title, False, f"coefficient undefined: constant column {columns}")
+    coeff = float(spearmanr(table[a], table[b]).statistic)
     passed = coeff > 0 if want_positive else coeff < 0
-    sign = ">" if want_positive else "<"
-    return _check(f"spearman({name}) {sign} 0", passed, f"coefficient {coeff:.4f}")
+    return _check(title, passed, f"coefficient {coeff:.4f}")
 
 
 def _load_sweep(run_dir, filename):
@@ -183,12 +192,10 @@ def _load_sweep(run_dir, filename):
 def _verify_fig8(run_dir, manifest):
     table = _load_sweep(run_dir, "fig8-sweep.csv")
     return [
-        _spearman_check("lambda_max, c", table["lambda_max"], table["c"], True),
+        _spearman_check(table, "lambda_max", "c", True, "lambda_max, c"),
+        _spearman_check(table, "lambda_max", "k_or_epsilon", False, "lambda_max, clip k"),
         _spearman_check(
-            "lambda_max, clip k", table["lambda_max"], table["k_or_epsilon"], False
-        ),
-        _spearman_check(
-            "test accuracy, lambda_max", table["test_accuracy"], table["lambda_max"], False
+            table, "test_accuracy", "lambda_max", False, "test accuracy, lambda_max"
         ),
     ]
 
@@ -198,11 +205,9 @@ def _verify_fig9(run_dir, manifest):
     # so the budget effect is only claimed for the noiseless clipping sweep.
     table = _load_sweep(run_dir, "fig9-sweep.csv")
     return [
+        _spearman_check(table, "lambda_max", "k_or_epsilon", False, "lambda_max, epsilon"),
         _spearman_check(
-            "lambda_max, epsilon", table["lambda_max"], table["k_or_epsilon"], False
-        ),
-        _spearman_check(
-            "test accuracy, lambda_max", table["test_accuracy"], table["lambda_max"], False
+            table, "test_accuracy", "lambda_max", False, "test accuracy, lambda_max"
         ),
     ]
 

@@ -52,6 +52,14 @@ class TestDatasetInvariants:
         binary = Dataset(features=np.eye(2) * 0.5, labels=np.array([1, -1]))
         assert binary.is_binary and binary.num_classes is None
 
+    def test_label_kind_is_fixed_at_construction(self):
+        ones = Dataset(features=np.eye(2) * 0.5, labels=np.array([1, 1]), binary=False)
+        assert not ones.is_binary and ones.num_classes == 2
+        with pytest.raises(ValueError, match="binary labels"):
+            Dataset(features=np.eye(2) * 0.5, labels=np.array([0, 1]), binary=True)
+        with pytest.raises(ValueError, match="multi-class labels"):
+            Dataset(features=np.eye(2) * 0.5, labels=np.array([1, -1]), binary=False)
+
 
 class TestGenerateSeparable:
     def test_margin_is_achieved_and_recorded(self):
@@ -167,6 +175,17 @@ class TestSplit:
         assert train.margin == pytest.approx(margin_wrt(train, train.separator))
         assert test.margin == pytest.approx(margin_wrt(test, test.separator))
 
+    def test_parts_keep_the_label_kind(self):
+        # put every class-1 example in the test part, whose labels are then all 1
+        perm = np.random.default_rng(3).permutation(9)
+        labels = np.zeros(9, dtype=np.int64)
+        labels[perm[:3]] = 1
+        labels[perm[3:]] = [0, 2, 0, 2, 0, 2]
+        dataset = Dataset(features=np.eye(9) * 0.5, labels=labels)
+        train, test = split(dataset, test_fraction=3 / 9, seed=3)
+        assert set(test.labels) == {1}
+        assert not test.is_binary and not train.is_binary
+
     def test_rejects_degenerate_fractions(self, small_binary):
         for bad in (0.0, 1.0, 0.001):
             with pytest.raises(ValueError):
@@ -243,6 +262,16 @@ class TestIdxRoundTrip:
         ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
         write_idx(images, np.arange(5), ip, lp)
         assert load_idx(ip, lp, limit=3).n == 3
+        with pytest.raises(DataFormatError, match="limit"):
+            load_idx(ip, lp, limit=0)
+
+    def test_limited_subset_stays_multiclass(self, tmp_path):
+        images = np.zeros((5, 2, 2), dtype=np.uint8)
+        ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
+        write_idx(images, np.array([1, 1, 1, 0, 2]), ip, lp)
+        subset = load_idx(ip, lp, limit=3)
+        assert set(subset.labels) == {1}
+        assert not subset.is_binary and subset.num_classes == 2
         with pytest.raises(DataFormatError, match="limit"):
             load_idx(ip, lp, limit=0)
 

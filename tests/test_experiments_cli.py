@@ -258,6 +258,24 @@ class TestVerifyReportFaults:
         assert "all bound values positive" in failed
         assert "bound_private >= bound_nominal pointwise" in failed
 
+    def test_constant_column_makes_spearman_undefined(self, tmp_path):
+        out = tmp_path / "fig8"
+        out.mkdir()
+        (out / MANIFEST_NAME).write_text(json.dumps({"kind": "fig8-sweep"}), encoding="utf-8")
+        rows = [
+            "c,k_or_epsilon,lambda_max,test_accuracy,theta_norm,converged,diverged",
+            "0,0.1,0.3,1,2.0,1,0",
+            "0,1,0.2,1,2.5,1,0",
+            "0.01,0.1,0.5,1,1.5,1,0",
+        ]
+        (out / "fig8-sweep.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        checks = {check.name: check for check in verify_report(str(out)).checks}
+        accuracy = checks["spearman(test accuracy, lambda_max) < 0"]
+        assert not accuracy.passed
+        assert "undefined" in accuracy.measured and "test_accuracy" in accuracy.measured
+        assert "nan" not in accuracy.measured
+        assert checks["spearman(lambda_max, c) > 0"].passed
+
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError, match=MANIFEST_NAME):
             verify_report(str(tmp_path))
@@ -391,6 +409,16 @@ class TestCliInProcess:
         ini.write_text("[train]\neta = 0.5\nsteps = 3\n", encoding="utf-8")
         code, _, err = run_cli("train", "--config", str(ini), "--out", str(tmp_path / "t.csv"))
         assert code == 1 and "error:" in err
+
+    def test_train_rejects_unknown_keys(self, run_cli, tmp_path):
+        data = str(tmp_path / "data.csv")
+        run_cli("gen-data", "--d", 4, "--n", 40, "--out", data)
+        ini = tmp_path / "train.ini"
+        ini.write_text("[train]\neta = 0.5\nstpes = 5000\n", encoding="utf-8")
+        out = tmp_path / "t.csv"
+        code, _, err = run_cli("train", "--config", str(ini), "--data", data, "--out", str(out))
+        assert code == 1 and "stpes" in err
+        assert not out.exists()
 
     def test_load_train_config_errors(self, tmp_path):
         with pytest.raises(ValueError, match="cannot read"):

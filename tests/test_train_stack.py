@@ -1,0 +1,246 @@
+"""The stacked trainer ``optimizer.train_stack`` against one-cell training.
+
+The reference is the one-cell training loop, kept here as it stood before
+training was stacked: one ``losses.step_terms`` call per step, with the
+cell's own Generator for batch choice and noise and its own PGD seeds.
+Every comparison is bit for bit.
+"""
+
+import math
+from dataclasses import fields, replace
+
+import numpy as np
+import pytest
+
+from rpopt.attacks import AttackConfig, pgd_batch
+from rpopt.curvature import clipping_smoothness_curve
+from rpopt.data import Dataset, generate_separable
+from rpopt.errors import DivergenceError
+from rpopt.losses import LossSpec, step_terms
+from rpopt.optimizer import (
+    STACKED_FIELDS,
+    OptimizerConfig,
+    TrainTrace,
+    noise_calibration,
+    train,
+    train_stack,
+)
+
+
+def _train_one(dataset, config):
+    """One cell, one step at a time: (rows, final weights), or the
+    DivergenceError the run stops with."""
+    multiclass = not dataset.is_binary
+    spec = config.spec
+    x_all = dataset.features
+    if multiclass:
+        y_all = dataset.labels
+        theta = np.zeros((dataset.num_classes, dataset.dim))
+    else:
+        y_all = dataset.labels.astype(np.float64)
+        theta = np.zeros(dataset.dim)
+    noise_std = noise_calibration(config, config.batch or dataset.n) if config.sigma > 0 else 0.0
+    rng = np.random.default_rng(config.seed)
+    clip_k = config.clip_k if config.noise_mode == "dpsgd" else math.inf
+    rows = np.zeros((config.steps + 1, 5))
+
+    def eval_at(xb, yb, t):
+        x_adv = None
+        if multiclass and spec.c > 0:
+            attack = AttackConfig(
+                budget=spec.c, p=spec.p, steps=config.attack_steps, seed=config.seed + 7919 * (t + 1)
+            )
+            x_adv = xb + pgd_batch(theta, xb, yb, attack, box=dataset.box)
+        return step_terms(theta, xb, yb, spec, clip_k, x_adv)
+
+    for t in range(config.steps + 1):
+        if config.batch is None or t == config.steps:
+            xb, yb = x_all, y_all
+        else:
+            idx = rng.choice(dataset.n, size=config.batch, replace=False)
+            xb, yb = x_all[idx], y_all[idx]
+        nominal, adversarial, grad = eval_at(xb, yb, t)
+        if not (math.isfinite(nominal) and math.isfinite(adversarial)):
+            return DivergenceError(t)
+        rows[t] = (t, nominal, adversarial, np.linalg.norm(theta), np.linalg.norm(grad))
+        if t == config.steps:
+            return rows, theta
+        if config.sigma > 0:
+            grad = grad + rng.normal(0.0, noise_std, size=theta.shape)
+        eta_t = config.resolved_first_step_eta if t == 0 else config.eta
+        theta = theta - eta_t * grad
+        if not np.all(np.isfinite(theta)):
+            return DivergenceError(t + 1)
+
+
+def _assert_same(outcome, reference):
+    if isinstance(reference, DivergenceError):
+        assert isinstance(outcome, DivergenceError)
+        assert outcome.step == reference.step
+        return
+    rows, theta = reference
+    assert isinstance(outcome, TrainTrace)
+    for i, name in enumerate(TrainTrace.COLUMNS):
+        np.testing.assert_array_equal(getattr(outcome, name), rows[:, i])
+    np.testing.assert_array_equal(outcome.final_params.weights, theta)
+
+
+def _check_stack(dataset, configs):
+    outcomes = train_stack(dataset, configs)
+    assert len(outcomes) == len(configs)
+    for config, outcome in zip(configs, outcomes):
+        _assert_same(outcome, _train_one(dataset, config))
+        if isinstance(outcome, DivergenceError):
+            with pytest.raises(DivergenceError, match=f"step {outcome.step}$"):
+                train(dataset, config)
+            continue
+        assert outcome.config == config
+        solo = train(dataset, config)
+        for name in TrainTrace.COLUMNS:
+            np.testing.assert_array_equal(getattr(outcome, name), getattr(solo, name))
+    return outcomes
+
+
+def _cells(base, knobs):
+    """One config per (clip_k, sigma, seed) triple."""
+    return [replace(base, clip_k=k, sigma=s, seed=seed) for k, s, seed in knobs]
+
+
+@pytest.fixture(scope="module")
+def binary_data():
+    return generate_separable(d=5, n=60, gamma=0.2, seed=2)
+
+
+@pytest.fixture(scope="module")
+def box_data():
+    rng = np.random.default_rng(4)
+    centers = np.eye(3, 8) * 0.3 + 0.05
+    labels = np.repeat(np.arange(3), 20)
+    features = np.clip(centers[labels] + 0.05 * rng.standard_normal((60, 8)), 0.0, 1.0)
+    return Dataset(features=features, labels=labels, box=(0.0, 1.0))
+
+
+BINARY_SPECS = {
+    "c=0": LossSpec.nominal(),
+    "c>0,p=2": LossSpec.adversarial(0.05, 2.0),
+    "c>0,p=inf": LossSpec.adversarial(0.05, math.inf),
+}
+
+
+class TestBinary:
+    @pytest.mark.parametrize("spec", BINARY_SPECS.values(), ids=BINARY_SPECS.keys())
+    @pytest.mark.parametrize("batch", [None, 17], ids=["full", "minibatch"])
+    def test_dpsgd_cells_match_one_cell_training(self, binary_data, spec, batch):
+        base = OptimizerConfig(eta=0.5, steps=15, spec=spec, noise_mode="dpsgd", batch=batch)
+        # finite and infinite thresholds, with and without noise, in one stack
+        configs = _cells(
+            base,
+            [(0.1, 0.0, 1), (2.0, 0.0, 2), (math.inf, 0.0, 3), (0.5, 0.7, 4), (0.1, 3.0, 5)],
+        )
+        _check_stack(binary_data, configs)
+
+    @pytest.mark.parametrize("spec", BINARY_SPECS.values(), ids=BINARY_SPECS.keys())
+    def test_theory_cells_match_one_cell_training(self, binary_data, spec):
+        base = OptimizerConfig(eta=0.1, steps=20, spec=spec)
+        configs = [replace(base, sigma=0.25, seed=seed) for seed in range(4)]
+        _check_stack(binary_data, configs + [replace(base, seed=9)])
+
+    def test_single_cell_stack_is_train(self, binary_data):
+        config = OptimizerConfig(eta=0.2, steps=5, sigma=0.3, seed=11)
+        _check_stack(binary_data, [config])
+
+
+class TestMulticlass:
+    @pytest.mark.parametrize("c", [0.0, 0.05], ids=["clean", "attacked"])
+    @pytest.mark.parametrize("batch", [None, 24], ids=["full", "minibatch"])
+    def test_cells_match_one_cell_training(self, box_data, c, batch):
+        spec = LossSpec.adversarial(c, math.inf) if c > 0 else LossSpec.nominal()
+        base = OptimizerConfig(
+            eta=1.0, steps=8, spec=spec, noise_mode="dpsgd", batch=batch, attack_steps=3
+        )
+        configs = _cells(base, [(0.05, 0.5, 7), (math.inf, 0.0, 8), (0.5, 0.0, 9)])
+        _check_stack(box_data, configs)
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("mode", ["theory", "dpsgd"])
+    @pytest.mark.parametrize("batch", [None, 17], ids=["full", "minibatch"])
+    def test_diverging_cells_leave_their_stack_mates_alone(self, binary_data, batch, mode):
+        base = OptimizerConfig(eta=0.5, steps=30, batch=batch, noise_mode=mode)
+        mates = [replace(base, clip_k=0.1, sigma=0.2, seed=1), replace(base, clip_k=2.0, seed=3)]
+        # the first overflows at once, the second only after several steps
+        diverging = [
+            replace(base, clip_k=1e3, sigma=1e308, seed=2),
+            replace(base, clip_k=15.0, sigma=1e307, seed=0),
+        ]
+        configs = [diverging[0], mates[0], diverging[1], mates[1]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            solo_steps = []
+            for config in diverging:
+                with pytest.raises(DivergenceError) as solo:
+                    train(binary_data, config)
+                solo_steps.append(solo.value.step)
+            alone = _check_stack(binary_data, mates)
+            stacked = _check_stack(binary_data, configs)
+        assert max(solo_steps) > 1
+        assert [stacked[0].step, stacked[2].step] == solo_steps
+        for outcome, mate in zip((stacked[1], stacked[3]), alone):
+            for name in TrainTrace.COLUMNS:
+                np.testing.assert_array_equal(getattr(outcome, name), getattr(mate, name))
+            np.testing.assert_array_equal(
+                outcome.final_params.weights, mate.final_params.weights
+            )
+
+    def test_every_cell_may_diverge(self, binary_data):
+        base = OptimizerConfig(eta=0.5, steps=10, sigma=1e308)
+        configs = [replace(base, seed=seed) for seed in range(3)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcomes = _check_stack(binary_data, configs)
+        assert all(isinstance(outcome, DivergenceError) for outcome in outcomes)
+
+
+class TestValidation:
+    def test_stacked_fields(self):
+        shared = {f.name for f in fields(OptimizerConfig)} - set(STACKED_FIELDS)
+        assert set(STACKED_FIELDS) == {"clip_k", "sigma", "seed"}
+        assert shared == {
+            "eta", "steps", "first_step_eta", "batch", "spec", "noise_mode", "attack_steps"
+        }
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"eta": 0.2},
+            {"steps": 4},
+            {"first_step_eta": 1.0},
+            {"batch": 10},
+            {"spec": LossSpec.adversarial(0.05)},
+            {"noise_mode": "dpsgd"},
+            {"attack_steps": 3},
+        ],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_mismatched_configs_are_rejected(self, binary_data, change):
+        base = OptimizerConfig(eta=0.1, steps=3, clip_k=1.0)
+        other = replace(base, seed=1, **change)
+        with pytest.raises(ValueError, match=next(iter(change))):
+            train_stack(binary_data, [base, other])
+
+    def test_empty_stack_is_rejected(self, binary_data):
+        with pytest.raises(ValueError, match="at least one"):
+            train_stack(binary_data, [])
+
+
+def test_parallel_rows_match_serial_grid():
+    dataset = generate_separable(d=4, n=90, gamma=0.3, seed=6)
+    kwargs = dict(
+        c_grid=[0.0, 0.05],
+        k_grid=[0.5, 2.0],
+        base_config=OptimizerConfig(eta=1.0, steps=10, seed=3),
+        curvature_examples=32,
+        curvature_iters=100,
+    )
+    serial = clipping_smoothness_curve(dataset, workers=1, **kwargs)
+    parallel = clipping_smoothness_curve(dataset, workers=2, **kwargs)
+    assert [(cell.row, cell.col) for cell in serial.cells] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert serial.cells == parallel.cells
