@@ -13,6 +13,7 @@ import configparser
 import math
 import os
 import sys
+from dataclasses import replace
 
 from . import bounds as bounds_mod
 from ._version import __version__
@@ -24,6 +25,7 @@ from .data import (
     load_idx,
     save_csv,
     split,
+    write_table,
 )
 from .errors import DataFormatError, InvalidRegimeError, RpoptError
 from .experiments import (
@@ -138,8 +140,6 @@ def _cmd_train(args) -> int:
     config = load_train_config(args.config)
     seed = _env_seed()
     if seed is not None:
-        from dataclasses import replace
-
         config = replace(config, seed=seed)
     dataset = _load_dataset(args)
     gamma = dataset.margin if dataset.is_binary else None
@@ -186,13 +186,7 @@ def _cmd_bounds(args) -> int:
     else:
         rows = bounds_mod.evaluate_series(args.setting, inputs, ts)
         header = ["t", f"bound_{args.setting.replace('-', '_')}"]
-    import csv as csv_mod
-
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv_mod.writer(fh)
-        writer.writerow(header)
-        for t, value in rows:
-            writer.writerow([int(t), f"{value:.17g}"])
+    write_table(args.out, header, ((int(t), value) for t, value in rows))
     print(f"wrote {args.out}: {len(rows)} rows")
     return 0
 

@@ -8,18 +8,18 @@ privacy level to the curvature of the solution.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import losses as losses_mod
 from .attacks import AttackConfig, pgd_batch
 from .bounds import accountant_sigma
-from .data import Dataset, split
-from .errors import DivergenceError, SingularityError
+from .data import Dataset, read_table, split, write_table
+from .errors import DataFormatError, DivergenceError, SingularityError
 from .losses import LossSpec, model_weights
 from .optimizer import OptimizerConfig, train_stack
 
@@ -224,46 +224,26 @@ class SweepTable:
         return out
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SWEEP_COLUMNS)
-            for cell in sorted(self.cells, key=lambda cc: (cc.row, cc.col)):
-                writer.writerow(
-                    [
-                        f"{cell.c:.17g}",
-                        f"{cell.knob:.17g}",
-                        f"{cell.lambda_max:.17g}",
-                        f"{cell.test_accuracy:.17g}",
-                        f"{cell.theta_norm:.17g}",
-                        int(cell.converged),
-                        int(cell.diverged),
-                    ]
-                )
+        rows = (
+            (cell.c, cell.knob, cell.lambda_max, cell.test_accuracy, cell.theta_norm,
+             int(cell.converged), int(cell.diverged))
+            for cell in sorted(self.cells, key=lambda cc: (cc.row, cc.col))
+        )
+        write_table(path, SWEEP_COLUMNS, rows)
 
 
 def read_sweep_csv(path) -> list[SweepCell]:
     """Rows of a sweep CSV as SweepCell records (grid indices unknown: -1)."""
-    cells = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(SWEEP_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"sweep CSV lacks columns: {sorted(missing)}")
-        for row in reader:
-            cells.append(
-                SweepCell(
-                    row=-1,
-                    col=-1,
-                    c=float(row["c"]),
-                    knob=float(row["k_or_epsilon"]),
-                    lambda_max=float(row["lambda_max"]),
-                    test_accuracy=float(row["test_accuracy"]),
-                    theta_norm=float(row["theta_norm"]),
-                    converged=bool(int(row["converged"])),
-                    diverged=bool(int(row["diverged"])),
-                )
-            )
-    return cells
+    table = read_table(path)
+    missing = set(SWEEP_COLUMNS) - set(table)
+    if missing:
+        raise DataFormatError(f"{path}: sweep CSV lacks columns: {sorted(missing)}")
+    return [
+        SweepCell(-1, -1, c, knob, lam, acc, norm, bool(converged), bool(diverged))
+        for c, knob, lam, acc, norm, converged, diverged in zip(
+            *(table[name] for name in SWEEP_COLUMNS)
+        )
+    ]
 
 
 def cell_seed(seed: int, row: int, col: int) -> int:
@@ -359,19 +339,6 @@ def _score_cell(ctx, row, col, c, knob, config, outcome) -> SweepCell:
     )
 
 
-_WORKER_CONTEXT: _SweepContext | None = None
-
-
-def _init_sweep_worker(ctx: _SweepContext) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = ctx
-
-
-def _run_sweep_job(job) -> list[SweepCell]:
-    assert _WORKER_CONTEXT is not None
-    return _evaluate_row(_WORKER_CONTEXT, job)
-
-
 def _run_sweep(ctx: _SweepContext, jobs, workers: int) -> list[SweepCell]:
     """Evaluate the row jobs (row, c, [(col, knob, clip_k, sigma), ...]), in
     a process pool when workers > 1; rows are independent, so the cells are
@@ -379,10 +346,8 @@ def _run_sweep(ctx: _SweepContext, jobs, workers: int) -> list[SweepCell]:
     if workers <= 1:
         rows = [_evaluate_row(ctx, job) for job in jobs]
     else:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_sweep_worker, initargs=(ctx,)
-        ) as pool:
-            rows = list(pool.map(_run_sweep_job, jobs))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(partial(_evaluate_row, ctx), jobs))
     return [cell for row in rows for cell in row]
 
 
@@ -390,20 +355,6 @@ def _resolve_split(dataset, test_dataset, seed):
     if test_dataset is not None:
         return dataset, test_dataset
     return split(dataset, test_fraction=1.0 / 6.0, seed=seed)
-
-
-def _make_context(train_ds, test_ds, base_config, p, curvature_examples,
-                  curvature_tol, curvature_iters, eval_attack_steps):
-    return _SweepContext(
-        train_dataset=train_ds,
-        test_dataset=test_ds,
-        base_config=base_config,
-        p=p,
-        curvature_examples=curvature_examples,
-        curvature_tol=curvature_tol,
-        curvature_iters=curvature_iters,
-        eval_attack_steps=eval_attack_steps,
-    )
 
 
 def clipping_smoothness_curve(
@@ -426,7 +377,7 @@ def clipping_smoothness_curve(
     if not c_grid or not k_grid:
         raise ValueError("grids must be nonempty")
     train_ds, test_ds = _resolve_split(dataset, test_dataset, base_config.seed)
-    ctx = _make_context(train_ds, test_ds, base_config, p, curvature_examples,
+    ctx = _SweepContext(train_ds, test_ds, base_config, p, curvature_examples,
                         curvature_tol, curvature_iters, eval_attack_steps)
     jobs = [(i, c, [(j, k, k, 0.0) for j, k in enumerate(k_grid)]) for i, c in enumerate(c_grid)]
     cells = _run_sweep(ctx, jobs, workers)
@@ -457,7 +408,7 @@ def privacy_smoothness_curve(
     if not math.isfinite(base_config.clip_k):
         raise ValueError("privacy sweep requires a finite clip_k in base_config")
     train_ds, test_ds = _resolve_split(dataset, test_dataset, base_config.seed)
-    ctx = _make_context(train_ds, test_ds, base_config, p, curvature_examples,
+    ctx = _SweepContext(train_ds, test_ds, base_config, p, curvature_examples,
                         curvature_tol, curvature_iters, eval_attack_steps)
     k = base_config.clip_k
     # one calibration per epsilon: noise on the gradient sum has std sigma*k,

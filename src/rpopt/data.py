@@ -1,8 +1,9 @@
-"""Dataset container, synthetic generators, and CSV / IDX file loading.
+"""Dataset container, synthetic generators, CSV / IDX file loading, and
+the table format every artifact CSV is written and read in.
 
 All features live in the unit ball: every row of ``features`` has Euclidean
 norm at most 1.  Binary labels are stored as {-1, +1}; multi-class labels as
-non-negative class indices.
+class indices in [0, num_classes).
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ class Dataset:
         margin: optional minimum of y_i * <x_i, separator> over the data.
         name: short identifier used in manifests.
         box: optional (lo, hi) coordinate-wise domain, e.g. (0, 1) for images.
-        binary: the label kind, fixed at construction.  None infers it from
-            the labels ({-1, +1} means binary); subsets pass their parent's
-            kind, so a multi-class subset whose labels are all 1 stays
-            multi-class.
+        num_classes: the class count C, fixed at construction; None for
+            binary data.  Left as None it is inferred from the labels:
+            {-1, +1} labels are binary, others give max + 1.  Subsets pass
+            their parent's count, so a part that lacks the top class, or
+            whose labels are all 1, keeps the parent's C classes.
     """
 
     features: np.ndarray
@@ -47,7 +49,7 @@ class Dataset:
     margin: float | None = None
     name: str = ""
     box: tuple[float, float] | None = None
-    binary: bool | None = None
+    num_classes: int | None = None
 
     def __post_init__(self):
         features = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
@@ -72,12 +74,11 @@ class Dataset:
             raise ValueError(
                 "labels must be {-1,+1} (binary) or non-negative class indices"
             )
-        if self.binary is None:
-            object.__setattr__(self, "binary", values <= {-1, 1})
-        elif self.binary and not values <= {-1, 1}:
-            raise ValueError("binary labels must be -1 or +1")
-        elif not self.binary and -1 in values:
-            raise ValueError("multi-class labels must be non-negative class indices")
+        if self.num_classes is None:
+            if not values <= {-1, 1}:
+                object.__setattr__(self, "num_classes", max(values) + 1)
+        elif min(values) < 0 or max(values) >= self.num_classes:
+            raise ValueError(f"multi-class labels must lie in [0, {self.num_classes})")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
         if self.separator is not None:
@@ -111,17 +112,7 @@ class Dataset:
 
     @property
     def is_binary(self) -> bool:
-        return self.binary
-
-    @property
-    def num_classes(self) -> int | None:
-        """Number of classes for index labels; None for binary {-1,+1} data."""
-        if self.is_binary:
-            return None
-        return int(self.labels.max()) + 1
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.features, self.labels
+        return self.num_classes is None
 
 
 def _unit_vector(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -271,7 +262,7 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
             margin=margin,
             name=f"{dataset.name}-{tag}" if dataset.name else tag,
             box=dataset.box,
-            binary=dataset.is_binary,
+            num_classes=dataset.num_classes,
         )
 
     return take(train_idx, "train"), take(test_idx, "test")
@@ -329,11 +320,61 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
 
 def save_csv(dataset: Dataset, path: str) -> None:
     """Write ``label,f0,...,f{d-1}`` rows; inverse of load_csv for valid data."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["label"] + [f"f{i}" for i in range(dataset.dim)])
-        for label, row in zip(dataset.labels, dataset.features):
-            writer.writerow([int(label)] + [f"{v:.17g}" for v in row])
+    header = ["label"] + [f"f{i}" for i in range(dataset.dim)]
+    write_table(path, header, ([int(y), *x] for y, x in zip(dataset.labels, dataset.features)))
+
+
+def write_table(path, header, rows) -> None:
+    """Write a header row, then one CSV row per entry of ``rows``.
+
+    Integers are written as integers and every other value as a float with
+    17 significant digits, which read_table parses back bit for bit.  This
+    is the one format of every artifact CSV.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [
+                    (
+                        str(v)
+                        if isinstance(v, (int, np.integer))
+                        else f"{float(v):.17g}"
+                    )
+                    for v in row
+                ]
+            )
+
+
+def read_table(path) -> dict:
+    """CSV as a dict of named float64 columns (header row required)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataFormatError(f"{path}: empty CSV") from None
+        rows = list(reader)
+    if len(set(header)) != len(header):
+        raise DataFormatError(f"{path}: repeated column name in header {header}")
+    columns = {}
+    for idx, name in enumerate(header):
+        values = []
+        for line_no, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                raise DataFormatError(
+                    f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
+                )
+            try:
+                values.append(float(row[idx]))
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}:{line_no}: non-numeric value {row[idx]!r} "
+                    f"in column {name!r}"
+                ) from None
+        columns[name] = np.asarray(values, dtype=np.float64)
+    return columns
 
 
 def _read_idx_header(handle, path, expected_magic, expected_dims):
@@ -354,7 +395,8 @@ def load_idx(images_path: str, labels_path: str, limit: int | None = None) -> Da
     Pixels are scaled to [0, 1]; any flattened image with norm above 1 is
     divided by its own norm.  ``limit`` keeps at most that many examples.
     IDX labels are class indices, so the dataset is multi-class whatever
-    labels the kept examples carry.
+    labels the kept examples carry, with the class count of the whole label
+    file.
     """
     if limit is not None and limit <= 0:
         raise DataFormatError("limit must be a positive number of examples")
@@ -378,13 +420,13 @@ def load_idx(images_path: str, labels_path: str, limit: int | None = None) -> Da
     norms = np.linalg.norm(features, axis=1)
     large = norms > 1.0
     features[large] /= norms[large, None]
-    labels = np.frombuffer(label_data, dtype=np.uint8)[:keep].astype(np.int64)
+    labels = np.frombuffer(label_data, dtype=np.uint8).astype(np.int64)
     return Dataset(
         features=features,
-        labels=labels,
+        labels=labels[:keep],
         name=os.path.basename(images_path),
         box=(0.0, 1.0),
-        binary=False,
+        num_classes=int(labels.max(initial=0)) + 1,
     )
 
 

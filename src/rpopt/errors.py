@@ -34,5 +34,5 @@ class SingularityError(RpoptError, ValueError):
 
 
 class ExperimentError(RpoptError, RuntimeError):
-    """An experiment stage failed; the message names the stage.  Partial
-    artifacts have already been removed when this is raised."""
+    """An experiment stage failed; the message names the stage.  The output
+    directory is left as it was before the run."""

@@ -20,10 +20,11 @@ defaults.
 from __future__ import annotations
 
 import configparser
-import csv
 import json
 import math
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,7 +34,7 @@ from ._version import __version__
 from .attacks import AttackConfig, exact_linear_robust_accuracy, robust_accuracy
 from .bounds import BoundInputs, log_spaced_steps
 from .curvature import clipping_smoothness_curve, privacy_smoothness_curve
-from .data import Dataset, generate_separable, load_csv, load_idx, split
+from .data import Dataset, generate_separable, load_csv, load_idx, split, write_table
 from .errors import DivergenceError, ExperimentError
 from .losses import LossSpec, adversarial_logistic_loss, gradient
 from .optimizer import OptimizerConfig, train, train_stack, validate_config
@@ -56,6 +57,26 @@ _COMMON_DATA = {
     "n": 100,
     "gamma": 1.0,
     "data_seed": 0,
+}
+_COMMON_SWEEP = {
+    "images": "",
+    "labels": "",
+    "data_csv": "",
+    "limit": 2000,
+    "d": 20,
+    "n": 600,
+    "gamma": 0.3,
+    "data_seed": 0,
+    "test_fraction": 1.0 / 6.0,
+    "batch": 0,
+    "attack_steps": 4,
+    "p": "inf",
+    "c_grid": "0,0.005:0.05:9",
+    "workers": 1,
+    "curvature_examples": 512,
+    "curvature_tol": 1e-6,
+    "curvature_iters": 300,
+    "eval_attack_steps": 10,
 }
 _DEFAULTS = {
     "fig1-convergence": {
@@ -82,53 +103,14 @@ _DEFAULTS = {
         "steps": 1000,
         "first_step_eta": None,
     },
-    "fig8-sweep": {
-        "images": "",
-        "labels": "",
-        "data_csv": "",
-        "limit": 2000,
-        "d": 20,
-        "n": 600,
-        "gamma": 0.3,
-        "data_seed": 0,
-        "test_fraction": 1.0 / 6.0,
-        "eta": 2.0,
-        "steps": 300,
-        "batch": 0,
-        "attack_steps": 4,
-        "p": "inf",
-        "c_grid": "0,0.005:0.05:9",
-        "k_grid": "0.1:3:10",
-        "workers": 1,
-        "curvature_examples": 512,
-        "curvature_tol": 1e-6,
-        "curvature_iters": 300,
-        "eval_attack_steps": 10,
-    },
+    "fig8-sweep": {**_COMMON_SWEEP, "eta": 2.0, "steps": 300, "k_grid": "0.1:3:10"},
     "fig9-sweep": {
-        "images": "",
-        "labels": "",
-        "data_csv": "",
-        "limit": 2000,
-        "d": 20,
-        "n": 600,
-        "gamma": 0.3,
-        "data_seed": 0,
-        "test_fraction": 1.0 / 6.0,
+        **_COMMON_SWEEP,
         "eta": 0.5,
         "steps": 150,
-        "batch": 0,
-        "attack_steps": 4,
-        "p": "inf",
-        "c_grid": "0,0.005:0.05:9",
         "eps_grid": "0.5:50:10",
         "clip_k": 1.0,
         "delta": 1e-5,
-        "workers": 1,
-        "curvature_examples": 512,
-        "curvature_tol": 1e-6,
-        "curvature_iters": 300,
-        "eval_attack_steps": 10,
     },
     "bounds-only": {
         "eta": 0.1,
@@ -249,68 +231,60 @@ def resolve_params(config: ExperimentConfig) -> dict:
     return resolved
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [
-                    (
-                        str(v)
-                        if isinstance(v, (int, np.integer))
-                        else f"{float(v):.17g}"
-                    )
-                    for v in row
-                ]
-            )
-
-
 class _ArtifactSet:
-    """Collects artifact paths; on failure removes everything written."""
+    """Names the artifacts a runner writes into the staging directory."""
 
-    def __init__(self, out_dir):
-        self.out_dir = out_dir
-        self.paths = []
+    def __init__(self, staging_dir):
+        self.staging_dir = staging_dir
+        self.names = []
         self.stage = "setup"  # advanced by the runner so failures name it
 
     def path_for(self, name):
-        path = os.path.join(self.out_dir, name)
-        self.paths.append(path)
-        return path
-
-    def discard_all(self):
-        for path in self.paths:
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass
+        self.names.append(name)
+        return os.path.join(self.staging_dir, name)
 
 
 def run_experiment(config: ExperimentConfig) -> list:
-    """Run one experiment; returns the list of artifact paths written."""
+    """Run one experiment; returns the list of artifact paths written.
+
+    Everything is written to a temporary directory beside ``output_dir``
+    and moved in only when the run succeeds: the old manifest is removed
+    first and the new one moved in last, so a manifest never names files of
+    another run, and a failed run leaves ``output_dir`` as it was.
+    """
     params = resolve_params(config)
     os.makedirs(config.output_dir, exist_ok=True)
-    artifacts = _ArtifactSet(config.output_dir)
-    runner = _RUNNERS[config.kind]
+    out_dir = os.path.abspath(config.output_dir)
+    staging_dir = tempfile.mkdtemp(
+        prefix=f".{os.path.basename(out_dir)}-", dir=os.path.dirname(out_dir)
+    )
     try:
-        notes = runner(config, params, artifacts)
-    except Exception as exc:
-        artifacts.discard_all()
-        raise ExperimentError(f"stage {artifacts.stage!r} failed: {exc}") from exc
-    manifest = {
-        "kind": config.kind,
-        "version": __version__,
-        "seeds": list(config.seeds),
-        "params": {k: (None if v is None else v) for k, v in params.items()},
-        "artifacts": [os.path.basename(p) for p in artifacts.paths],
-        "notes": notes,
-    }
-    manifest_path = os.path.join(config.output_dir, MANIFEST_NAME)
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return artifacts.paths + [manifest_path]
+        artifacts = _ArtifactSet(staging_dir)
+        try:
+            notes = _RUNNERS[config.kind](config, params, artifacts)
+        except Exception as exc:
+            raise ExperimentError(f"stage {artifacts.stage!r} failed: {exc}") from exc
+        manifest = {
+            "kind": config.kind,
+            "version": __version__,
+            "seeds": list(config.seeds),
+            "params": {k: (None if v is None else v) for k, v in params.items()},
+            "artifacts": artifacts.names,
+            "notes": notes,
+        }
+        with open(os.path.join(staging_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        manifest_path = os.path.join(config.output_dir, MANIFEST_NAME)
+        if os.path.exists(manifest_path):
+            os.unlink(manifest_path)
+        paths = []
+        for name in artifacts.names + [MANIFEST_NAME]:
+            paths.append(os.path.join(config.output_dir, name))
+            os.replace(os.path.join(staging_dir, name), paths[-1])
+        return paths
+    finally:
+        shutil.rmtree(staging_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +300,17 @@ def _mean_and_se(stack: np.ndarray) -> tuple:
     return mean, se
 
 
-def _averaged_losses(dataset, base: OptimizerConfig, seeds, column: str):
-    traces = train_stack(dataset, [replace(base, seed=seed) for seed in seeds])
+def _solo_and_averaged_losses(dataset, solo, base, seeds, column: str):
+    """The solo run's curve, and the mean and standard error of the curves
+    of ``base`` over the seeds, trained as one stack (the configs may differ
+    only in sigma and seed)."""
+    configs = [solo] + [replace(base, seed=seed) for seed in seeds]
+    traces = train_stack(dataset, configs)
     for trace in traces:
         if isinstance(trace, DivergenceError):
             raise trace
-    stack = np.stack([getattr(trace, column) for trace in traces])
-    return _mean_and_se(stack)
+    curves = np.stack([getattr(trace, column) for trace in traces])
+    return (curves[0], *_mean_and_se(curves[1:]))
 
 
 def _run_fig1(config, params, artifacts):
@@ -358,15 +336,13 @@ def _run_fig1(config, params, artifacts):
 
     notes = {"warnings": validate_config(cfg(c, sigma), gamma=gamma)}
 
-    artifacts.stage = "train-nominal"
-    nominal, _ = _averaged_losses(dataset, cfg(0.0, 0.0), config.seeds[:1], "nominal_loss")
-    artifacts.stage = "train-private"
-    private, private_se = _averaged_losses(dataset, cfg(0.0, sigma), config.seeds, "nominal_loss")
-    artifacts.stage = "train-robust"
-    robust, _ = _averaged_losses(dataset, cfg(c, 0.0), config.seeds[:1], "adversarial_loss")
+    artifacts.stage = "train-nominal-private"
+    nominal, private, private_se = _solo_and_averaged_losses(
+        dataset, cfg(0.0, 0.0), cfg(0.0, sigma), config.seeds, "nominal_loss"
+    )
     artifacts.stage = "train-robust-private"
-    robust_private, robust_private_se = _averaged_losses(
-        dataset, cfg(c, sigma), config.seeds, "adversarial_loss"
+    robust, robust_private, robust_private_se = _solo_and_averaged_losses(
+        dataset, cfg(c, 0.0), cfg(c, sigma), config.seeds, "adversarial_loss"
     )
 
     artifacts.stage = "evaluate-bounds"
@@ -407,7 +383,7 @@ def _run_fig1(config, params, artifacts):
         )
         for t in ts
     ]
-    _write_csv(artifacts.path_for("fig1-convergence.csv"), header, rows)
+    write_table(artifacts.path_for("fig1-convergence.csv"), header, rows)
     return notes
 
 
@@ -436,7 +412,7 @@ def _run_fig2(config, params, artifacts):
         tuple([int(t)] + [columns[name][i] for name in columns])
         for i, t in enumerate(ts)
     ]
-    _write_csv(artifacts.path_for("fig2-gap.csv"), header, rows)
+    write_table(artifacts.path_for("fig2-gap.csv"), header, rows)
     return {}
 
 
@@ -492,7 +468,7 @@ def _run_fig3(config, params, artifacts):
         (int(t), robust.adversarial_loss[t], plain_adv[t], bound_robust[t - 1], bound_rus[t - 1])
         for t in ts
     ]
-    _write_csv(artifacts.path_for("fig3-robust-compare.csv"), header, rows)
+    write_table(artifacts.path_for("fig3-robust-compare.csv"), header, rows)
     return {}
 
 
@@ -595,7 +571,7 @@ def _run_bounds_only(config, params, artifacts):
     rows = [
         tuple([int(t)] + [columns[name][i] for name in names]) for i, t in enumerate(ts)
     ]
-    _write_csv(artifacts.path_for("bounds-only.csv"), header, rows)
+    write_table(artifacts.path_for("bounds-only.csv"), header, rows)
     return {}
 
 
@@ -658,7 +634,7 @@ def _run_attack_eval(config, params, artifacts):
         "exact_acc_standard",
         "exact_acc_adversarial",
     ]
-    _write_csv(artifacts.path_for("attack-eval.csv"), header, rows)
+    write_table(artifacts.path_for("attack-eval.csv"), header, rows)
     return {}
 
 

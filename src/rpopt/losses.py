@@ -14,7 +14,7 @@ has no such closed form and only its nominal derivatives live here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -27,18 +27,11 @@ class ModelParams:
     """Linear model weights: shape (d,) for binary, (C, d) for multi-class."""
 
     weights: np.ndarray
-    _norm: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.weights.ndim not in (1, 2):
             raise ValueError("weights must be a vector or a class-by-feature matrix")
-
-    def norm(self) -> float:
-        """Euclidean norm of the flattened weights, computed once and cached."""
-        if self._norm is None:
-            self._norm = float(np.linalg.norm(self.weights))
-        return self._norm
 
 
 def model_weights(model) -> np.ndarray:

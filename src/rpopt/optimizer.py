@@ -21,7 +21,6 @@ to training it alone; :func:`train` is the one-cell case.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields
 
@@ -29,8 +28,8 @@ import numpy as np
 
 from . import losses as losses_mod
 from .attacks import AttackConfig, pgd_batch
-from .data import Dataset
-from .errors import DivergenceError
+from .data import Dataset, read_table, write_table
+from .errors import DataFormatError, DivergenceError
 from .losses import LossSpec, ModelParams
 
 NOISE_MODES = ("theory", "dpsgd")
@@ -107,29 +106,16 @@ class TrainTrace:
     COLUMNS = ("t", "nominal_loss", "adversarial_loss", "theta_norm", "grad_norm")
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(self.COLUMNS)
-            for i in range(self.t.shape[0]):
-                writer.writerow(
-                    [int(self.t[i])]
-                    + [
-                        f"{getattr(self, name)[i]:.17g}"
-                        for name in self.COLUMNS[1:]
-                    ]
-                )
+        columns = [getattr(self, name) for name in self.COLUMNS[1:]]
+        write_table(path, self.COLUMNS, zip(map(int, self.t), *columns))
 
 
 def read_trace_csv(path: str) -> dict[str, np.ndarray]:
     """Read a trace CSV back into column arrays."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if tuple(header) != TrainTrace.COLUMNS:
-            raise ValueError(f"{path}: unexpected trace header {header}")
-        rows = [[float(v) for v in row] for row in reader]
-    data = np.asarray(rows)
-    return {name: data[:, i] for i, name in enumerate(TrainTrace.COLUMNS)}
+    table = read_table(path)
+    if tuple(table) != TrainTrace.COLUMNS:
+        raise DataFormatError(f"{path}: unexpected trace header {list(table)}")
+    return table
 
 
 def validate_config(config: OptimizerConfig, gamma: float | None = None) -> list[str]:

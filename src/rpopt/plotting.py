@@ -7,13 +7,13 @@ SVG files (no timestamps, fixed float formatting).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 import numpy as np
 
+from .data import read_table
 from .errors import DataFormatError
 
 # Okabe-Ito palette: colorblind-safe, fixed order
@@ -40,34 +40,6 @@ class PlotSpec:
     log_y: bool = True
     width: int = 720
     height: int = 480
-
-
-def read_table(path) -> dict:
-    """CSV as a dict of named float64 columns (header row required)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty CSV") from None
-        rows = list(reader)
-    columns = {}
-    for idx, name in enumerate(header):
-        values = []
-        for line_no, row in enumerate(rows, start=2):
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                values.append(float(row[idx]))
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{line_no}: non-numeric value {row[idx]!r} "
-                    f"in column {name!r}"
-                ) from None
-        columns[name] = np.asarray(values, dtype=np.float64)
-    return columns
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list:

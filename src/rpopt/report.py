@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import spearmanr
 
+from .data import read_table
 from .experiments import MANIFEST_NAME
-from .plotting import read_table
 
 
 @dataclass(frozen=True)

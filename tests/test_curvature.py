@@ -20,7 +20,7 @@ from rpopt.curvature import (
     read_sweep_csv,
 )
 from rpopt.data import Dataset, generate_equal_margin, generate_separable
-from rpopt.errors import SingularityError
+from rpopt.errors import DataFormatError, SingularityError
 from rpopt.losses import LossSpec
 from rpopt.optimizer import OptimizerConfig, train
 from scipy.special import expit
@@ -222,6 +222,17 @@ class TestSweepPlumbing:
         with pytest.raises(ValueError, match="columns"):
             read_sweep_csv(str(path))
         assert len(SWEEP_COLUMNS) == 7
+
+    @pytest.mark.parametrize(
+        "body, problem",
+        [("0,1,2,3,4,1\n", "expected 7 fields"), ("0,1,2,3,4,yes,0\n", "non-numeric")],
+    )
+    def test_csv_bad_row_names_file_and_line(self, tmp_path, body, problem):
+        path = tmp_path / "sweep.csv"
+        header = ",".join(SWEEP_COLUMNS)
+        path.write_text(f"{header}\n0,1,2,3,4,1,0\n{body}", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=f"sweep.csv:3: {problem}"):
+            read_sweep_csv(str(path))
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,11 @@ from rpopt.data import (
     load_csv,
     load_idx,
     margin_wrt,
+    read_table,
     save_csv,
     split,
     write_idx,
+    write_table,
 )
 from rpopt.errors import DataFormatError
 
@@ -53,12 +57,16 @@ class TestDatasetInvariants:
         assert binary.is_binary and binary.num_classes is None
 
     def test_label_kind_is_fixed_at_construction(self):
-        ones = Dataset(features=np.eye(2) * 0.5, labels=np.array([1, 1]), binary=False)
+        ones = Dataset(features=np.eye(2) * 0.5, labels=np.array([1, 1]), num_classes=2)
         assert not ones.is_binary and ones.num_classes == 2
-        with pytest.raises(ValueError, match="binary labels"):
-            Dataset(features=np.eye(2) * 0.5, labels=np.array([0, 1]), binary=True)
         with pytest.raises(ValueError, match="multi-class labels"):
-            Dataset(features=np.eye(2) * 0.5, labels=np.array([1, -1]), binary=False)
+            Dataset(features=np.eye(2) * 0.5, labels=np.array([1, -1]), num_classes=2)
+
+    def test_explicit_class_count(self):
+        ds = Dataset(features=np.eye(2) * 0.5, labels=np.array([0, 1]), num_classes=5)
+        assert ds.num_classes == 5
+        with pytest.raises(ValueError, match=r"\[0, 2\)"):
+            Dataset(features=np.eye(2) * 0.5, labels=np.array([0, 2]), num_classes=2)
 
 
 class TestGenerateSeparable:
@@ -186,6 +194,13 @@ class TestSplit:
         assert set(test.labels) == {1}
         assert not test.is_binary and not train.is_binary
 
+    def test_parts_keep_the_class_count(self):
+        labels = np.array([0, 1, 0, 1, 0, 1, 2, 2])
+        dataset = Dataset(features=np.eye(8) * 0.5, labels=labels)
+        train, test = split(dataset, test_fraction=0.25, seed=3)
+        assert set(test.labels) == {2} and set(train.labels) == {0, 1}
+        assert train.num_classes == test.num_classes == 3
+
     def test_rejects_degenerate_fractions(self, small_binary):
         for bad in (0.0, 1.0, 0.001):
             with pytest.raises(ValueError):
@@ -232,6 +247,25 @@ class TestCsvRoundTrip:
         np.testing.assert_allclose(ds.features[0], [0.6, 0.8])
 
 
+class TestTableFormat:
+    def test_roundtrip_is_exact(self, tmp_path):
+        floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.0 / 3.0, 1e308]
+        ints = [0, -7, 2**53, 3, 12, 1, 99]
+        path = str(tmp_path / "table.csv")
+        write_table(path, ["i", "x"], zip(ints, floats))
+        table = read_table(path)
+        assert list(table) == ["i", "x"]
+        np.testing.assert_array_equal(table["i"], np.asarray(ints, dtype=np.float64))
+        np.testing.assert_array_equal(
+            table["x"].view(np.int64), np.asarray(floats).view(np.int64)
+        )
+
+    def test_format(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_table(str(path), ("t", "value"), [(np.int64(1), np.float64(0.1)), (2, -0.0)])
+        assert path.read_bytes() == b"t,value\r\n1,0.10000000000000001\r\n2,-0\r\n"
+
+
 class TestIdxRoundTrip:
     def test_uint8_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -271,7 +305,7 @@ class TestIdxRoundTrip:
         write_idx(images, np.array([1, 1, 1, 0, 2]), ip, lp)
         subset = load_idx(ip, lp, limit=3)
         assert set(subset.labels) == {1}
-        assert not subset.is_binary and subset.num_classes == 2
+        assert not subset.is_binary and subset.num_classes == 3
         with pytest.raises(DataFormatError, match="limit"):
             load_idx(ip, lp, limit=0)
 

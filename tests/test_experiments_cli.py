@@ -209,13 +209,13 @@ class TestRunExperiment:
     def test_failure_discards_partial_artifacts(self, tmp_path, monkeypatch):
         import rpopt.experiments as exp
 
-        real = exp._write_csv
+        real = exp.write_table
 
         def sabotaged(path, header, rows):
             real(path, header, rows)
             raise RuntimeError("disk full")
 
-        monkeypatch.setattr(exp, "_write_csv", sabotaged)
+        monkeypatch.setattr(exp, "write_table", sabotaged)
         out = tmp_path / "run"
         config = ExperimentConfig(
             kind="bounds-only",
@@ -227,6 +227,56 @@ class TestRunExperiment:
             run_experiment(config)
         assert not (out / "bounds-only.csv").exists()
         assert not (out / MANIFEST_NAME).exists()
+
+    def test_failed_rerun_leaves_previous_run_untouched(self, tmp_path, monkeypatch):
+        import rpopt.experiments as exp
+
+        out = tmp_path / "run"
+        config = ExperimentConfig(
+            kind="bounds-only",
+            output_dir=str(out),
+            seeds=(0,),
+            params={"t_max": "100", "points": "10"},
+        )
+        run_experiment(config)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert set(before) == {"bounds-only.csv", MANIFEST_NAME}
+        real = exp.write_table
+
+        def sabotaged(path, header, rows):
+            real(path, header, rows)
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(exp, "write_table", sabotaged)
+        rerun = ExperimentConfig(
+            kind="bounds-only",
+            output_dir=str(out),
+            seeds=(0,),
+            params={"t_max": "1000", "points": "20"},
+        )
+        with pytest.raises(ExperimentError, match="write-csv"):
+            run_experiment(rerun)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        assert os.listdir(tmp_path) == ["run"]
+
+    def test_failed_move_leaves_no_manifest(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        config = ExperimentConfig(
+            kind="bounds-only",
+            output_dir=str(out),
+            seeds=(0,),
+            params={"t_max": "100", "points": "10"},
+        )
+        run_experiment(config)
+
+        def no_room(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", no_room)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(config)
+        assert not (out / MANIFEST_NAME).exists()
+        assert os.listdir(tmp_path) == ["run"]
 
 
 class TestVerifyReportFaults:
@@ -337,6 +387,10 @@ class TestPlotting:
         alpha.write_text("a,b\n1,x\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match="non-numeric"):
             read_table(str(alpha))
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text("a,b,a\n1,2,3\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="repeated column"):
+            read_table(str(repeated))
 
 
 @pytest.fixture()

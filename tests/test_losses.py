@@ -65,10 +65,6 @@ class TestLossSpec:
 
 
 class TestModelParams:
-    def test_norm_cached(self):
-        m = ModelParams(np.array([3.0, 4.0]))
-        assert m.norm() == 5.0
-
     def test_rejects_3d(self):
         with pytest.raises(ValueError):
             ModelParams(np.zeros((2, 2, 2)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rpopt.data import Dataset, generate_separable
-from rpopt.errors import DivergenceError
+from rpopt.errors import DataFormatError, DivergenceError
 from rpopt.losses import LossSpec, adversarial_logistic_loss, logistic_loss
 from rpopt.optimizer import (
     OptimizerConfig,
@@ -243,6 +243,17 @@ class TestTraceCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
         with pytest.raises(ValueError, match="header"):
+            read_trace_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "body, problem",
+        [("0,1,2,3\n", "expected 5 fields"), ("0,1,2,x,4\n", "non-numeric")],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, body, problem):
+        path = tmp_path / "trace.csv"
+        header = ",".join(TrainTrace.COLUMNS)
+        path.write_text(f"{header}\n0,1,2,3,4\n{body}", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=f"trace.csv:3: {problem}"):
             read_trace_csv(str(path))
 
 
