@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import Dataset
-from .losses import LossSpec, _softmax_terms, model_weights
+from .losses import LossSpec, _clip_factors, _softmax_terms, _softplus, model_weights
 
 
 @dataclass(frozen=True)
@@ -51,14 +51,14 @@ class AttackConfig:
         return 2.5 * self.budget / self.steps
 
 
-def _pointwise_loss_and_grad(theta: np.ndarray, y: np.ndarray):
+def _pointwise_objective(theta: np.ndarray, y: np.ndarray):
     """Build f(x) -> (per-example loss, per-example grad wrt x)."""
     if theta.ndim == 1:
         yf = y.astype(np.float64)
 
         def binary(x):
             z = -yf * (x @ theta)
-            values = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+            values = _softplus(z)
             grads = expit(z)[:, None] * (-yf[:, None] * theta[None, :])
             return values, grads
 
@@ -75,8 +75,7 @@ def _pointwise_loss_and_grad(theta: np.ndarray, y: np.ndarray):
 
 def _project_l2(delta: np.ndarray, budget: float) -> np.ndarray:
     norms = np.linalg.norm(delta, axis=1, keepdims=True)
-    factors = np.minimum(1.0, budget / np.maximum(norms, 1e-300))
-    return delta * factors
+    return delta * _clip_factors(norms, budget)
 
 
 def _ascent_direction(grads: np.ndarray, p: float) -> np.ndarray:
@@ -118,8 +117,6 @@ def pgd_batch(
     y: np.ndarray,
     attack: AttackConfig,
     box: tuple[float, float] | None = None,
-    init_delta: np.ndarray | None = None,
-    loss_and_grad=None,
 ) -> np.ndarray:
     """Per-example perturbations maximizing the loss, shape (n, d)."""
     theta = model_weights(model)
@@ -128,19 +125,18 @@ def pgd_batch(
     n, d = x.shape
     if attack.budget == 0.0 or attack.steps == 0:
         return np.zeros((n, d))
-    if loss_and_grad is None:
-        loss_and_grad = _pointwise_loss_and_grad(theta, y)
+    objective = _pointwise_objective(theta, y)
     c, p = attack.budget, attack.p
     alpha = attack.effective_step_size
 
     constrain = _constraint(x, c, p, box)
     best_delta = np.zeros((n, d))
-    best_values, clean_grads = loss_and_grad(x)
-    best_values = best_values.copy()
+    best_values, clean_grads = objective(x)
 
     def consider(delta):
-        nonlocal best_delta, best_values
-        values, grads = loss_and_grad(x + delta)
+        """Keep delta where it beats the best loss so far; return its gradients."""
+        nonlocal best_values
+        values, grads = objective(x + delta)
         better = values > best_values
         best_values = np.where(better, values, best_values)
         best_delta[better] = delta[better]
@@ -151,17 +147,9 @@ def pgd_batch(
 
     for restart in range(attack.restarts):
         rng = np.random.default_rng([attack.seed, restart])
-        if restart == 0 and init_delta is not None:
-            delta = np.asarray(init_delta, dtype=np.float64)
-        else:
-            delta = _random_start(rng, n, d, c, p)
-        delta = constrain(delta)
+        delta = constrain(_random_start(rng, n, d, c, p))
         for _ in range(attack.steps):
-            values, grads = loss_and_grad(x + delta)
-            better = values > best_values
-            best_values = np.where(better, values, best_values)
-            best_delta[better] = delta[better]
-            delta = constrain(delta + alpha * _ascent_direction(grads, p))
+            delta = constrain(delta + alpha * _ascent_direction(consider(delta), p))
         consider(delta)
     return best_delta
 
@@ -172,42 +160,16 @@ def pgd(
     y,
     attack: AttackConfig,
     box: tuple[float, float] | None = None,
-    init_delta: np.ndarray | None = None,
-    loss_and_grad=None,
 ) -> np.ndarray:
     """Single-example convenience wrapper around :func:`pgd_batch`."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    init = None
-    if init_delta is not None:
-        init = np.atleast_2d(np.asarray(init_delta, dtype=np.float64))
-    deltas = pgd_batch(
-        model,
-        np.atleast_2d(x),
-        np.atleast_1d(y),
-        attack,
-        box=box,
-        init_delta=init,
-        loss_and_grad=loss_and_grad,
-    )
-    return deltas[0] if single else deltas
+    deltas = pgd_batch(model, np.atleast_2d(x), np.atleast_1d(y), attack, box=box)
+    return deltas[0] if x.ndim == 1 else deltas
 
 
-def attack_dataset(
-    model,
-    dataset: Dataset,
-    attack: AttackConfig,
-    init_deltas: np.ndarray | None = None,
-) -> np.ndarray:
+def attack_dataset(model, dataset: Dataset, attack: AttackConfig) -> np.ndarray:
     """Attack every example; the dataset's box domain (if any) is respected."""
-    return pgd_batch(
-        model,
-        dataset.features,
-        dataset.labels,
-        attack,
-        box=dataset.box,
-        init_delta=init_deltas,
-    )
+    return pgd_batch(model, dataset.features, dataset.labels, attack, box=dataset.box)
 
 
 def _correct(theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

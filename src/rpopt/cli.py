@@ -252,8 +252,6 @@ def _cmd_sweep(args) -> int:
     seed = args.seed if seed is None else seed
     train_ds, test_ds = split(dataset, args.test_fraction, seed=seed)
     batch = args.batch if args.batch and args.batch > 0 else None
-    if batch is not None and batch > train_ds.n:
-        batch = None  # grids are often tried on small datasets; fall back to full batch
     base = OptimizerConfig(
         eta=args.eta,
         steps=args.steps,
@@ -430,7 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--out", required=True)
     sw.add_argument("--eta", type=float, default=0.5)
     sw.add_argument("--steps", type=int, default=120)
-    sw.add_argument("--batch", type=int, default=256)
+    sw.add_argument(
+        "--batch", type=int, default=256,
+        help="minibatch size, at most the training part's size (0: full batch)",
+    )
     sw.add_argument("--clip-k", type=float, default=math.inf)
     sw.add_argument("--delta", type=float, default=1e-5)
     sw.add_argument("--attack-steps", type=int, default=4)

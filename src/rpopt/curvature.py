@@ -111,15 +111,15 @@ def power_iteration(matvec, dim, tol=1e-8, max_iters=1000, seed=0) -> SpectrumRe
     )
 
 
-def _hvp_operator(theta, x, y, spec: LossSpec):
-    """Flattened Hessian-vector product closure for power iteration."""
+def _top_eigenpair(theta, x, y, spec: LossSpec, tol, max_iters, seed) -> SpectrumReport:
+    """Power iteration on the Hessian of the loss at theta over (x, y)."""
     shape = theta.shape
 
     def matvec(v):
         hv = losses_mod.hessian_vector_product(theta, v.reshape(shape), x, y, spec)
         return hv.ravel()
 
-    return matvec
+    return power_iteration(matvec, theta.size, tol=tol, max_iters=max_iters, seed=seed)
 
 
 def max_eigenvalue(
@@ -134,11 +134,7 @@ def max_eigenvalue(
     theta = model_weights(model)
     if not np.all(np.isfinite(theta)):
         raise ValueError("model parameters must be finite")
-    x = dataset.features
-    y = dataset.labels if theta.ndim == 2 else dataset.labels.astype(np.float64)
-    report = power_iteration(
-        _hvp_operator(theta, x, y, spec), theta.size, tol=tol, max_iters=max_iters, seed=seed
-    )
+    report = _top_eigenpair(theta, dataset.features, dataset.labels, spec, tol, max_iters, seed)
     norm = float(np.linalg.norm(theta))
     predicted = None
     if spec.c > 0.0 and theta.ndim == 1 and norm > 0.0:
@@ -162,13 +158,7 @@ def attacked_max_eigenvalue(
     while the Hessian is probed."""
     theta = model_weights(model)
     x_adv = x + pgd_batch(theta, x, y, attack, box=box)
-    report = power_iteration(
-        _hvp_operator(theta, x_adv, y, LossSpec.nominal()),
-        theta.size,
-        tol=tol,
-        max_iters=max_iters,
-        seed=seed,
-    )
+    report = _top_eigenpair(theta, x_adv, y, LossSpec.nominal(), tol, max_iters, seed)
     return replace(report, theta_norm=float(np.linalg.norm(theta)))
 
 
@@ -318,13 +308,8 @@ def _score_cell(ctx, row, col, c, knob, config, outcome) -> SweepCell:
             seed=config.seed + 2,
         )
     else:
-        ys_typed = ys if theta.ndim == 2 else ys.astype(np.float64)
-        report = power_iteration(
-            _hvp_operator(theta, xs, ys_typed, config.spec),
-            theta.size,
-            tol=ctx.curvature_tol,
-            max_iters=ctx.curvature_iters,
-            seed=config.seed + 2,
+        report = _top_eigenpair(
+            theta, xs, ys, config.spec, ctx.curvature_tol, ctx.curvature_iters, config.seed + 2
         )
     return SweepCell(
         row=row,
@@ -357,6 +342,27 @@ def _resolve_split(dataset, test_dataset, seed):
     return split(dataset, test_fraction=1.0 / 6.0, seed=seed)
 
 
+def _sweep(mode, dataset, c_grid, knob_grid, knob_terms, base_config, test_dataset, p,
+           workers, curvature_examples, curvature_tol, curvature_iters,
+           eval_attack_steps) -> SweepTable:
+    """The body of both sweeps: one model per (c, knob) cell, whose column
+    trains with the (clip_k, sigma) that ``knob_terms(knob_grid)`` gives it."""
+    c_grid = [float(c) for c in c_grid]
+    knob_grid = [float(v) for v in knob_grid]
+    if not c_grid or not knob_grid:
+        raise ValueError("grids must be nonempty")
+    columns = [
+        (j, knob, clip_k, sigma)
+        for j, (knob, (clip_k, sigma)) in enumerate(zip(knob_grid, knob_terms(knob_grid)))
+    ]
+    train_ds, test_ds = _resolve_split(dataset, test_dataset, base_config.seed)
+    ctx = _SweepContext(train_ds, test_ds, base_config, p, curvature_examples,
+                        curvature_tol, curvature_iters, eval_attack_steps)
+    jobs = [(i, c, columns) for i, c in enumerate(c_grid)]
+    cells = _run_sweep(ctx, jobs, workers)
+    return SweepTable(mode, tuple(c_grid), tuple(knob_grid), tuple(cells))
+
+
 def clipping_smoothness_curve(
     dataset: Dataset,
     c_grid,
@@ -372,16 +378,9 @@ def clipping_smoothness_curve(
 ) -> SweepTable:
     """One model per (c, k) cell, trained with per-example clipping and no
     noise, scored by top Hessian eigenvalue and test accuracy."""
-    c_grid = [float(c) for c in c_grid]
-    k_grid = [float(k) for k in k_grid]
-    if not c_grid or not k_grid:
-        raise ValueError("grids must be nonempty")
-    train_ds, test_ds = _resolve_split(dataset, test_dataset, base_config.seed)
-    ctx = _SweepContext(train_ds, test_ds, base_config, p, curvature_examples,
-                        curvature_tol, curvature_iters, eval_attack_steps)
-    jobs = [(i, c, [(j, k, k, 0.0) for j, k in enumerate(k_grid)]) for i, c in enumerate(c_grid)]
-    cells = _run_sweep(ctx, jobs, workers)
-    return SweepTable("clip", tuple(c_grid), tuple(k_grid), tuple(cells))
+    return _sweep("clip", dataset, c_grid, k_grid, lambda ks: [(k, 0.0) for k in ks],
+                  base_config, test_dataset, p, workers, curvature_examples,
+                  curvature_tol, curvature_iters, eval_attack_steps)
 
 
 def privacy_smoothness_curve(
@@ -401,25 +400,19 @@ def privacy_smoothness_curve(
     """One model per (c, epsilon) cell, trained privately: per-example clip
     to the base config's k, Gaussian noise calibrated so the whole run is
     (epsilon, delta) private."""
-    c_grid = [float(c) for c in c_grid]
-    epsilon_grid = [float(e) for e in epsilon_grid]
-    if not c_grid or not epsilon_grid:
-        raise ValueError("grids must be nonempty")
-    if not math.isfinite(base_config.clip_k):
-        raise ValueError("privacy sweep requires a finite clip_k in base_config")
-    train_ds, test_ds = _resolve_split(dataset, test_dataset, base_config.seed)
-    ctx = _SweepContext(train_ds, test_ds, base_config, p, curvature_examples,
-                        curvature_tol, curvature_iters, eval_attack_steps)
     k = base_config.clip_k
-    # one calibration per epsilon: noise on the gradient sum has std sigma*k,
-    # so the config sigma is the calibrated absolute std divided by k
-    sigma_by_eps = {
-        eps: accountant_sigma(eps, delta, base_config.steps, lipschitz=k).sigma / k
-        for eps in epsilon_grid
-    }
-    jobs = [
-        (i, c, [(j, eps, k, sigma_by_eps[eps]) for j, eps in enumerate(epsilon_grid)])
-        for i, c in enumerate(c_grid)
-    ]
-    cells = _run_sweep(ctx, jobs, workers)
-    return SweepTable("dp", tuple(c_grid), tuple(epsilon_grid), tuple(cells))
+
+    def knob_terms(epsilon_grid):
+        if not math.isfinite(k):
+            raise ValueError("privacy sweep requires a finite clip_k in base_config")
+        # one calibration per epsilon: noise on the gradient sum has std sigma*k,
+        # so the config sigma is the calibrated absolute std divided by k
+        sigma_by_eps = {
+            eps: accountant_sigma(eps, delta, base_config.steps, lipschitz=k).sigma / k
+            for eps in epsilon_grid
+        }
+        return [(k, sigma_by_eps[eps]) for eps in epsilon_grid]
+
+    return _sweep("dp", dataset, c_grid, epsilon_grid, knob_terms, base_config,
+                  test_dataset, p, workers, curvature_examples, curvature_tol,
+                  curvature_iters, eval_attack_steps)

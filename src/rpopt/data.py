@@ -268,8 +268,9 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
     return take(train_idx, "train"), take(test_idx, "test")
 
 
-def load_csv(path: str, label_column: str = "label") -> Dataset:
-    """Load a dataset from CSV (header row, one label column, float features).
+def load_csv(path: str) -> Dataset:
+    """Load a dataset from CSV (header row, a ``label`` column as written by
+    :func:`save_csv`, float features).
 
     If any row norm exceeds 1, all rows are rescaled by the global maximum
     row norm; the factor is reported through the module logger.
@@ -281,9 +282,9 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
         except StopIteration:
             raise DataFormatError(f"{path}: empty file, expected a header row")
         header = [h.strip() for h in header]
-        if label_column not in header:
-            raise DataFormatError(f"{path}: header has no '{label_column}' column")
-        label_pos = header.index(label_column)
+        if "label" not in header:
+            raise DataFormatError(f"{path}: header has no 'label' column")
+        label_pos = header.index("label")
         feature_pos = [i for i in range(len(header)) if i != label_pos]
         if not feature_pos:
             raise DataFormatError(f"{path}: no feature columns")

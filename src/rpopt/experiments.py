@@ -26,6 +26,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -499,16 +500,14 @@ def _sweep_base_config(config, params) -> OptimizerConfig:
     )
 
 
-def _run_fig8(config, params, artifacts):
+def _run_sweep_kind(mode, config, params, artifacts):
+    """fig8 (mode "clip") or fig9 (mode "dp"): one curvature sweep to CSV."""
     artifacts.stage = "load-data"
     dataset = _sweep_dataset(params)
     train_ds, test_ds = split(dataset, params["test_fraction"], seed=config.seeds[0])
     artifacts.stage = "sweep"
-    table = clipping_smoothness_curve(
-        train_ds,
-        parse_grid(params["c_grid"]),
-        parse_grid(params["k_grid"]),
-        _sweep_base_config(config, params),
+    base = _sweep_base_config(config, params)
+    common = dict(
         test_dataset=test_ds,
         p=parse_p(params["p"]),
         workers=int(params["workers"]),
@@ -517,34 +516,25 @@ def _run_fig8(config, params, artifacts):
         curvature_iters=int(params["curvature_iters"]),
         eval_attack_steps=int(params["eval_attack_steps"]),
     )
+    c_grid = parse_grid(params["c_grid"])
+    if mode == "clip":
+        table = clipping_smoothness_curve(
+            train_ds, c_grid, parse_grid(params["k_grid"]), base, **common
+        )
+        name, summary = "fig8-sweep.csv", {"mode": "clip"}
+    else:
+        table = privacy_smoothness_curve(
+            train_ds,
+            c_grid,
+            parse_grid(params["eps_grid"]),
+            replace(base, clip_k=params["clip_k"]),
+            delta=params["delta"],
+            **common,
+        )
+        name, summary = "fig9-sweep.csv", {"mode": "dp", "delta": params["delta"]}
     artifacts.stage = "write-csv"
-    table.to_csv(artifacts.path_for("fig8-sweep.csv"))
-    return {"mode": "clip"}
-
-
-def _run_fig9(config, params, artifacts):
-    artifacts.stage = "load-data"
-    dataset = _sweep_dataset(params)
-    train_ds, test_ds = split(dataset, params["test_fraction"], seed=config.seeds[0])
-    artifacts.stage = "sweep"
-    base = replace(_sweep_base_config(config, params), clip_k=params["clip_k"])
-    table = privacy_smoothness_curve(
-        train_ds,
-        parse_grid(params["c_grid"]),
-        parse_grid(params["eps_grid"]),
-        base,
-        delta=params["delta"],
-        test_dataset=test_ds,
-        p=parse_p(params["p"]),
-        workers=int(params["workers"]),
-        curvature_examples=int(params["curvature_examples"]),
-        curvature_tol=params["curvature_tol"],
-        curvature_iters=int(params["curvature_iters"]),
-        eval_attack_steps=int(params["eval_attack_steps"]),
-    )
-    artifacts.stage = "write-csv"
-    table.to_csv(artifacts.path_for("fig9-sweep.csv"))
-    return {"mode": "dp", "delta": params["delta"]}
+    table.to_csv(artifacts.path_for(name))
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +632,8 @@ _RUNNERS = {
     "fig1-convergence": _run_fig1,
     "fig2-gap": _run_fig2,
     "fig3-robust-compare": _run_fig3,
-    "fig8-sweep": _run_fig8,
-    "fig9-sweep": _run_fig9,
+    "fig8-sweep": partial(_run_sweep_kind, "clip"),
+    "fig9-sweep": partial(_run_sweep_kind, "dp"),
     "bounds-only": _run_bounds_only,
     "attack-eval": _run_attack_eval,
 }

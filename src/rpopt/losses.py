@@ -125,7 +125,7 @@ def logistic_loss(theta, x, y, per_example: bool = False):
     """Mean (or per-example) log(1 + exp(-y <x, theta>))."""
     theta = np.asarray(theta, dtype=np.float64)
     x, y = _as_batch(x, y)
-    values = _softplus(-y * (x @ theta))
+    values = _softplus(_binary_margins(theta, x, y, LossSpec.nominal()))
     return values if per_example else float(values.mean())
 
 
@@ -141,12 +141,10 @@ def per_example_gradients(theta, x, y, spec: LossSpec) -> np.ndarray:
     """Stack of single-example loss gradients, shape (n, d) or (n, C, d)."""
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim == 2:
-        if spec.c > 0.0:
-            raise ValueError(
-                "the multi-class worst-case loss has no closed form; "
-                "compute gradients at attacked inputs instead"
-            )
-        return _softmax_per_example_gradients(theta, x, y)
+        _require_nominal(spec)
+        x, y = _class_batch(theta, x, y)
+        r = _softmax_terms(x @ theta.T, y)[1]
+        return r[:, :, None] * x[:, None, :]
     x, y = _as_batch(x, y)
     sig = expit(_binary_margins(theta, x, y, spec))
     r = -y[:, None] * x
@@ -159,11 +157,7 @@ def gradient(theta, x, y, spec: LossSpec) -> np.ndarray:
     """Mean loss gradient over the batch."""
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim == 2:
-        if spec.c > 0.0:
-            raise ValueError(
-                "the multi-class worst-case loss has no closed form; "
-                "compute gradients at attacked inputs instead"
-            )
+        _require_nominal(spec)
         return multiclass_gradient(theta, x, y)
     x, y = _as_batch(x, y)
     sig = expit(_binary_margins(theta, x, y, spec))
@@ -207,11 +201,7 @@ def step_terms(theta, x, y, spec: LossSpec, clip_k: float = math.inf, x_adv=None
     This is the one-cell case of :func:`step_terms_stack`.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim == 2:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        y = np.atleast_1d(np.asarray(y)).astype(np.int64)
-    else:
-        x, y = _as_batch(x, y)
+    x, y = _class_batch(theta, x, y) if theta.ndim == 2 else _as_batch(x, y)
     if x_adv is not None:
         x_adv = np.atleast_2d(np.asarray(x_adv, dtype=np.float64))[None]
     nominal, adversarial, grad = step_terms_stack(
@@ -255,7 +245,7 @@ def step_terms_stack(theta, x, y, spec: LossSpec, clip_k, x_adv=None):
     if theta.ndim == 3:
         if (spec.c > 0.0) != (x_adv is not None):
             raise ValueError("multi-class worst-case terms need the attacked batch x_adv")
-        _check_classes(theta[0], y)
+        x, y = _class_batch(theta, x, y)
         log_p, r = _softmax_terms(x @ theta.transpose(0, 2, 1), y)
         nominal = adversarial = -log_p.mean(axis=-1)
         if x_adv is not None:
@@ -292,11 +282,7 @@ def hessian_vector_product(theta, v, x, y, spec: LossSpec) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if theta.ndim == 2:
-        if spec.c > 0.0:
-            raise ValueError(
-                "the multi-class worst-case loss has no closed form; "
-                "compute curvature at attacked inputs instead"
-            )
+        _require_nominal(spec)
         eps = 1e-5 * max(1.0, float(np.linalg.norm(theta))) / max(
             1.0, float(np.linalg.norm(v))
         )
@@ -328,27 +314,12 @@ def hessian_vector_product(theta, v, x, y, spec: LossSpec) -> np.ndarray:
     return coeff @ r / n
 
 
-def _logits(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return x @ theta.T
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=1, keepdims=True)
-    return logits - m - np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - m)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _softmax_terms(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Label log-probabilities and residuals softmax - e_y from one exp pass.
 
-    Bit-identical to indexing :func:`_log_softmax` and to :func:`_softmax`
-    minus the one-hot labels.  ``logits`` may carry leading cell axes,
-    (..., n, C), with labels (n,) shared or (..., n) per cell.
+    Both come from the max-shifted logits, so large logits do not overflow.
+    ``logits`` may carry leading cell axes, (..., n, C), with labels (n,)
+    shared or (..., n) per cell.
     """
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -363,37 +334,35 @@ def _softmax_terms(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.nd
     return log_p.reshape(logits.shape[:-1]), r
 
 
-def _check_classes(theta, y):
-    if np.any(y < 0) or np.any(y >= theta.shape[0]):
+def _class_batch(theta, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Float inputs and integer labels, checked against the C rows of a
+    (C, d) or (K, C, d) theta."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.atleast_1d(np.asarray(y)).astype(np.int64)
+    if np.any(y < 0) or np.any(y >= theta.shape[-2]):
         raise ValueError("class labels must lie in [0, num_classes)")
+    return x, y
+
+
+def _require_nominal(spec: LossSpec) -> None:
+    if spec.c > 0.0:
+        raise ValueError(
+            "the multi-class worst-case loss has no closed form; "
+            "evaluate it at attacked inputs instead"
+        )
 
 
 def multiclass_loss(theta, x, y, per_example: bool = False):
     """Mean (or per-example) softmax cross-entropy for weights (C, d)."""
     theta = np.asarray(theta, dtype=np.float64)
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y)).astype(np.int64)
-    _check_classes(theta, y)
-    log_probs = _log_softmax(_logits(theta, x))
-    values = -log_probs[np.arange(x.shape[0]), y]
+    x, y = _class_batch(theta, x, y)
+    values = -_softmax_terms(x @ theta.T, y)[0]
     return values if per_example else float(values.mean())
 
 
 def multiclass_gradient(theta, x, y) -> np.ndarray:
     """Mean softmax cross-entropy gradient, shape (C, d)."""
     theta = np.asarray(theta, dtype=np.float64)
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y)).astype(np.int64)
-    _check_classes(theta, y)
-    probs = _softmax(_logits(theta, x))
-    probs[np.arange(x.shape[0]), y] -= 1.0
-    return probs.T @ x / x.shape[0]
-
-
-def _softmax_per_example_gradients(theta, x, y) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y)).astype(np.int64)
-    _check_classes(theta, y)
-    probs = _softmax(_logits(theta, x))
-    probs[np.arange(x.shape[0]), y] -= 1.0
-    return probs[:, :, None] * x[:, None, :]
+    x, y = _class_batch(theta, x, y)
+    r = _softmax_terms(x @ theta.T, y)[1]
+    return r.T @ x / x.shape[0]

@@ -159,8 +159,7 @@ def clip_rows(grads: np.ndarray, k: float) -> np.ndarray:
     if math.isinf(k):
         return grads
     flat = grads.reshape(grads.shape[0], -1)
-    norms = np.linalg.norm(flat, axis=1)
-    factors = np.minimum(1.0, k / np.maximum(norms, 1e-300))
+    factors = losses_mod._clip_factors(np.linalg.norm(flat, axis=1), k)
     return grads * factors.reshape((-1,) + (1,) * (grads.ndim - 1))
 
 

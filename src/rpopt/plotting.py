@@ -16,6 +16,8 @@ import numpy as np
 from .data import read_table
 from .errors import DataFormatError
 
+WIDTH, HEIGHT = 720, 480  # SVG canvas, pixels
+
 # Okabe-Ito palette: colorblind-safe, fixed order
 PALETTE = (
     "#0072B2",
@@ -38,8 +40,6 @@ class PlotSpec:
     y_label: str = ""
     log_x: bool = False
     log_y: bool = True
-    width: int = 720
-    height: int = 480
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list:
@@ -121,7 +121,7 @@ def render_plot(csv_path, spec: PlotSpec, out_path) -> str:
     y_lo -= pad_y
     y_hi += pad_y
 
-    width, height = spec.width, spec.height
+    width, height = WIDTH, HEIGHT
     left, right, top, bottom = 64, 16, 28, 44
     plot_w = width - left - right
     plot_h = height - top - bottom

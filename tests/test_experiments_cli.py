@@ -612,11 +612,23 @@ class TestCliInProcess:
         code, text, _ = run_cli(
             "sweep", "--mode", "clip", "--c-grid", "0,0.05", "--k-grid", "0.5,2.0",
             "--data", data, "--out", out, "--eta", 1.0, "--steps", 15,
-            "--curvature-examples", 32,
+            "--curvature-examples", 32, "--batch", 0,
         )
         assert code == 0 and "4 cells" in text
         table = read_table(out)
         assert table["lambda_max"].shape == (4,)
+
+    def test_sweep_batch_larger_than_training_part_fails(self, run_cli, tmp_path):
+        data = str(tmp_path / "data.csv")
+        run_cli("gen-data", "--d", 4, "--n", 60, "--seed", 2, "--out", data)
+        out = tmp_path / "sweep.csv"
+        # 50 training examples after the default split, against --batch 51
+        code, _, err = run_cli(
+            "sweep", "--mode", "clip", "--c-grid", "0", "--k-grid", "1.0",
+            "--data", data, "--out", str(out), "--steps", 2, "--batch", 51,
+        )
+        assert code == 1 and "batch" in err
+        assert not out.exists()
 
     def test_sweep_flag_requirements(self, run_cli, tmp_path):
         data = str(tmp_path / "data.csv")

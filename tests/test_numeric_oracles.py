@@ -1,0 +1,182 @@
+"""One implementation per numeric step, against the expressions it replaced.
+
+The softmax losses, the ball scaling and the PGD keep-best update each had
+several hand-written copies before they were routed through one helper
+(``losses._softmax_terms``, ``losses._clip_factors``, ``losses._softplus``
+and ``pgd_batch``'s ``consider``).  The old copies are kept here as
+oracles: the max-shifted log-softmax and softmax, the l2 projection with
+its own scale factor, the inline softplus, and the PGD restart loop with
+its inline keep-best update.  Every comparison is bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.special import expit
+
+from rpopt.attacks import AttackConfig, _ascent_direction, _random_start, pgd_batch
+from rpopt.losses import (
+    LossSpec,
+    multiclass_gradient,
+    multiclass_loss,
+    per_example_gradients,
+)
+from rpopt.optimizer import clip_rows
+
+
+def _log_softmax(logits):
+    m = logits.max(axis=1, keepdims=True)
+    return logits - m - np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+
+
+def _softmax(logits):
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_residuals(theta, x, y):
+    probs = _softmax(x @ theta.T)
+    probs[np.arange(x.shape[0]), y] -= 1.0
+    return probs
+
+
+def _softmax_case(seed, scale):
+    rng = np.random.default_rng(seed)
+    theta = scale * rng.standard_normal((4, 6))
+    x = rng.uniform(-1.0, 1.0, size=(9, 6))
+    y = rng.integers(0, 4, size=9)
+    return theta, x, y
+
+
+class TestSoftmaxOracles:
+    # scale 300 puts logits near 1e3, where exp overflows without the max shift
+    @pytest.mark.parametrize("scale", [0.5, 5.0, 300.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_loss(self, seed, scale):
+        theta, x, y = _softmax_case(seed, scale)
+        expected = -_log_softmax(x @ theta.T)[np.arange(len(y)), y]
+        per_example = multiclass_loss(theta, x, y, per_example=True)
+        assert np.all(np.isfinite(per_example))
+        assert np.array_equal(per_example, expected)
+        assert multiclass_loss(theta, x, y) == float(expected.mean())
+
+    @pytest.mark.parametrize("scale", [0.5, 5.0, 300.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_gradient(self, seed, scale):
+        theta, x, y = _softmax_case(seed, scale)
+        expected = _softmax_residuals(theta, x, y).T @ x / x.shape[0]
+        assert np.array_equal(multiclass_gradient(theta, x, y), expected)
+
+    @pytest.mark.parametrize("scale", [0.5, 5.0, 300.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_per_example_gradients(self, seed, scale):
+        theta, x, y = _softmax_case(seed, scale)
+        probs = _softmax_residuals(theta, x, y)
+        expected = probs[:, :, None] * x[:, None, :]
+        assert np.array_equal(per_example_gradients(theta, x, y, LossSpec.nominal()), expected)
+
+
+def test_clip_rows_matches_its_own_scale_factor():
+    grads = np.random.default_rng(3).standard_normal((7, 3, 5))
+    grads[2] = 0.0
+    norms = np.linalg.norm(grads.reshape(7, -1), axis=1)
+    factors = np.minimum(1.0, 0.8 / np.maximum(norms, 1e-300))
+    assert np.array_equal(clip_rows(grads, 0.8), grads * factors[:, None, None])
+
+
+# ---------------------------------------------------------------------------
+# pgd_batch as it stood with its restart loop written out
+# ---------------------------------------------------------------------------
+
+
+def _loss_and_grad(theta, y):
+    if theta.ndim == 1:
+        yf = y.astype(np.float64)
+
+        def binary(x):
+            z = -yf * (x @ theta)
+            values = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+            return values, expit(z)[:, None] * (-yf[:, None] * theta[None, :])
+
+        return binary
+
+    yi = y.astype(np.int64)
+
+    def softmax_xent(x):
+        logits = x @ theta.T
+        values = -_log_softmax(logits)[np.arange(x.shape[0]), yi]
+        probs = _softmax(logits)
+        probs[np.arange(x.shape[0]), yi] -= 1.0
+        return values, probs @ theta
+
+    return softmax_xent
+
+
+def _project_l2(delta, budget):
+    norms = np.linalg.norm(delta, axis=1, keepdims=True)
+    return delta * np.minimum(1.0, budget / np.maximum(norms, 1e-300))
+
+
+def _constraint(x, budget, p, box):
+    if p == math.inf:
+        lower, upper = -budget, budget
+        if box is not None:
+            lower, upper = np.maximum(lower, box[0] - x), np.minimum(upper, box[1] - x)
+        return lambda delta: np.clip(delta, lower, upper)
+    if box is None:
+        return lambda delta: _project_l2(delta, budget)
+    lo, hi = box
+    return lambda delta: np.clip(x + _project_l2(delta, budget), lo, hi) - x
+
+
+def _pgd_reference(theta, x, y, attack, box):
+    n, d = x.shape
+    loss_and_grad = _loss_and_grad(theta, y)
+    c, p = attack.budget, attack.p
+    alpha = attack.effective_step_size
+    constrain = _constraint(x, c, p, box)
+    best_delta = np.zeros((n, d))
+    best_values, clean_grads = loss_and_grad(x)
+    best_values = best_values.copy()
+
+    def consider(delta):
+        nonlocal best_values
+        values, grads = loss_and_grad(x + delta)
+        better = values > best_values
+        best_values = np.where(better, values, best_values)
+        best_delta[better] = delta[better]
+        return grads
+
+    consider(constrain(c * _ascent_direction(clean_grads, p)))
+    for restart in range(attack.restarts):
+        rng = np.random.default_rng([attack.seed, restart])
+        delta = constrain(_random_start(rng, n, d, c, p))
+        for _ in range(attack.steps):
+            values, grads = loss_and_grad(x + delta)
+            better = values > best_values
+            best_values = np.where(better, values, best_values)
+            best_delta[better] = delta[better]
+            delta = constrain(delta + alpha * _ascent_direction(grads, p))
+        consider(delta)
+    return best_delta
+
+
+@pytest.mark.parametrize("restarts", [1, 3])
+@pytest.mark.parametrize("box", [None, (0.0, 1.0)])
+@pytest.mark.parametrize("p", [2.0, math.inf])
+@pytest.mark.parametrize("multiclass", [False, True])
+def test_pgd_batch_matches_the_written_out_loop(multiclass, p, box, restarts):
+    rng = np.random.default_rng(11)
+    x = rng.uniform(0.0, 1.0, size=(12, 5))
+    if multiclass:
+        theta = rng.standard_normal((3, 5))
+        y = rng.integers(0, 3, size=12)
+    else:
+        theta = rng.standard_normal(5)
+        y = rng.choice([-1, 1], size=12)
+    attack = AttackConfig(budget=0.3, p=p, steps=6, restarts=restarts, seed=4)
+    got = pgd_batch(theta, x, y, attack, box=box)
+    assert np.array_equal(got, _pgd_reference(theta, x, y, attack, box))
+    assert np.any(got != 0.0)
