@@ -6,6 +6,7 @@ curvature analysis.
 from ._version import __version__
 from .attacks import (
     AttackConfig,
+    PGDWorkspace,
     attack_dataset,
     exact_linear_robust_accuracy,
     improvement_curve,

@@ -251,12 +251,13 @@ def _cmd_sweep(args) -> int:
     seed = _env_seed()
     seed = args.seed if seed is None else seed
     train_ds, test_ds = split(dataset, args.test_fraction, seed=seed)
-    batch = args.batch if args.batch and args.batch > 0 else None
+    if args.batch < 0:
+        raise ValueError(f"--batch must be >= 0 (0: full batch), got {args.batch}")
     base = OptimizerConfig(
         eta=args.eta,
         steps=args.steps,
         clip_k=args.clip_k,
-        batch=batch,
+        batch=args.batch or None,
         attack_steps=args.attack_steps,
         seed=seed,
     )
@@ -429,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--eta", type=float, default=0.5)
     sw.add_argument("--steps", type=int, default=120)
     sw.add_argument(
-        "--batch", type=int, default=256,
-        help="minibatch size, at most the training part's size (0: full batch)",
+        "--batch", type=int, default=0,
+        help="minibatch size, at most the training part's size (0, the default: full batch)",
     )
     sw.add_argument("--clip-k", type=float, default=math.inf)
     sw.add_argument("--delta", type=float, default=1e-5)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import losses as losses_mod
-from .attacks import AttackConfig, pgd_batch
+from .attacks import AttackConfig, PGDWorkspace, pgd_batch
 from .data import Dataset, read_table, write_table
 from .errors import DataFormatError, DivergenceError
 from .losses import LossSpec, ModelParams
@@ -248,6 +248,7 @@ def train_stack(dataset: Dataset, configs) -> list:
     outcomes: list = [None] * len(configs)
     live = np.arange(len(configs))  # the cell of each row of the stack
     theta = np.zeros((len(configs),) + shape)
+    workspace = PGDWorkspace()  # one cell's attack buffers, reused by every call
 
     def eval_at(xb, yb, t):
         """Losses and mean clipped gradients of the live cells."""
@@ -262,7 +263,8 @@ def train_stack(dataset: Dataset, configs) -> list:
                     steps=first.attack_steps,
                     seed=configs[k].seed + 7919 * (t + 1),
                 )
-                x_adv[i] = xk + pgd_batch(theta[i], xk, yk, attack, box=dataset.box)
+                deltas = pgd_batch(theta[i], xk, yk, attack, box=dataset.box, workspace=workspace)
+                np.add(xk, deltas, out=x_adv[i])
         return losses_mod.step_terms_stack(theta, xb, yb, spec, clip_k, x_adv)
 
     def record(t, terms):

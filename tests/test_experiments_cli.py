@@ -630,6 +630,31 @@ class TestCliInProcess:
         assert code == 1 and "batch" in err
         assert not out.exists()
 
+    def test_sweep_defaults_to_full_batch(self, run_cli, tmp_path):
+        data = str(tmp_path / "data.csv")
+        run_cli("gen-data", "--d", 4, "--n", 60, "--seed", 2, "--out", data)
+        args = (
+            "sweep", "--mode", "clip", "--c-grid", "0,0.05", "--k-grid", "0.5",
+            "--data", data, "--eta", 1.0, "--steps", 5, "--curvature-examples", 16,
+        )
+        default, full = tmp_path / "default.csv", tmp_path / "full.csv"
+        code, _, err = run_cli(*args, "--out", str(default))
+        assert code == 0, err
+        code, _, err = run_cli(*args, "--out", str(full), "--batch", 0)
+        assert code == 0, err
+        assert default.read_bytes() == full.read_bytes()
+
+    def test_sweep_rejects_a_negative_batch(self, run_cli, tmp_path):
+        data = str(tmp_path / "data.csv")
+        run_cli("gen-data", "--d", 4, "--n", 60, "--seed", 2, "--out", data)
+        out = tmp_path / "sweep.csv"
+        code, _, err = run_cli(
+            "sweep", "--mode", "clip", "--c-grid", "0", "--k-grid", "1.0",
+            "--data", data, "--out", str(out), "--steps", 2, "--batch", -1,
+        )
+        assert code == 1 and "batch" in err
+        assert not out.exists()
+
     def test_sweep_flag_requirements(self, run_cli, tmp_path):
         data = str(tmp_path / "data.csv")
         run_cli("gen-data", "--d", 4, "--n", 60, "--out", data)

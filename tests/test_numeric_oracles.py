@@ -7,15 +7,21 @@ and ``pgd_batch``'s ``consider``).  The old copies are kept here as
 oracles: the max-shifted log-softmax and softmax, the l2 projection with
 its own scale factor, the inline softplus, and the PGD restart loop with
 its inline keep-best update.  Every comparison is bit for bit.
+
+``pgd_batch`` now writes its intermediates into a reusable
+``PGDWorkspace``; the reference loop allocates as it goes, so the same
+comparisons guard the in-place rewrite, and the workspace tests below check
+reuse across calls and what a warm call still allocates.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from rpopt.attacks import AttackConfig, _ascent_direction, _random_start, pgd_batch
+from rpopt.attacks import AttackConfig, PGDWorkspace, pgd_batch
 from rpopt.losses import (
     LossSpec,
     multiclass_gradient,
@@ -119,6 +125,22 @@ def _project_l2(delta, budget):
     return delta * np.minimum(1.0, budget / np.maximum(norms, 1e-300))
 
 
+def _ascent_direction(grads, p):
+    if p == math.inf:
+        return np.sign(grads)
+    norms = np.linalg.norm(grads, axis=1, keepdims=True)
+    return np.where(norms > 0, grads / np.maximum(norms, 1e-300), 0.0)
+
+
+def _random_start(rng, n, d, budget, p):
+    if p == math.inf:
+        return rng.uniform(-budget, budget, size=(n, d))
+    direction = rng.standard_normal((n, d))
+    direction /= np.maximum(np.linalg.norm(direction, axis=1, keepdims=True), 1e-300)
+    radius = budget * rng.uniform(size=(n, 1)) ** (1.0 / d)
+    return direction * radius
+
+
 def _constraint(x, budget, p, box):
     if p == math.inf:
         lower, upper = -budget, budget
@@ -180,3 +202,87 @@ def test_pgd_batch_matches_the_written_out_loop(multiclass, p, box, restarts):
     got = pgd_batch(theta, x, y, attack, box=box)
     assert np.array_equal(got, _pgd_reference(theta, x, y, attack, box))
     assert np.any(got != 0.0)
+
+
+# the attack inside digits-sized multi-class training: n = 1497 training
+# examples of 8 x 8 pixels in the box (0, 1), 10 classes
+DIGITS_N, DIGITS_D, DIGITS_C = 1497, 64, 10
+
+
+def _digits_case(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, size=(DIGITS_N, DIGITS_D))
+    # pixels on the box edges, where the box bounds bind before the budget
+    edges = rng.uniform(size=x.shape)
+    x[edges < 0.2] = 0.0
+    x[edges > 0.95] = 1.0
+    theta = rng.standard_normal((DIGITS_C, DIGITS_D))
+    y = rng.integers(0, DIGITS_C, size=DIGITS_N)
+    return theta, x, y
+
+
+def test_pgd_batch_matches_the_written_out_loop_at_digits_size():
+    theta, x, y = _digits_case(5)
+    attack = AttackConfig(budget=0.005, p=math.inf, steps=4, seed=9)
+    got = pgd_batch(theta, x, y, attack, box=(0.0, 1.0))
+    assert np.array_equal(got, _pgd_reference(theta, x, y, attack, (0.0, 1.0)))
+    # the box binds: without it the attack moves pixels off the edges
+    assert not np.array_equal(got, pgd_batch(theta, x, y, attack))
+
+
+def _reuse_calls():
+    """Attacks one workspace serves in turn, as a training run makes them."""
+    rng = np.random.default_rng(21)
+    x = rng.uniform(0.0, 1.0, size=(40, 6))
+    x[:, 0] = 0.0
+    x_next = rng.uniform(0.0, 1.0, size=(40, 6))  # the next minibatch
+    x_full = rng.uniform(0.0, 1.0, size=(55, 6))  # the final full-set step
+    theta = rng.standard_normal((4, 6))
+    theta_next = rng.standard_normal((4, 6))
+    y, y_next, y_full = (rng.integers(0, 4, size=len(a)) for a in (x, x_next, x_full))
+    box = (0.0, 1.0)
+
+    def attack(seed, p=math.inf):
+        return AttackConfig(budget=0.2, p=p, steps=5, seed=seed)
+
+    return [
+        (theta, x, y, attack(1), box),
+        (theta_next, x, y, attack(1), box),  # new weights
+        (0.0 * theta, x, y, attack(1), box),  # zero weights: the clean input is best
+        (theta_next, x, y, attack(2), box),  # new seed
+        (theta_next, x_next, y_next, attack(2), box),  # new inputs, same shape
+        (theta_next, x_full, y_full, attack(3), box),  # new shape
+        (theta_next, x_full, y_full, attack(3, p=2.0), box),  # l2 ball
+        (theta_next[0], x_full, 2 * (y_full % 2) - 1, attack(4), None),  # binary
+        (theta, x, y, attack(1), box),  # back to the first call
+    ]
+
+
+def test_a_reused_workspace_matches_fresh_calls():
+    workspace = PGDWorkspace()
+    results = []
+    for theta, x, y, attack, box in _reuse_calls():
+        got = pgd_batch(theta, x, y, attack, box=box, workspace=workspace)
+        assert np.array_equal(got, pgd_batch(theta, x, y, attack, box=box))
+        results.append((got, got.copy()))
+    # no result is a view of the workspace that a later call overwrote
+    for got, copy in results:
+        assert np.array_equal(got, copy)
+    assert np.array_equal(results[0][0], results[-1][0])
+
+
+def test_a_warm_workspace_allocates_one_result():
+    theta, x, y = _digits_case(6)
+    workspace = PGDWorkspace()
+    warm_up = AttackConfig(budget=0.005, steps=4, seed=0)
+    pgd_batch(theta, x, y, warm_up, box=(0.0, 1.0), workspace=workspace)
+    attack = AttackConfig(budget=0.005, steps=4, seed=1)
+    tracemalloc.start()
+    try:
+        pgd_batch(0.5 * theta, x, y, attack, box=(0.0, 1.0), workspace=workspace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the fresh result plus (n, C) and (n,) temporaries; the loop allocating
+    # as it goes peaks at about seven (n, d) arrays
+    assert peak <= 2 * x.nbytes
