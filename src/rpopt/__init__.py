@@ -69,6 +69,7 @@ from .losses import (
     ModelParams,
     adversarial_logistic_loss,
     gradient,
+    hessian_operator,
     hessian_vector_product,
     logistic_loss,
     multiclass_gradient,

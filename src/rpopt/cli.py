@@ -31,6 +31,7 @@ from .errors import DataFormatError, InvalidRegimeError, RpoptError
 from .experiments import (
     ExperimentConfig,
     load_experiment_config,
+    parse_batch,
     parse_grid,
     parse_p,
     parse_seeds,
@@ -113,7 +114,6 @@ def load_train_config(path) -> OptimizerConfig:
     spec = LossSpec.adversarial(c, p) if c > 0 else LossSpec.nominal()
     clip_raw = section.get("clip_k", "inf")
     first_raw = section.get("first_step_eta", "")
-    batch_raw = section.get("batch", "")
     return OptimizerConfig(
         eta=section.getfloat("eta", 0.1),
         steps=section.getint("steps", 100),
@@ -122,7 +122,7 @@ def load_train_config(path) -> OptimizerConfig:
         sigma=section.getfloat("sigma", 0.0),
         noise_mode=section.get("noise_mode", "theory"),
         first_step_eta=float(first_raw) if first_raw.strip() else None,
-        batch=int(batch_raw) if batch_raw.strip() else None,
+        batch=parse_batch(section.get("batch", ""), "[train] batch"),
         seed=section.getint("seed", 0),
         attack_steps=section.getint("attack_steps", 10),
     )
@@ -251,13 +251,11 @@ def _cmd_sweep(args) -> int:
     seed = _env_seed()
     seed = args.seed if seed is None else seed
     train_ds, test_ds = split(dataset, args.test_fraction, seed=seed)
-    if args.batch < 0:
-        raise ValueError(f"--batch must be >= 0 (0: full batch), got {args.batch}")
     base = OptimizerConfig(
         eta=args.eta,
         steps=args.steps,
         clip_k=args.clip_k,
-        batch=args.batch or None,
+        batch=parse_batch(args.batch, "--batch"),
         attack_steps=args.attack_steps,
         seed=seed,
     )

@@ -112,14 +112,14 @@ def power_iteration(matvec, dim, tol=1e-8, max_iters=1000, seed=0) -> SpectrumRe
 
 
 def _top_eigenpair(theta, x, y, spec: LossSpec, tol, max_iters, seed) -> SpectrumReport:
-    """Power iteration on the Hessian of the loss at theta over (x, y)."""
+    """Power iteration on the Hessian of the loss at theta over (x, y), with
+    one operator built for the whole solve."""
     shape = theta.shape
-
-    def matvec(v):
-        hv = losses_mod.hessian_vector_product(theta, v.reshape(shape), x, y, spec)
-        return hv.ravel()
-
-    return power_iteration(matvec, theta.size, tol=tol, max_iters=max_iters, seed=seed)
+    hessian = losses_mod.hessian_operator(theta, x, y, spec)
+    return power_iteration(
+        lambda v: hessian(v.reshape(shape)).ravel(),
+        theta.size, tol=tol, max_iters=max_iters, seed=seed,
+    )
 
 
 def max_eigenvalue(

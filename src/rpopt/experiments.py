@@ -157,6 +157,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown parameters for {self.kind}: {sorted(unknown)}"
             )
+        if "batch" in self.params:
+            parse_batch(self.params["batch"], "[params] batch")
 
 
 def parse_seeds(text: str) -> tuple:
@@ -195,6 +197,17 @@ def parse_grid(text: str) -> list:
 def parse_p(value) -> float:
     """A perturbation norm: "inf" (or "oo") or a number."""
     return math.inf if str(value).strip() in ("inf", "oo") else float(value)
+
+
+def parse_batch(value, key: str):
+    """A minibatch size as OptimizerConfig.batch: 0 or empty means full
+    batch (None).  A negative size is rejected, naming the ``key`` it came
+    from."""
+    text = str(value).strip()
+    batch = int(text) if text else 0
+    if batch < 0:
+        raise ValueError(f"{key} must be >= 0 (0: full batch), got {batch}")
+    return batch or None
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -490,11 +503,10 @@ def _sweep_dataset(params) -> Dataset:
 
 
 def _sweep_base_config(config, params) -> OptimizerConfig:
-    batch = int(params["batch"]) if params["batch"] else None
     return OptimizerConfig(
         eta=params["eta"],
         steps=int(params["steps"]),
-        batch=batch,
+        batch=parse_batch(params["batch"], "[params] batch"),
         attack_steps=int(params["attack_steps"]),
         seed=config.seeds[0],
     )

@@ -8,7 +8,9 @@ shifts the logit by c times the dual norm of the weights,
 
 with q = 2 for p = 2 and q = 1 for p = inf.  Gradients and Hessian-vector
 products below are exact for that expression; the multi-class softmax loss
-has no such closed form and only its nominal derivatives live here.
+has no such closed form and only its nominal derivatives live here.  Its
+Hessian-vector product is exact too: the softmax is taken once per theta
+and each product costs one logit-sized pass (see :func:`hessian_operator`).
 """
 
 from __future__ import annotations
@@ -272,30 +274,37 @@ def step_terms_stack(theta, x, y, spec: LossSpec, clip_k, x_adv=None):
     return nominal, adversarial, (weights[:, None, :] @ r)[:, 0] / n
 
 
-def hessian_vector_product(theta, v, x, y, spec: LossSpec) -> np.ndarray:
-    """Exact H v for binary losses; central differences for multi-class.
+def hessian_operator(theta, x, y, spec: LossSpec):
+    """The Hessian of the loss at theta over (x, y), as a matvec v -> H v.
 
-    The multi-class step is eps = 1e-5 * max(1, ||theta||) / max(1, ||v||).
+    Everything that depends on theta alone is computed once, here: the
+    softmax probabilities P (n, C) for multi-class weights; the sigmoid
+    weights and, with c > 0, the rank-one residuals for the binary loss.
+    Each product is then exact.  For softmax cross-entropy the per-example
+    Hessian is (diag p_i - p_i p_i^T) kron x_i x_i^T, so with U = X V^T,
+    H V = (P * (U - rowsum(P * U)))^T X / n (Pearlmutter's R-operator).
     For the l_inf (dual l_1) worst-case loss the weight-norm term is flat
     almost everywhere, so only the rank-one part contributes.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
     if theta.ndim == 2:
         _require_nominal(spec)
-        eps = 1e-5 * max(1.0, float(np.linalg.norm(theta))) / max(
-            1.0, float(np.linalg.norm(v))
-        )
-        plus = multiclass_gradient(theta + eps * v, x, y)
-        minus = multiclass_gradient(theta - eps * v, x, y)
-        return (plus - minus) / (2.0 * eps)
+        x, y = _class_batch(theta, x, y)
+        prob = _softmax(x @ theta.T)[2]
+        n = x.shape[0]
+
+        def multiclass_matvec(v):
+            u = x @ np.asarray(v, dtype=np.float64).T
+            pu = prob * u
+            return (pu - prob * pu.sum(axis=-1, keepdims=True)).T @ x / n
+
+        return multiclass_matvec
     x, y = _as_batch(x, y)
     n = x.shape[0]
-    z = _binary_margins(theta, x, y, spec)
-    sig = expit(z)
+    sig = expit(_binary_margins(theta, x, y, spec))
     weights = sig * (1.0 - sig)
     if spec.c == 0.0:
-        return x.T @ (weights * (x @ v)) / n
+        return lambda v: x.T @ (weights * (x @ np.asarray(v, dtype=np.float64))) / n
     if spec.dual_q == 2.0:
         norm = float(np.linalg.norm(theta))
         if norm == 0.0:
@@ -304,27 +313,40 @@ def hessian_vector_product(theta, v, x, y, spec: LossSpec) -> np.ndarray:
             )
         unit = theta / norm
         r = -y[:, None] * x + spec.c * unit[None, :]
-        coeff = weights * (r @ v)
-        rank_one = coeff @ r / n
-        curvature = spec.c / norm * (v - unit * (unit @ v)) * float(sig.mean())
-        return rank_one + curvature
+        sig_mean = float(sig.mean())
+
+        def l2_matvec(v):
+            v = np.asarray(v, dtype=np.float64)
+            rank_one = weights * (r @ v) @ r / n
+            return rank_one + spec.c / norm * (v - unit * (unit @ v)) * sig_mean
+
+        return l2_matvec
     # dual l_1: sign(theta) is piecewise constant, no curvature from the norm
     r = -y[:, None] * x + spec.c * np.sign(theta)[None, :]
-    coeff = weights * (r @ v)
-    return coeff @ r / n
+    return lambda v: weights * (r @ np.asarray(v, dtype=np.float64)) @ r / n
+
+
+def hessian_vector_product(theta, v, x, y, spec: LossSpec) -> np.ndarray:
+    """Exact H v: one product of :func:`hessian_operator`."""
+    return hessian_operator(theta, x, y, spec)(v)
+
+
+def _softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max-shifted logits, their exp-sum and the probabilities, along the
+    last axis; large logits do not overflow."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    return shifted, total, e / total
 
 
 def _softmax_terms(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Label log-probabilities and residuals softmax - e_y from one exp pass.
 
-    Both come from the max-shifted logits, so large logits do not overflow.
     ``logits`` may carry leading cell axes, (..., n, C), with labels (n,)
     shared or (..., n) per cell.
     """
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=-1, keepdims=True)
-    r = e / total
+    shifted, total, r = _softmax(logits)
     # index (row, label) pairs of the flattened leading axes
     num_classes = logits.shape[-1]
     labels = np.broadcast_to(y, logits.shape[:-1]).ravel()

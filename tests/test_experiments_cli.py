@@ -474,6 +474,46 @@ class TestCliInProcess:
         assert code == 1 and "stpes" in err
         assert not out.exists()
 
+    def test_train_batch_zero_is_full_batch(self, run_cli, tmp_path):
+        data = str(tmp_path / "data.csv")
+        run_cli("gen-data", "--d", 4, "--n", 40, "--seed", 1, "--out", data)
+        outputs = []
+        for batch in ("", "0"):
+            ini = tmp_path / f"train{batch}.ini"
+            ini.write_text(f"[train]\neta = 0.5\nsteps = 5\nbatch = {batch}\n",
+                           encoding="utf-8")
+            out = tmp_path / f"trace{batch}.csv"
+            code, _, err = run_cli("train", "--config", str(ini), "--data", data,
+                                   "--out", str(out))
+            assert code == 0, err
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_train_rejects_a_negative_batch(self, run_cli, tmp_path):
+        data = str(tmp_path / "data.csv")
+        run_cli("gen-data", "--d", 4, "--n", 40, "--out", data)
+        ini = tmp_path / "train.ini"
+        ini.write_text("[train]\neta = 0.5\nsteps = 5\nbatch = -2\n", encoding="utf-8")
+        out = tmp_path / "t.csv"
+        code, _, err = run_cli("train", "--config", str(ini), "--data", data, "--out", str(out))
+        assert code == 1 and "[train] batch" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["fig8-sweep", "fig9-sweep"])
+    def test_sweep_kind_rejects_a_negative_batch_on_read(self, run_cli, tmp_path, kind):
+        ini = tmp_path / "exp.ini"
+        out = tmp_path / "out"
+        ini.write_text(
+            f"[experiment]\nkind = {kind}\noutput_dir = {out}\n\n"
+            "[params]\nn = 60\nsteps = 2\nbatch = -1\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match=r"\[params\] batch"):
+            load_experiment_config(str(ini))
+        code, _, err = run_cli("experiment", "--config", str(ini))
+        assert code == 1 and "[params] batch" in err
+        assert not out.exists()
+
     def test_load_train_config_errors(self, tmp_path):
         with pytest.raises(ValueError, match="cannot read"):
             load_train_config(str(tmp_path / "none.ini"))

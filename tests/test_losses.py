@@ -267,7 +267,7 @@ class TestHessianVectorProduct:
         # symmetric operator: <u, H v> == <v, H u>
         u = rng.normal(size=(3, 4))
         hu = hessian_vector_product(theta, u, x, y, LossSpec.nominal())
-        assert float((u * hv).sum()) == pytest.approx(float((v * hu).sum()), rel=1e-4, abs=1e-8)
+        assert float((u * hv).sum()) == pytest.approx(float((v * hu).sum()), rel=1e-12)
 
 
 class TestBruteForceWorstCase:

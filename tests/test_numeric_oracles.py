@@ -12,6 +12,11 @@ its inline keep-best update.  Every comparison is bit for bit.
 ``PGDWorkspace``; the reference loop allocates as it goes, so the same
 comparisons guard the in-place rewrite, and the workspace tests below check
 reuse across calls and what a warm call still allocates.
+
+``hessian_operator`` builds the Hessian once per theta.  Its binary
+products are checked bit for bit against the per-call expressions it
+replaced; its multi-class product, which replaced a central difference of
+two gradients, is checked against the dense Kronecker-form Hessian.
 """
 
 import math
@@ -22,8 +27,13 @@ import pytest
 from scipy.special import expit
 
 from rpopt.attacks import AttackConfig, PGDWorkspace, pgd_batch
+from rpopt.curvature import max_eigenvalue
+from rpopt.data import Dataset
+from rpopt.errors import SingularityError
 from rpopt.losses import (
     LossSpec,
+    hessian_operator,
+    hessian_vector_product,
     multiclass_gradient,
     multiclass_loss,
     per_example_gradients,
@@ -286,3 +296,91 @@ def test_a_warm_workspace_allocates_one_result():
     # the fresh result plus (n, C) and (n,) temporaries; the loop allocating
     # as it goes peaks at about seven (n, d) arrays
     assert peak <= 2 * x.nbytes
+
+
+# ---------------------------------------------------------------------------
+# hessian_operator against the dense Hessian and the per-call binary HVP
+# ---------------------------------------------------------------------------
+
+
+def _dense_softmax_hessian(theta, x, y):
+    """(1/n) sum_i (diag p_i - p_i p_i^T) kron x_i x_i^T, rows and columns
+    indexed like theta.ravel()."""
+    probs = _softmax(x @ theta.T)
+    hess = np.zeros((theta.size, theta.size))
+    for p_i, x_i in zip(probs, x):
+        hess += np.kron(np.diag(p_i) - np.outer(p_i, p_i), np.outer(x_i, x_i))
+    return hess / x.shape[0]
+
+
+def _binary_hvp_per_call(theta, v, x, y, spec):
+    """The binary Hessian-vector product as it was computed on every call."""
+    n = x.shape[0]
+    z = -y * (x @ theta)
+    if spec.c > 0.0:
+        z = z + spec.c * spec.weight_norm(theta)
+    sig = expit(z)
+    weights = sig * (1.0 - sig)
+    if spec.c == 0.0:
+        return x.T @ (weights * (x @ v)) / n
+    if spec.dual_q == 2.0:
+        norm = float(np.linalg.norm(theta))
+        unit = theta / norm
+        r = -y[:, None] * x + spec.c * unit[None, :]
+        coeff = weights * (r @ v)
+        rank_one = coeff @ r / n
+        curvature = spec.c / norm * (v - unit * (unit @ v)) * float(sig.mean())
+        return rank_one + curvature
+    r = -y[:, None] * x + spec.c * np.sign(theta)[None, :]
+    coeff = weights * (r @ v)
+    return coeff @ r / n
+
+
+@pytest.mark.parametrize("scale", [0.5, 5.0, 300.0])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_multiclass_operator_matches_the_dense_hessian(seed, scale):
+    theta, x, y = _softmax_case(seed, scale)
+    dense = _dense_softmax_hessian(theta, x, y)
+    hessian = hessian_operator(theta, x, y, LossSpec.nominal())
+    v = np.random.default_rng(seed + 10).standard_normal(theta.shape)
+    hv = hessian(v)
+    assert hv.shape == theta.shape
+    assert np.max(np.abs(hv.ravel() - dense @ v.ravel())) < 1e-12
+    assert np.array_equal(hessian_vector_product(theta, v, x, y, LossSpec.nominal()), hv)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [LossSpec.nominal(), LossSpec.adversarial(0.3, p=2.0), LossSpec.adversarial(0.3, p=math.inf)],
+    ids=["c0", "c-l2", "c-linf"],
+)
+def test_binary_operator_matches_the_per_call_product(spec):
+    rng = np.random.default_rng(4)
+    theta = rng.standard_normal(6)
+    x = rng.uniform(-1.0, 1.0, size=(40, 6))
+    y = rng.choice([-1.0, 1.0], size=40)
+    hessian = hessian_operator(theta, x, y, spec)
+    for _ in range(3):
+        v = rng.standard_normal(6)
+        expected = _binary_hvp_per_call(theta, v, x, y, spec)
+        assert np.array_equal(hessian(v), expected)
+        assert np.array_equal(hessian_vector_product(theta, v, x, y, spec), expected)
+
+
+def test_binary_operator_is_singular_at_the_origin_with_a_budget():
+    x = np.eye(3) * 0.5
+    y = np.array([1.0, -1.0, 1.0])
+    with pytest.raises(SingularityError):
+        hessian_operator(np.zeros(3), x, y, LossSpec.adversarial(0.2, p=2.0))
+
+
+def test_multiclass_max_eigenvalue_matches_the_dense_spectrum():
+    rng = np.random.default_rng(0)
+    theta = 0.5 * rng.standard_normal((3, 4))
+    x = rng.uniform(-0.4, 0.4, size=(30, 4))
+    y = rng.integers(0, 3, size=30)
+    tol = 1e-9
+    report = max_eigenvalue(theta, Dataset(x, y, num_classes=3), LossSpec.nominal(), tol=tol)
+    top = float(np.linalg.eigvalsh(_dense_softmax_hessian(theta, x, y))[-1])
+    assert report.converged
+    assert abs(report.lambda_max - top) <= 2.0 * tol * max(1.0, top)
