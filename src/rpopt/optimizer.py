@@ -17,11 +17,29 @@ keeps their iterates as one (K, d) or (K, C, d) array and takes each step
 with one call of :func:`rpopt.losses.step_terms_stack`.  Each cell keeps
 its own random streams and divergence, and its numbers are bit-identical
 to training it alone; :func:`train` is the one-cell case.
+
+Multi-class worst-case training attacks every live cell of a step with
+PGD, and those attacks run concurrently on lanes.  A lane is one thread
+with its own :class:`rpopt.attacks.PGDWorkspace`; lane j of L attacks live
+cells j, j + L, ... and writes their attacked batches into its own rows of
+the stack.  The calling thread is lane 0, the others share one thread pool
+per run, and numpy releases the interpreter lock inside the attack's array
+operations.  L is the number of attacked cells, capped by the CPUs this
+process may run on; nothing sets it, and a binary or unattacked run, or a
+process with one CPU, starts no thread.  The numbers cannot depend on L: a
+cell's attack reads only its own weights, batch and seed (its Generator is
+made inside the call), the lanes write disjoint rows, and the Generators
+for batch choice and noise are only drawn from on the calling thread,
+before and after the attacks.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -202,11 +220,16 @@ def train_stack(dataset: Dataset, configs) -> list:
     The configs may differ only in ``clip_k``, ``sigma`` and ``seed``.  The
     iterates are stacked as (K, d) or (K, C, d) and every step is one call
     of :func:`rpopt.losses.step_terms_stack`; each cell keeps its own
-    Generator (batch choice and noise) and its own PGD seeds, and
-    multi-class cells are attacked one at a time.  Entry i of the result is
-    what ``train(dataset, configs[i])`` returns, bit for bit, or the
-    DivergenceError it raises: a cell that diverges stops updating and never
-    changes another cell's numbers.
+    Generator (batch choice and noise) and its own PGD seeds.  Entry i of
+    the result is what ``train(dataset, configs[i])`` returns, bit for bit,
+    or the DivergenceError it raises: a cell that diverges stops updating
+    and never changes another cell's numbers.
+
+    Multi-class cells with a budget c > 0 are attacked on up to
+    min(K, usable CPUs) lanes at once (see the module docstring); the lane
+    count is not a parameter and does not change a single bit of the
+    result.  The lanes' pool is shut down before this returns or raises,
+    and an error raised by one cell's attack is raised here.
     """
     configs = list(configs)
     if not configs:
@@ -248,23 +271,39 @@ def train_stack(dataset: Dataset, configs) -> list:
     outcomes: list = [None] * len(configs)
     live = np.arange(len(configs))  # the cell of each row of the stack
     theta = np.zeros((len(configs),) + shape)
-    workspace = PGDWorkspace()  # one cell's attack buffers, reused by every call
+    attacked = multiclass and spec.c > 0
+    lanes = _lane_count(len(configs)) if attacked else 1
+    workspaces = [PGDWorkspace() for _ in range(lanes)]  # one lane's attack buffers each
 
-    def eval_at(xb, yb, t):
+    def attack_lane(lane, xb, yb, t, x_adv):
+        """Attack live cells lane, lane + lanes, ...; write x + delta to their rows."""
+        for i in range(lane, len(live), lanes):
+            xk, yk = (xb, yb) if xb.ndim == 2 else (xb[i], yb[i])
+            attack = AttackConfig(
+                budget=spec.c,
+                p=spec.p,
+                steps=first.attack_steps,
+                seed=configs[live[i]].seed + 7919 * (t + 1),
+            )
+            deltas = pgd_batch(
+                theta[i], xk, yk, attack, box=dataset.box, workspace=workspaces[lane]
+            )
+            np.add(xk, deltas, out=x_adv[i])
+
+    def eval_at(xb, yb, t, pool):
         """Losses and mean clipped gradients of the live cells."""
         x_adv = None
-        if multiclass and spec.c > 0:
+        if attacked:
             x_adv = np.empty((len(live),) + xb.shape[-2:])
-            for i, k in enumerate(live):
-                xk, yk = (xb, yb) if xb.ndim == 2 else (xb[i], yb[i])
-                attack = AttackConfig(
-                    budget=spec.c,
-                    p=spec.p,
-                    steps=first.attack_steps,
-                    seed=configs[k].seed + 7919 * (t + 1),
-                )
-                deltas = pgd_batch(theta[i], xk, yk, attack, box=dataset.box, workspace=workspace)
-                np.add(xk, deltas, out=x_adv[i])
+            # lanes 1, 2, ... run in the pool, under the caller's numpy error
+            # state (a context variable, which a pool thread does not inherit)
+            futures = [
+                pool.submit(contextvars.copy_context().run, attack_lane, lane, xb, yb, t, x_adv)
+                for lane in range(1, min(lanes, len(live)))
+            ]
+            attack_lane(0, xb, yb, t, x_adv)
+            for future in futures:
+                future.result()
         return losses_mod.step_terms_stack(theta, xb, yb, spec, clip_k, x_adv)
 
     def record(t, terms):
@@ -286,24 +325,25 @@ def train_stack(dataset: Dataset, configs) -> list:
             outcomes[k] = DivergenceError(step)
         theta, live, clip_k = theta[keep], live[keep], clip_k[keep]
 
-    for t in range(steps + 1):
-        if not len(live):
-            break
-        if batch is None or t == steps:  # the final row is on the full set
-            xb, yb = x_all, y_all
-        else:
-            idx = np.array([rngs[k].choice(n_all, size=batch, replace=False) for k in live])
-            xb, yb = x_all[idx], y_all[idx]
-        update = record(t, eval_at(xb, yb, t))
-        if t == steps:
-            break
-        for i, k in enumerate(live):
-            if configs[k].sigma > 0:
-                update[i] += rngs[k].normal(0.0, noise_std[k], size=shape)
-        eta_t = first.resolved_first_step_eta if t == 0 else first.eta
-        theta = theta - eta_t * update
-        if not np.isfinite(theta).all():
-            drop(np.isfinite(theta).reshape(len(live), math.prod(shape)).all(axis=1), t + 1)
+    with ThreadPoolExecutor(lanes - 1) if lanes > 1 else contextlib.nullcontext() as pool:
+        for t in range(steps + 1):
+            if not len(live):
+                break
+            if batch is None or t == steps:  # the final row is on the full set
+                xb, yb = x_all, y_all
+            else:
+                idx = np.array([rngs[k].choice(n_all, size=batch, replace=False) for k in live])
+                xb, yb = x_all[idx], y_all[idx]
+            update = record(t, eval_at(xb, yb, t, pool))
+            if t == steps:
+                break
+            for i, k in enumerate(live):
+                if configs[k].sigma > 0:
+                    update[i] += rngs[k].normal(0.0, noise_std[k], size=shape)
+            eta_t = first.resolved_first_step_eta if t == 0 else first.eta
+            theta = theta - eta_t * update
+            if not np.isfinite(theta).all():
+                drop(np.isfinite(theta).reshape(len(live), math.prod(shape)).all(axis=1), t + 1)
 
     for i, k in enumerate(live):
         outcomes[k] = TrainTrace(
@@ -316,6 +356,16 @@ def train_stack(dataset: Dataset, configs) -> list:
             config=configs[k],
         )
     return outcomes
+
+
+def _lane_count(cells: int) -> int:
+    """Attack lanes for a stack of ``cells`` attacked cells: one per cell, at
+    most one per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cells, cpus)
 
 
 def _cell_norms(stack: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .data import read_table
 from .experiments import MANIFEST_NAME
@@ -167,18 +166,35 @@ def _verify_fig3(run_dir, manifest):
     return checks
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of values, each tie sharing the mean of its ranks (the
+    'average' method of SciPy's rankdata)."""
+    order = np.argsort(values, kind="mergesort")
+    sorted_values = values[order]
+    starts = np.r_[True, sorted_values[1:] != sorted_values[:-1]]
+    group = np.empty(len(values), dtype=np.intp)
+    group[order] = np.cumsum(starts)
+    bounds = np.r_[np.flatnonzero(starts), len(values)]
+    return 0.5 * (bounds[group] + bounds[group - 1] + 1)
+
+
 def _spearman_check(table, a, b, want_positive, name):
     """Sign of the rank correlation of columns a and b.  Undefined (and not
-    passed) when fewer than 2 rows are left or a column is constant."""
+    passed) when fewer than 2 rows are left, a column holds a NaN or a
+    column is constant."""
     title = f"spearman({name}) {'>' if want_positive else '<'} 0"
     rows = len(table[a])
     if rows < 2:
         return _check(title, False, f"coefficient undefined: {rows} row(s) left, need 2")
+    with_nan = " and ".join(col for col in (a, b) if np.isnan(table[col]).any())
+    if with_nan:
+        return _check(title, False, f"coefficient undefined: NaN in column {with_nan}")
     constant = [col for col in (a, b) if np.all(table[col] == table[col][0])]
     if constant:
         columns = " and ".join(f"{col} (all {table[col][0]:g})" for col in constant)
         return _check(title, False, f"coefficient undefined: constant column {columns}")
-    coeff = float(spearmanr(table[a], table[b]).statistic)
+    # Pearson's coefficient of the ranks, as SciPy's spearmanr computes it
+    coeff = float(np.corrcoef(_average_ranks(table[a]), _average_ranks(table[b]))[1, 0])
     passed = coeff > 0 if want_positive else coeff < 0
     return _check(title, passed, f"coefficient {coeff:.4f}")
 

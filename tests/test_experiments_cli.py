@@ -24,7 +24,7 @@ from rpopt.experiments import (
 )
 from rpopt.optimizer import read_trace_csv
 from rpopt.plotting import PlotSpec, read_table, render_plot
-from rpopt.report import verify_report
+from rpopt.report import _average_ranks, verify_report
 
 
 class TestParsers:
@@ -325,6 +325,56 @@ class TestVerifyReportFaults:
         assert "undefined" in accuracy.measured and "test_accuracy" in accuracy.measured
         assert "nan" not in accuracy.measured
         assert checks["spearman(lambda_max, c) > 0"].passed
+
+    def test_nan_makes_spearman_undefined_and_says_where(self, tmp_path):
+        out = tmp_path / "fig8"
+        out.mkdir()
+        (out / MANIFEST_NAME).write_text(json.dumps({"kind": "fig8-sweep"}), encoding="utf-8")
+        rows = [
+            "c,k_or_epsilon,lambda_max,test_accuracy,theta_norm,converged,diverged",
+            "0,0.1,0.3,0.9,2.0,1,0",
+            "0,1,nan,0.8,2.5,0,0",
+            "0.01,0.1,0.5,0.7,1.5,1,0",
+        ]
+        (out / "fig8-sweep.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        checks = verify_report(str(out)).checks
+        assert len(checks) == 3
+        for check in checks:  # every fig8 check reads lambda_max
+            assert not check.passed
+            assert check.measured == "coefficient undefined: NaN in column lambda_max"
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_spearman_coefficient_matches_scipy(self, tmp_path, seed):
+        from scipy.stats import rankdata, spearmanr
+
+        rng = np.random.default_rng(seed)
+        n = 3 + 11 * seed
+        # ties in every column: grid values, rounded accuracies
+        table = {
+            "c": rng.choice([0.0, 0.01, 0.05], n),
+            "k_or_epsilon": rng.choice([0.1, 1.0, 3.0, 10.0], n),
+            "lambda_max": np.round(rng.exponential(size=n), 1),
+            "test_accuracy": np.round(rng.uniform(size=n), 2),
+            "theta_norm": rng.uniform(size=n),
+            "converged": np.ones(n),
+            "diverged": np.zeros(n),
+        }
+        table["c"][:2] = (0.0, 0.05)  # no column is constant
+        for column in table.values():
+            np.testing.assert_array_equal(_average_ranks(column), rankdata(column))
+        out = tmp_path / "fig8"
+        out.mkdir()
+        (out / MANIFEST_NAME).write_text(json.dumps({"kind": "fig8-sweep"}), encoding="utf-8")
+        lines = [",".join(table)]
+        lines += [",".join(repr(float(v)) for v in row) for row in zip(*table.values())]
+        (out / "fig8-sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        measured = [check.measured for check in verify_report(str(out)).checks]
+        pairs = [
+            ("lambda_max", "c"), ("lambda_max", "k_or_epsilon"), ("test_accuracy", "lambda_max")
+        ]
+        assert measured == [
+            f"coefficient {float(spearmanr(table[a], table[b]).statistic):.4f}" for a, b in pairs
+        ]
 
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError, match=MANIFEST_NAME):

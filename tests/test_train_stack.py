@@ -4,14 +4,21 @@ The reference is the one-cell training loop, kept here as it stood before
 training was stacked: one ``losses.step_terms`` call per step, with the
 cell's own Generator for batch choice and noise and its own PGD seeds.
 Every comparison is bit for bit.
+
+Multi-class attacks run on lanes (threads); the lane tests fix the lane
+count and require the same bits from every count.
 """
 
 import math
+import os
+import threading
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from rpopt import optimizer
 from rpopt.attacks import AttackConfig, pgd_batch
 from rpopt.curvature import clipping_smoothness_curve
 from rpopt.data import Dataset, generate_separable
@@ -160,6 +167,115 @@ class TestMulticlass:
         )
         configs = _cells(base, [(0.05, 0.5, 7), (math.inf, 0.0, 8), (0.5, 0.0, 9)])
         _check_stack(box_data, configs)
+
+
+def _train_on_lanes(monkeypatch, lanes, dataset, configs):
+    """train_stack with the lane count fixed, and the threads that attacked."""
+    threads = set()
+
+    def recording_pgd_batch(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return pgd_batch(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "_lane_count", lambda cells: lanes)
+    monkeypatch.setattr(optimizer, "pgd_batch", recording_pgd_batch)
+    return train_stack(dataset, configs), threads
+
+
+class LaneFault(Exception):
+    pass
+
+
+class TestAttackLanes:
+    @pytest.mark.parametrize("p", [2.0, math.inf], ids=["l2", "linf"])
+    @pytest.mark.parametrize("batch", [None, 24], ids=["full", "minibatch"])
+    def test_the_lane_count_changes_no_bit(self, box_data, monkeypatch, batch, p):
+        base = OptimizerConfig(
+            eta=1.0, steps=10, spec=LossSpec.adversarial(0.05, p), noise_mode="dpsgd",
+            batch=batch, attack_steps=3,
+        )
+        # finite and infinite thresholds; a finite iterate so large that its
+        # l2 attack overflows; three cells that overflow at different steps,
+        # so the live cells fall to 2, below 3 lanes
+        configs = _cells(
+            base,
+            [(math.inf, 0.0, 8), (0.5, 1e200, 7), (15.0, 5e306, 4), (15.0, 1e307, 0),
+             (1e3, 1e305, 6)],
+        )
+        # every lane keeps the caller's numpy error state: no warning escapes
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            runs = {lanes: _train_on_lanes(monkeypatch, lanes, box_data, configs)
+                    for lanes in (1, 2, 3)}
+            _check_stack(box_data, configs)  # 3 lanes against one-cell training
+        reference = runs[1][0]
+        steps = [outcome.step for outcome in reference if isinstance(outcome, DivergenceError)]
+        assert len(steps) == 3 and max(steps) > 1
+        assert all(isinstance(outcome, TrainTrace) for outcome in reference[:2])
+        for lanes, (outcomes, threads) in runs.items():
+            assert len(threads) == lanes and threading.get_ident() in threads
+            for outcome, expected in zip(outcomes, reference):
+                if isinstance(expected, DivergenceError):
+                    assert isinstance(outcome, DivergenceError)
+                    assert outcome.step == expected.step
+                    continue
+                for name in TrainTrace.COLUMNS:
+                    assert np.array_equal(getattr(outcome, name), getattr(expected, name))
+                assert np.array_equal(outcome.final_params.weights, expected.final_params.weights)
+
+    @pytest.mark.parametrize("failing_seed", [9, 8], ids=["lane 0", "lane 1"])
+    def test_an_attack_error_is_raised_and_no_thread_is_left(
+        self, box_data, monkeypatch, failing_seed
+    ):
+        base = OptimizerConfig(
+            eta=1.0, steps=5, spec=LossSpec.adversarial(0.05), noise_mode="dpsgd",
+            attack_steps=3,
+        )
+        configs = _cells(base, [(0.5, 0.0, 7), (0.5, 0.0, 8), (0.5, 0.0, 9)])
+
+        def failing_pgd_batch(model, x, y, attack, **kwargs):
+            if attack.seed == failing_seed + 7919 * 3:  # the attack of step 2
+                raise LaneFault(f"seed {failing_seed}")
+            return pgd_batch(model, x, y, attack, **kwargs)
+
+        # two lanes: the cells with seeds 7 and 9 on lane 0, seed 8 on lane 1
+        monkeypatch.setattr(optimizer, "_lane_count", lambda cells: 2)
+        monkeypatch.setattr(optimizer, "pgd_batch", failing_pgd_batch)
+        before = threading.active_count()
+        with pytest.raises(LaneFault, match=f"seed {failing_seed}$"):
+            train_stack(box_data, configs)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "data, c, cpus",
+        [("box", 0.05, 1), ("box", 0.0, 4), ("binary", 0.05, 4)],
+        ids=["attacked, one cpu", "clean multiclass", "binary"],
+    )
+    def test_one_lane_starts_no_thread(
+        self, box_data, binary_data, monkeypatch, data, c, cpus
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+        def no_thread(thread):
+            raise AssertionError("train_stack started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        spec = LossSpec.adversarial(c) if c > 0 else LossSpec.nominal()
+        base = OptimizerConfig(eta=1.0, steps=3, spec=spec, attack_steps=2)
+        dataset = box_data if data == "box" else binary_data
+        outcomes = train_stack(dataset, [replace(base, seed=seed) for seed in range(3)])
+        assert all(isinstance(outcome, TrainTrace) for outcome in outcomes)
+
+    def test_lane_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        # the CPUs this process may run on, not the machine's
+        assert [optimizer._lane_count(cells) for cells in (1, 2, 3, 10)] == [1, 2, 3, 3]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert [optimizer._lane_count(cells) for cells in (1, 5, 10)] == [1, 5, 8]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert optimizer._lane_count(10) == 1
 
 
 class TestDivergence:
