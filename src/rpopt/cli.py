@@ -1,38 +1,29 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 invalid arguments or config, 2 runtime failure,
-3 verification found violations.  The environment variable RPOPT_SEED, when
-set, overrides the seed from flags and config files (for experiments with a
-seed list, the list is rebased to start at that value).
+Exit codes: 0 success, 1 invalid arguments, config or input data, 2 runtime
+failure, 3 verification found violations.  The environment variable
+RPOPT_SEED, when set, overrides the seed from flags and config files (for
+experiments with a seed list, the list is rebased to start at that value).
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import os
 import sys
 from dataclasses import replace
 
 from . import bounds as bounds_mod
 from ._version import __version__
-from .curvature import clipping_smoothness_curve, privacy_smoothness_curve
 from .data import (
-    generate_equal_margin,
-    generate_separable,
-    load_csv,
-    load_idx,
-    save_csv,
-    split,
-    write_table,
+    generate_equal_margin, generate_separable, load_csv, load_idx, save_csv, write_table
 )
-from .errors import DataFormatError, InvalidRegimeError, RpoptError
+from .errors import RpoptError
 from .experiments import (
     ExperimentConfig,
     load_experiment_config,
     parse_batch,
-    parse_grid,
     parse_p,
     parse_seeds,
     run_experiment,
@@ -43,6 +34,7 @@ from .plotting import PlotSpec, render_plot
 from .report import verify_report
 
 _GAP_SETTINGS = {"gap-nonprivate": "nonprivate", "gap-private": "private"}
+_SWEEP_KINDS = {"clip": "fig8-sweep", "dp": "fig9-sweep"}
 
 
 def _env_seed() -> int | None:
@@ -112,13 +104,12 @@ def load_train_config(path) -> OptimizerConfig:
     c = section.getfloat("c", 0.0)
     p = parse_p(section.get("p", "2"))
     spec = LossSpec.adversarial(c, p) if c > 0 else LossSpec.nominal()
-    clip_raw = section.get("clip_k", "inf")
     first_raw = section.get("first_step_eta", "")
     return OptimizerConfig(
         eta=section.getfloat("eta", 0.1),
         steps=section.getint("steps", 100),
         spec=spec,
-        clip_k=math.inf if clip_raw.strip() == "inf" else float(clip_raw),
+        clip_k=section.getfloat("clip_k", float("inf")),
         sigma=section.getfloat("sigma", 0.0),
         noise_mode=section.get("noise_mode", "theory"),
         first_step_eta=float(first_raw) if first_raw.strip() else None,
@@ -129,9 +120,9 @@ def load_train_config(path) -> OptimizerConfig:
 
 
 def _load_dataset(args):
-    if getattr(args, "images", None):
-        return load_idx(args.images, args.labels, limit=getattr(args, "limit", None))
-    if getattr(args, "data", None):
+    if args.images:
+        return load_idx(args.images, args.labels, limit=args.limit)
+    if args.data:
         return load_csv(args.data)
     raise ValueError("provide --data CSV or --images/--labels IDX files")
 
@@ -192,7 +183,7 @@ def _cmd_bounds(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# attack-eval / experiment
+# experiment / attack-eval / sweep
 # ---------------------------------------------------------------------------
 
 
@@ -206,88 +197,30 @@ def _parse_param_overrides(pairs) -> dict:
     return params
 
 
-def _rebase_seeds(seeds, base) -> tuple:
-    return tuple(base + i for i in range(len(seeds)))
-
-
-def _cmd_attack_eval(args) -> int:
-    seeds = parse_seeds(args.seeds)
+def _run(config: ExperimentConfig) -> int:
     env = _env_seed()
     if env is not None:
-        seeds = _rebase_seeds(seeds, env)
-    config = ExperimentConfig(
-        kind="attack-eval",
-        output_dir=args.out_dir,
-        seeds=seeds,
-        params=_parse_param_overrides(args.param),
-    )
+        config = replace(config, seeds=tuple(env + i for i in range(len(config.seeds))))
     for path in run_experiment(config):
         print(f"wrote {path}")
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    config = load_experiment_config(args.config)
-    env = _env_seed()
-    if env is not None:
-        config = ExperimentConfig(
-            kind=config.kind,
-            output_dir=config.output_dir,
-            seeds=_rebase_seeds(config.seeds, env),
-            params=config.params,
+    return _run(load_experiment_config(args.config))
+
+
+def _cmd_kind(args) -> int:
+    """attack-eval, and sweep (the fig8/fig9 kinds), run from flags."""
+    kind = _SWEEP_KINDS[args.mode] if args.verb == "sweep" else args.verb
+    return _run(
+        ExperimentConfig(
+            kind=kind,
+            output_dir=args.out_dir,
+            seeds=parse_seeds(args.seeds),
+            params=_parse_param_overrides(args.param),
         )
-    for path in run_experiment(config):
-        print(f"wrote {path}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# sweep
-# ---------------------------------------------------------------------------
-
-
-def _cmd_sweep(args) -> int:
-    dataset = _load_dataset(args)
-    seed = _env_seed()
-    seed = args.seed if seed is None else seed
-    train_ds, test_ds = split(dataset, args.test_fraction, seed=seed)
-    base = OptimizerConfig(
-        eta=args.eta,
-        steps=args.steps,
-        clip_k=args.clip_k,
-        batch=parse_batch(args.batch, "--batch"),
-        attack_steps=args.attack_steps,
-        seed=seed,
     )
-    common = dict(
-        test_dataset=test_ds,
-        p=parse_p(args.p),
-        workers=args.workers,
-        curvature_examples=args.curvature_examples,
-        eval_attack_steps=args.eval_attack_steps,
-    )
-    if args.mode == "clip":
-        if not args.k_grid:
-            raise ValueError("--mode clip requires --k-grid")
-        table = clipping_smoothness_curve(
-            train_ds, parse_grid(args.c_grid), parse_grid(args.k_grid), base, **common
-        )
-    else:
-        if not args.eps_grid:
-            raise ValueError("--mode dp requires --eps-grid")
-        if not math.isfinite(args.clip_k):
-            raise ValueError("--mode dp requires a finite --clip-k")
-        table = privacy_smoothness_curve(
-            train_ds,
-            parse_grid(args.c_grid),
-            parse_grid(args.eps_grid),
-            base,
-            delta=args.delta,
-            **common,
-        )
-    table.to_csv(args.out)
-    print(f"wrote {args.out}: {len(table.cells)} cells ({args.mode} mode)")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -405,42 +338,23 @@ def build_parser() -> argparse.ArgumentParser:
     bo.set_defaults(func=_cmd_bounds)
 
     ae = sub.add_parser("attack-eval", help="accuracy-under-attack experiment")
-    ae.add_argument("--out-dir", required=True)
-    ae.add_argument("--seeds", default="0")
-    ae.add_argument(
-        "--param",
-        action="append",
-        metavar="KEY=VALUE",
-        help="override an attack-eval parameter (repeatable)",
+    sw = sub.add_parser(
+        "sweep", help="curvature sweep over (c, k) or (c, epsilon): the fig8/fig9 kinds"
     )
-    ae.set_defaults(func=_cmd_attack_eval)
-
-    sw = sub.add_parser("sweep", help="curvature sweep over (c, k) or (c, epsilon)")
-    sw.add_argument("--mode", choices=("clip", "dp"), required=True)
-    sw.add_argument("--c-grid", required=True)
-    sw.add_argument("--k-grid", help="clip thresholds (clip mode)")
-    sw.add_argument("--eps-grid", help="privacy levels (dp mode)")
-    sw.add_argument("--data", help="dataset CSV")
-    sw.add_argument("--images", help="IDX image file (with --labels)")
-    sw.add_argument("--labels", help="IDX label file")
-    sw.add_argument("--limit", type=int, default=None)
-    sw.add_argument("--out", required=True)
-    sw.add_argument("--eta", type=float, default=0.5)
-    sw.add_argument("--steps", type=int, default=120)
     sw.add_argument(
-        "--batch", type=int, default=0,
-        help="minibatch size, at most the training part's size (0, the default: full batch)",
+        "--mode", choices=tuple(_SWEEP_KINDS), required=True,
+        help="clip: fig8-sweep; dp: fig9-sweep",
     )
-    sw.add_argument("--clip-k", type=float, default=math.inf)
-    sw.add_argument("--delta", type=float, default=1e-5)
-    sw.add_argument("--attack-steps", type=int, default=4)
-    sw.add_argument("--eval-attack-steps", type=int, default=10)
-    sw.add_argument("--curvature-examples", type=int, default=512)
-    sw.add_argument("--p", default="inf")
-    sw.add_argument("--workers", type=int, default=1)
-    sw.add_argument("--test-fraction", type=float, default=1.0 / 6.0)
-    sw.add_argument("--seed", type=int, default=0)
-    sw.set_defaults(func=_cmd_sweep)
+    for verb in (ae, sw):
+        verb.add_argument("--out-dir", required=True)
+        verb.add_argument("--seeds", default="0")
+        verb.add_argument(
+            "--param",
+            action="append",
+            metavar="KEY=VALUE",
+            help="override a [params] key of the kind (repeatable)",
+        )
+        verb.set_defaults(func=_cmd_kind)
 
     ex = sub.add_parser("experiment", help="run an experiment config end to end")
     ex.add_argument("--config", required=True)

@@ -157,8 +157,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown parameters for {self.kind}: {sorted(unknown)}"
             )
-        if "batch" in self.params:
-            parse_batch(self.params["batch"], "[params] batch")
+        resolve_params(self)
 
 
 def parse_seeds(text: str) -> tuple:
@@ -188,15 +187,19 @@ def parse_grid(text: str) -> list:
                 raise ValueError("log-spaced grid endpoints must be positive")
             values.extend(float(v) for v in np.geomspace(lo, hi, n))
         else:
-            values.append(float("inf") if part == "inf" else float(part))
+            values.append(float(part))
     if not values:
         raise ValueError(f"empty grid: {text!r}")
     return values
 
 
 def parse_p(value) -> float:
-    """A perturbation norm: "inf" (or "oo") or a number."""
-    return math.inf if str(value).strip() in ("inf", "oo") else float(value)
+    """A perturbation norm: 2, or "inf" (also "oo")."""
+    text = str(value).strip()
+    p = math.inf if text == "oo" else float(text)
+    if p not in (2.0, math.inf):
+        raise ValueError(f"a perturbation norm must be 2 or inf, got {text!r}")
+    return p
 
 
 def parse_batch(value, key: str):
@@ -208,6 +211,32 @@ def parse_batch(value, key: str):
     if batch < 0:
         raise ValueError(f"{key} must be >= 0 (0: full batch), got {batch}")
     return batch or None
+
+
+def _parse_dims(text) -> list:
+    """A grid of dimensions: positive integers."""
+    values = parse_grid(text)
+    if not all(v >= 1 and float(v).is_integer() for v in values):
+        raise ValueError(f"dimensions must be positive integers, got {text!r}")
+    return [int(v) for v in values]
+
+
+def _check_clip_k(value) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"must be finite and positive, got {value}")
+
+
+# [params] keys whose values must parse beyond their default's type
+_CHECKS = {
+    "batch": partial(parse_batch, key="batch"),
+    "p": parse_p,
+    "c_grid": parse_grid,
+    "k_grid": parse_grid,
+    "eps_grid": parse_grid,
+    "budgets": parse_grid,
+    "d_list": _parse_dims,
+    "clip_k": _check_clip_k,  # fig9 only: the privacy sweep needs a finite clip
+}
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -228,21 +257,31 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 
 def resolve_params(config: ExperimentConfig) -> dict:
-    """Defaults overlaid with the config's [params]; values stay typed."""
+    """Defaults overlaid with the config's [params]; values stay typed.  A
+    value that does not parse is rejected, naming its key."""
     resolved = dict(_DEFAULTS[config.kind])
     for key, raw in config.params.items():
         default = resolved[key]
-        if isinstance(default, bool):
-            resolved[key] = str(raw).lower() in ("1", "true", "yes")
-        elif isinstance(default, int) and not isinstance(default, bool):
-            resolved[key] = int(raw)
-        elif isinstance(default, float):
-            resolved[key] = float(raw)
-        elif default is None:
-            resolved[key] = None if str(raw).lower() == "none" else float(raw)
-        else:
-            resolved[key] = str(raw)
+        try:
+            if isinstance(default, int):
+                value = int(raw)
+            elif isinstance(default, float):
+                value = float(raw)
+            elif default is None:
+                value = None if str(raw).lower() == "none" else float(raw)
+            else:
+                value = str(raw)
+            if key in _CHECKS:
+                _CHECKS[key](value)
+        except ValueError as exc:
+            raise ValueError(f"[params] {key}: {exc}") from None
+        resolved[key] = value
     return resolved
+
+
+# a failure in these stages is a fault of the run's inputs (a data file or a
+# value that only fits once the data is known), raised as ValueError
+_INPUT_STAGES = ("generate-data", "load-data")
 
 
 class _ArtifactSet:
@@ -264,25 +303,30 @@ def run_experiment(config: ExperimentConfig) -> list:
     Everything is written to a temporary directory beside ``output_dir``
     and moved in only when the run succeeds: the old manifest is removed
     first and the new one moved in last, so a manifest never names files of
-    another run, and a failed run leaves ``output_dir`` as it was.
+    another run, and a failed run leaves ``output_dir`` as it was (absent,
+    if it was).  A failure while the inputs are read raises ValueError, any
+    later one ExperimentError; both name the stage.
     """
     params = resolve_params(config)
-    os.makedirs(config.output_dir, exist_ok=True)
-    out_dir = os.path.abspath(config.output_dir)
-    staging_dir = tempfile.mkdtemp(
-        prefix=f".{os.path.basename(out_dir)}-", dir=os.path.dirname(out_dir)
-    )
+    parent, name = os.path.split(os.path.abspath(config.output_dir))
+    os.makedirs(parent, exist_ok=True)
+    staging_dir = tempfile.mkdtemp(prefix=f".{name}-", dir=parent)
     try:
         artifacts = _ArtifactSet(staging_dir)
         try:
             notes = _RUNNERS[config.kind](config, params, artifacts)
         except Exception as exc:
-            raise ExperimentError(f"stage {artifacts.stage!r} failed: {exc}") from exc
+            message = f"stage {artifacts.stage!r} failed: {exc}"
+            if artifacts.stage in _INPUT_STAGES and isinstance(
+                exc, (ValueError, FileNotFoundError)
+            ):
+                raise ValueError(message) from exc
+            raise ExperimentError(message) from exc
         manifest = {
             "kind": config.kind,
             "version": __version__,
             "seeds": list(config.seeds),
-            "params": {k: (None if v is None else v) for k, v in params.items()},
+            "params": params,
             "artifacts": artifacts.names,
             "notes": notes,
         }
@@ -292,6 +336,7 @@ def run_experiment(config: ExperimentConfig) -> list:
         manifest_path = os.path.join(config.output_dir, MANIFEST_NAME)
         if os.path.exists(manifest_path):
             os.unlink(manifest_path)
+        os.makedirs(config.output_dir, exist_ok=True)
         paths = []
         for name in artifacts.names + [MANIFEST_NAME]:
             paths.append(os.path.join(config.output_dir, name))
@@ -408,7 +453,7 @@ def _run_fig1(config, params, artifacts):
 
 def _run_fig2(config, params, artifacts):
     artifacts.stage = "evaluate-gaps"
-    d_list = [int(v) for v in parse_grid(params["d_list"])]
+    d_list = _parse_dims(params["d_list"])
     ts = log_spaced_steps(int(params["t_max"]), int(params["points"]))
     decades = [10**k for k in range(0, int(math.log10(params["t_max"])) + 1)]
     ts = np.unique(np.concatenate([ts, decades]))
@@ -517,8 +562,12 @@ def _run_sweep_kind(mode, config, params, artifacts):
     artifacts.stage = "load-data"
     dataset = _sweep_dataset(params)
     train_ds, test_ds = split(dataset, params["test_fraction"], seed=config.seeds[0])
-    artifacts.stage = "sweep"
     base = _sweep_base_config(config, params)
+    if base.batch is not None and base.batch > train_ds.n:
+        raise ValueError(
+            f"batch {base.batch} exceeds the {train_ds.n} examples of the training part"
+        )
+    artifacts.stage = "sweep"
     common = dict(
         test_dataset=test_ds,
         p=parse_p(params["p"]),

@@ -5,6 +5,7 @@ the numeric tolerances the library promises.  They are slower than the unit
 tests; the sweep test dominates the runtime.
 """
 
+import importlib.util
 import math
 import time
 from pathlib import Path
@@ -29,7 +30,7 @@ from rpopt.bounds import (
     excess_risk_bound,
 )
 from rpopt.curvature import max_eigenvalue
-from rpopt.data import generate_equal_margin, generate_separable
+from rpopt.data import generate_equal_margin, generate_separable, write_idx
 from rpopt.experiments import KINDS, ExperimentConfig, run_experiment
 from rpopt.losses import (
     LossSpec,
@@ -311,6 +312,50 @@ def test_sweep_trend_signs(tmp_path, digits_idx):
 
     clip = read_table(str(fig8 / "fig8-sweep.csv"))
     dp = read_table(str(fig9 / "fig9-sweep.csv"))
+    assert clip["lambda_max"].shape == (100,)
+    assert dp["lambda_max"].shape == (100,)
+    assert not np.any(clip["diverged"]) and not np.any(dp["diverged"])
+
+    assert spearmanr(clip["lambda_max"], clip["c"]).statistic > 0
+    assert spearmanr(clip["lambda_max"], clip["k_or_epsilon"]).statistic < 0
+    assert spearmanr(dp["lambda_max"], dp["k_or_epsilon"]).statistic < 0
+    pooled_acc = np.concatenate([clip["test_accuracy"], dp["test_accuracy"]])
+    pooled_lam = np.concatenate([clip["lambda_max"], dp["lambda_max"]])
+    assert spearmanr(pooled_acc, pooled_lam).statistic < 0
+
+    assert elapsed < 900.0, f"sweeps took {elapsed:.0f}s"
+
+
+def test_sweep_trend_signs_offline(tmp_path):
+    # the sweeps and claims of test_sweep_trend_signs, on the benchmark's
+    # offline digits-like set (seed 0), so that they run without sklearn
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "digits.py"
+    spec = importlib.util.spec_from_file_location("perfbench_digits", path)
+    digits = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digits)
+    images, labels = str(tmp_path / "images.idx"), str(tmp_path / "labels.idx")
+    digits.write_digits(write_idx, images, labels, seed=0)
+
+    start = time.monotonic()
+    tables = {}
+    for kind in ("fig8-sweep", "fig9-sweep"):
+        out = tmp_path / kind
+        run_experiment(
+            ExperimentConfig(
+                kind=kind,
+                output_dir=str(out),
+                seeds=(0,),
+                params={"images": images, "labels": labels},
+            )
+        )
+        tables[kind] = read_table(str(out / f"{kind}.csv"))
+    elapsed = time.monotonic() - start
+
+    for kind in tables:
+        report = verify_report(str(tmp_path / kind))
+        assert report.passed, "\n".join(report.lines())
+
+    clip, dp = tables["fig8-sweep"], tables["fig9-sweep"]
     assert clip["lambda_max"].shape == (100,)
     assert dp["lambda_max"].shape == (100,)
     assert not np.any(clip["diverged"]) and not np.any(dp["diverged"])

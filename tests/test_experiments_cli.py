@@ -18,6 +18,7 @@ from rpopt.experiments import (
     ExperimentConfig,
     load_experiment_config,
     parse_grid,
+    parse_p,
     parse_seeds,
     resolve_params,
     run_experiment,
@@ -47,6 +48,13 @@ class TestParsers:
         assert mixed[0] == 0.0 and len(mixed) == 6
         assert parse_grid("0.1:3:10")[0] == pytest.approx(0.1)
         assert parse_grid("0.1:3:10")[-1] == pytest.approx(3.0)
+
+    def test_parse_p_takes_two_or_inf(self):
+        assert parse_p("2") == 2.0 and parse_p(" inf ") == math.inf
+        assert parse_p("oo") == math.inf and parse_p(2) == 2.0
+        for bad in ("1", "3", "nan", "-inf", "two"):
+            with pytest.raises(ValueError):
+                parse_p(bad)
 
     def test_parse_grid_rejects_bad_input(self):
         with pytest.raises(ValueError, match="positive"):
@@ -202,9 +210,10 @@ class TestRunExperiment:
             seeds=(0,),
             params={"images": str(tmp_path / "nope.idx"), "labels": str(tmp_path / "nope2.idx")},
         )
-        with pytest.raises(ExperimentError, match="load-data"):
+        # a fault of the inputs, not of the run: ValueError (exit 1), naming the stage
+        with pytest.raises(ValueError, match="load-data"):
             run_experiment(config)
-        assert not (out / MANIFEST_NAME).exists()
+        assert not out.exists()
 
     def test_failure_discards_partial_artifacts(self, tmp_path, monkeypatch):
         import rpopt.experiments as exp
@@ -216,7 +225,7 @@ class TestRunExperiment:
             raise RuntimeError("disk full")
 
         monkeypatch.setattr(exp, "write_table", sabotaged)
-        out = tmp_path / "run"
+        out = tmp_path / "parent" / "run"
         config = ExperimentConfig(
             kind="bounds-only",
             output_dir=str(out),
@@ -225,8 +234,8 @@ class TestRunExperiment:
         )
         with pytest.raises(ExperimentError, match="write-csv"):
             run_experiment(config)
-        assert not (out / "bounds-only.csv").exists()
-        assert not (out / MANIFEST_NAME).exists()
+        # the parent is made up front; the output directory only on success
+        assert os.listdir(tmp_path / "parent") == []
 
     def test_failed_rerun_leaves_previous_run_untouched(self, tmp_path, monkeypatch):
         import rpopt.experiments as exp
@@ -441,6 +450,15 @@ class TestPlotting:
         repeated.write_text("a,b,a\n1,2,3\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match="repeated column"):
             read_table(str(repeated))
+
+
+def _write_ini(path, kind, output_dir, params, seeds="0"):
+    path.write_text(
+        f"[experiment]\nkind = {kind}\noutput_dir = {output_dir}\nseeds = {seeds}\n\n"
+        "[params]\n" + "".join(f"{key} = {value}\n" for key, value in params.items()),
+        encoding="utf-8",
+    )
+    return path
 
 
 @pytest.fixture()
@@ -695,69 +713,136 @@ class TestCliInProcess:
         )
         assert code == 1 and "key=value" in err
 
-    def test_sweep_clip_mode(self, run_cli, tmp_path):
+    @pytest.fixture()
+    def sweep_data(self, run_cli, tmp_path):
         data = str(tmp_path / "data.csv")
         run_cli("gen-data", "--d", 4, "--n", 60, "--seed", 2, "--out", data)
-        out = str(tmp_path / "sweep.csv")
-        code, text, _ = run_cli(
-            "sweep", "--mode", "clip", "--c-grid", "0,0.05", "--k-grid", "0.5,2.0",
-            "--data", data, "--out", out, "--eta", 1.0, "--steps", 15,
-            "--curvature-examples", 32, "--batch", 0,
-        )
-        assert code == 0 and "4 cells" in text
-        table = read_table(out)
-        assert table["lambda_max"].shape == (4,)
+        return data
 
-    def test_sweep_batch_larger_than_training_part_fails(self, run_cli, tmp_path):
-        data = str(tmp_path / "data.csv")
-        run_cli("gen-data", "--d", 4, "--n", 60, "--seed", 2, "--out", data)
-        out = tmp_path / "sweep.csv"
-        # 50 training examples after the default split, against --batch 51
-        code, _, err = run_cli(
-            "sweep", "--mode", "clip", "--c-grid", "0", "--k-grid", "1.0",
-            "--data", data, "--out", str(out), "--steps", 2, "--batch", 51,
+    def test_sweep_clip_mode(self, run_cli, tmp_path, sweep_data):
+        out = tmp_path / "sweep"
+        code, text, err = run_cli(
+            "sweep", "--mode", "clip", "--out-dir", out,
+            "--param", f"data_csv={sweep_data}", "--param", "c_grid=0,0.05",
+            "--param", "k_grid=0.5,2.0", "--param", "eta=1.0", "--param", "steps=15",
+            "--param", "curvature_examples=32",
         )
-        assert code == 1 and "batch" in err
+        assert code == 0, err
+        assert text.splitlines() == [
+            f"wrote {out / 'fig8-sweep.csv'}", f"wrote {out / MANIFEST_NAME}"
+        ]
+        table = read_table(str(out / "fig8-sweep.csv"))
+        assert table["lambda_max"].shape == (4,)
+        # separable data: every accuracy is 1, so verify runs and reports FAIL
+        code, text, _ = run_cli("verify", "--run", out)
+        assert code == 3 and "kind: fig8-sweep" in text
+
+    @pytest.mark.parametrize(
+        "mode, kind, params",
+        [
+            ("clip", "fig8-sweep", {"k_grid": "0.5,2", "eta": "1.0", "steps": "15"}),
+            ("dp", "fig9-sweep", {"eps_grid": "2,20", "eta": "0.5", "steps": "10",
+                                  "clip_k": "1.0"}),
+        ],
+    )
+    def test_sweep_verb_runs_the_kind(self, run_cli, tmp_path, sweep_data, mode, kind, params):
+        params = dict(params, data_csv=sweep_data, c_grid="0,0.05", curvature_examples="32")
+        ini = _write_ini(tmp_path / "exp.ini", kind, tmp_path / "kind", params, seeds="3")
+        code, _, err = run_cli("experiment", "--config", ini)
+        assert code == 0, err
+        overrides = [arg for k, v in params.items() for arg in ("--param", f"{k}={v}")]
+        for name, flags, env_seed in (("verb", ("--seeds", 3), None), ("env", (), 3)):
+            code, _, err = run_cli("sweep", "--mode", mode, "--out-dir", tmp_path / name,
+                                   *flags, *overrides, env_seed=env_seed)
+            assert code == 0, err
+            for artifact in (f"{kind}.csv", MANIFEST_NAME):
+                assert (tmp_path / name / artifact).read_bytes() == (
+                    tmp_path / "kind" / artifact
+                ).read_bytes()
+
+    def test_sweep_batch_larger_than_training_part_fails(self, run_cli, tmp_path, sweep_data):
+        out = tmp_path / "sweep"
+        # 50 training examples after the default split, against batch 51
+        code, _, err = run_cli(
+            "sweep", "--mode", "clip", "--out-dir", out, "--param", f"data_csv={sweep_data}",
+            "--param", "c_grid=0", "--param", "steps=2", "--param", "batch=51",
+        )
+        assert code == 1 and "batch 51" in err and "load-data" in err
         assert not out.exists()
 
-    def test_sweep_defaults_to_full_batch(self, run_cli, tmp_path):
-        data = str(tmp_path / "data.csv")
-        run_cli("gen-data", "--d", 4, "--n", 60, "--seed", 2, "--out", data)
+    def test_sweep_defaults_to_full_batch(self, run_cli, tmp_path, sweep_data):
         args = (
-            "sweep", "--mode", "clip", "--c-grid", "0,0.05", "--k-grid", "0.5",
-            "--data", data, "--eta", 1.0, "--steps", 5, "--curvature-examples", 16,
+            "sweep", "--mode", "clip", "--param", f"data_csv={sweep_data}",
+            "--param", "c_grid=0,0.05", "--param", "k_grid=0.5", "--param", "eta=1.0",
+            "--param", "steps=5", "--param", "curvature_examples=16",
         )
-        default, full = tmp_path / "default.csv", tmp_path / "full.csv"
-        code, _, err = run_cli(*args, "--out", str(default))
+        default, full = tmp_path / "default", tmp_path / "full"
+        code, _, err = run_cli(*args, "--out-dir", default)
         assert code == 0, err
-        code, _, err = run_cli(*args, "--out", str(full), "--batch", 0)
+        code, _, err = run_cli(*args, "--out-dir", full, "--param", "batch=0")
         assert code == 0, err
-        assert default.read_bytes() == full.read_bytes()
+        for name in ("fig8-sweep.csv", MANIFEST_NAME):
+            assert (default / name).read_bytes() == (full / name).read_bytes()
 
-    def test_sweep_rejects_a_negative_batch(self, run_cli, tmp_path):
-        data = str(tmp_path / "data.csv")
-        run_cli("gen-data", "--d", 4, "--n", 60, "--seed", 2, "--out", data)
-        out = tmp_path / "sweep.csv"
+    def test_sweep_rejects_a_negative_batch(self, run_cli, tmp_path, sweep_data):
+        out = tmp_path / "sweep"
         code, _, err = run_cli(
-            "sweep", "--mode", "clip", "--c-grid", "0", "--k-grid", "1.0",
-            "--data", data, "--out", str(out), "--steps", 2, "--batch", -1,
+            "sweep", "--mode", "clip", "--out-dir", out, "--param", f"data_csv={sweep_data}",
+            "--param", "batch=-1",
         )
-        assert code == 1 and "batch" in err
+        assert code == 1 and "[params] batch" in err
         assert not out.exists()
 
     def test_sweep_flag_requirements(self, run_cli, tmp_path):
-        data = str(tmp_path / "data.csv")
-        run_cli("gen-data", "--d", 4, "--n", 60, "--out", data)
-        code, _, err = run_cli(
-            "sweep", "--mode", "clip", "--c-grid", "0", "--data", data,
-            "--out", str(tmp_path / "s.csv"),
-        )
+        out = tmp_path / "sweep"
+        code, _, err = run_cli("sweep", "--out-dir", out)
+        assert code == 1 and "--mode" in err
+        code, _, err = run_cli("sweep", "--mode", "dp")
+        assert code == 1 and "--out-dir" in err
+        # the grids and training knobs are [params] keys, not flags
+        code, _, err = run_cli("sweep", "--mode", "clip", "--out-dir", out, "--k-grid", "1")
         assert code == 1 and "--k-grid" in err
-        code, _, err = run_cli(
-            "sweep", "--mode", "dp", "--c-grid", "0", "--eps-grid", "2",
-            "--data", data, "--out", str(tmp_path / "s.csv"),
-        )
-        assert code == 1 and "--clip-k" in err
+        code, _, err = run_cli("sweep", "--mode", "clip", "--out-dir", out, "--param", "kgrid=1")
+        assert code == 1 and "kgrid" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ["batch", "missing-file", "malformed-file"])
+    def test_experiment_input_faults_exit_one(self, run_cli, tmp_path, sweep_data, fault):
+        params = {"data_csv": sweep_data, "c_grid": "0", "steps": "2"}
+        if fault == "batch":
+            params["batch"] = "51"
+        elif fault == "missing-file":
+            params["data_csv"] = str(tmp_path / "nope.csv")
+        else:
+            params["data_csv"] = str(tmp_path / "bad.csv")
+            (tmp_path / "bad.csv").write_text("label,x0\n1,abc\n", encoding="utf-8")
+        out = tmp_path / "out"
+        ini = _write_ini(tmp_path / "exp.ini", "fig8-sweep", out, params)
+        code, _, err = run_cli("experiment", "--config", ini)
+        assert code == 1 and "stage 'load-data' failed" in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, key, params",
+        [
+            ("fig8-sweep", "p", {"p": "3", "c_grid": "0"}),
+            ("attack-eval", "p", {"p": "1"}),
+            ("fig8-sweep", "c_grid", {"c_grid": "0,x"}),
+            ("fig8-sweep", "k_grid", {"k_grid": "0:3:10"}),
+            ("fig9-sweep", "eps_grid", {"eps_grid": "abc"}),
+            ("attack-eval", "budgets", {"budgets": "0,0.1:"}),
+            ("fig2-gap", "d_list", {"d_list": "10,2.5"}),
+            ("fig9-sweep", "clip_k", {"clip_k": "inf"}),
+            ("fig9-sweep", "clip_k", {"clip_k": "0"}),
+        ],
+    )
+    def test_bad_param_exits_one_before_any_directory(self, run_cli, tmp_path, kind, key, params):
+        ini = _write_ini(tmp_path / "exp.ini", kind, tmp_path / "out", params)
+        with pytest.raises(ValueError, match=rf"\[params\] {key}"):
+            load_experiment_config(str(ini))
+        code, _, err = run_cli("experiment", "--config", ini)
+        assert code == 1 and f"[params] {key}" in err
+        assert os.listdir(tmp_path) == ["exp.ini"]
 
     def test_plot_verb(self, run_cli, tmp_path):
         csv_path = tmp_path / "curve.csv"
