@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 invalid arguments, config or input data, 2 runtime
 failure, 3 verification found violations.  The environment variable
 RPOPT_SEED, when set, overrides the seed from flags and config files (for
 experiments with a seed list, the list is rebased to start at that value).
+It is read once, before a verb that takes a seed runs, and a negative or
+non-integer value exits 1.
 """
 
 from __future__ import annotations
@@ -23,25 +25,24 @@ from .errors import RpoptError
 from .experiments import (
     ExperimentConfig,
     load_experiment_config,
-    parse_batch,
-    parse_p,
+    load_train_config,
+    non_negative_int,
+    parse_named,
     parse_seeds,
     run_experiment,
 )
-from .losses import LossSpec
-from .optimizer import OptimizerConfig, train, validate_config
+from .optimizer import train, validate_config
 from .plotting import PlotSpec, render_plot
 from .report import verify_report
 
 _GAP_SETTINGS = {"gap-nonprivate": "nonprivate", "gap-private": "private"}
 _SWEEP_KINDS = {"clip": "fig8-sweep", "dp": "fig9-sweep"}
+_SEEDED_VERBS = ("gen-data", "train", "attack-eval", "sweep", "experiment")
 
 
 def _env_seed() -> int | None:
-    raw = os.environ.get("RPOPT_SEED")
-    if raw is None or raw == "":
-        return None
-    return int(raw)
+    raw = os.environ.get("RPOPT_SEED", "")
+    return parse_named("RPOPT_SEED", non_negative_int, raw) if raw.strip() else None
 
 
 # ---------------------------------------------------------------------------
@@ -50,8 +51,7 @@ def _env_seed() -> int | None:
 
 
 def _cmd_gen_data(args) -> int:
-    seed = _env_seed()
-    seed = args.seed if seed is None else seed
+    seed = args.seed if args.env_seed is None else args.env_seed
     if args.kind == "separable":
         dataset = generate_separable(d=args.d, n=args.n, gamma=args.gamma, seed=seed)
     else:
@@ -71,54 +71,6 @@ def _cmd_gen_data(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-_TRAIN_KEYS = (
-    "eta",
-    "steps",
-    "c",
-    "p",
-    "clip_k",
-    "sigma",
-    "noise_mode",
-    "first_step_eta",
-    "batch",
-    "seed",
-    "attack_steps",
-)
-
-
-def load_train_config(path) -> OptimizerConfig:
-    """OptimizerConfig from an INI file with a [train] section.
-
-    Unknown keys are rejected so typos cannot silently fall back to
-    defaults.
-    """
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    if not parser.read(path):
-        raise ValueError(f"cannot read config file {path}")
-    if "train" not in parser:
-        raise ValueError("config needs a [train] section")
-    section = parser["train"]
-    unknown = set(section) - set(_TRAIN_KEYS)
-    if unknown:
-        raise ValueError(f"unknown [train] keys: {sorted(unknown)}")
-    c = section.getfloat("c", 0.0)
-    p = parse_p(section.get("p", "2"))
-    spec = LossSpec.adversarial(c, p) if c > 0 else LossSpec.nominal()
-    first_raw = section.get("first_step_eta", "")
-    return OptimizerConfig(
-        eta=section.getfloat("eta", 0.1),
-        steps=section.getint("steps", 100),
-        spec=spec,
-        clip_k=section.getfloat("clip_k", float("inf")),
-        sigma=section.getfloat("sigma", 0.0),
-        noise_mode=section.get("noise_mode", "theory"),
-        first_step_eta=float(first_raw) if first_raw.strip() else None,
-        batch=parse_batch(section.get("batch", ""), "[train] batch"),
-        seed=section.getint("seed", 0),
-        attack_steps=section.getint("attack_steps", 10),
-    )
-
-
 def _load_dataset(args):
     if args.images:
         return load_idx(args.images, args.labels, limit=args.limit)
@@ -129,9 +81,8 @@ def _load_dataset(args):
 
 def _cmd_train(args) -> int:
     config = load_train_config(args.config)
-    seed = _env_seed()
-    if seed is not None:
-        config = replace(config, seed=seed)
+    if args.env_seed is not None:
+        config = replace(config, seed=args.env_seed)
     dataset = _load_dataset(args)
     gamma = dataset.margin if dataset.is_binary else None
     for warning in validate_config(config, gamma=gamma):
@@ -197,17 +148,16 @@ def _parse_param_overrides(pairs) -> dict:
     return params
 
 
-def _run(config: ExperimentConfig) -> int:
-    env = _env_seed()
-    if env is not None:
-        config = replace(config, seeds=tuple(env + i for i in range(len(config.seeds))))
+def _run(config: ExperimentConfig, env_seed: int | None) -> int:
+    if env_seed is not None:
+        config = replace(config, seeds=tuple(env_seed + i for i in range(len(config.seeds))))
     for path in run_experiment(config):
         print(f"wrote {path}")
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    return _run(load_experiment_config(args.config))
+    return _run(load_experiment_config(args.config), args.env_seed)
 
 
 def _cmd_kind(args) -> int:
@@ -217,9 +167,10 @@ def _cmd_kind(args) -> int:
         ExperimentConfig(
             kind=kind,
             output_dir=args.out_dir,
-            seeds=parse_seeds(args.seeds),
+            seeds=parse_named("--seeds", parse_seeds, args.seeds),
             params=_parse_param_overrides(args.param),
-        )
+        ),
+        args.env_seed,
     )
 
 
@@ -306,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--gamma", type=float, default=0.3, help="margin (separable kind)")
     gen.add_argument("--margin", type=float, default=0.3, help="margin (equal-margin kind)")
     gen.add_argument("--jitter", type=float, default=0.01)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=non_negative_int, default=0)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen_data)
 
@@ -398,6 +349,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        if args.verb in _SEEDED_VERBS:
+            args.env_seed = _env_seed()
         return args.func(args)
     except (ValueError, KeyError, configparser.Error, FileNotFoundError) as exc:
         # includes DataFormatError / InvalidRegimeError (ValueError subclasses)

@@ -270,51 +270,31 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
 
 def load_csv(path: str) -> Dataset:
     """Load a dataset from CSV (header row, a ``label`` column as written by
-    :func:`save_csv`, float features).
+    :func:`save_csv`, float features), read by :func:`read_table`.
 
     If any row norm exceeds 1, all rows are rescaled by the global maximum
     row norm; the factor is reported through the module logger.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file, expected a header row")
-        header = [h.strip() for h in header]
-        if "label" not in header:
-            raise DataFormatError(f"{path}: header has no 'label' column")
-        label_pos = header.index("label")
-        feature_pos = [i for i in range(len(header)) if i != label_pos]
-        if not feature_pos:
-            raise DataFormatError(f"{path}: no feature columns")
-        labels, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                values = [float(row[i]) for i in feature_pos]
-                label = float(row[label_pos])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
-            if label != int(label):
-                raise DataFormatError(
-                    f"{path}: line {lineno}: label {row[label_pos]} is not an integer"
-                )
-            labels.append(int(label))
-            rows.append(values)
-        if not rows:
-            raise DataFormatError(f"{path}: no data rows")
-    features = np.asarray(rows, dtype=np.float64)
+    table = read_table(path)
+    if "label" not in table:
+        raise DataFormatError(f"{path}: header has no 'label' column")
+    labels = table.pop("label")
+    if not table:
+        raise DataFormatError(f"{path}: no feature columns")
+    if not labels.size:
+        raise DataFormatError(f"{path}: no data rows")
+    fractional = np.flatnonzero(~(np.isfinite(labels) & (labels == np.floor(labels))))
+    if fractional.size:
+        row = fractional[0]
+        raise DataFormatError(f"{path}:{row + 2}: label {labels[row]:g} is not an integer")
+    features = np.column_stack(list(table.values()))
     max_norm = float(np.linalg.norm(features, axis=1).max())
     if max_norm > 1.0 + 1e-12:
         features = features / max_norm
         logger.warning("%s: rescaled all rows by 1/%.17g to fit the unit ball", path, max_norm)
     return Dataset(
         features=features,
-        labels=np.asarray(labels, dtype=np.int64),
+        labels=labels.astype(np.int64),
         name=os.path.basename(path),
     )
 
@@ -349,11 +329,12 @@ def write_table(path, header, rows) -> None:
 
 
 def read_table(path) -> dict:
-    """CSV as a dict of named float64 columns (header row required)."""
+    """CSV as a dict of named float64 columns (header row required, names
+    stripped).  A bad row raises DataFormatError naming "path:line"."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [name.strip() for name in next(reader)]
         except StopIteration:
             raise DataFormatError(f"{path}: empty CSV") from None
         rows = list(reader)

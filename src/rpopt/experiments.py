@@ -13,8 +13,10 @@ Config files are INI ("key = value" sections)::
     d = 10
     sigma = 0.25
 
-Unknown [params] keys are rejected so typos cannot silently fall back to
-defaults.
+Every section, and the [train] section of ``rpopt train``, is read by
+:func:`read_section` from its own table of keys and defaults.  An empty
+value means the default; an unknown key or section is rejected, so a typo
+cannot silently fall back to a default.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .attacks import AttackConfig, exact_linear_robust_accuracy, robust_accuracy
 from .bounds import BoundInputs, log_spaced_steps
 from .curvature import clipping_smoothness_curve, privacy_smoothness_curve
 from .data import Dataset, generate_separable, load_csv, load_idx, split, write_table
-from .errors import DivergenceError, ExperimentError
+from .errors import DivergenceError, ExperimentError, InvalidRegimeError
 from .losses import LossSpec, adversarial_logistic_loss, gradient
 from .optimizer import OptimizerConfig, train, train_stack, validate_config
 
@@ -152,24 +154,27 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
         if not self.seeds:
             raise ValueError("seeds list must be nonempty")
-        unknown = set(self.params) - set(_DEFAULTS[self.kind])
-        if unknown:
-            raise ValueError(
-                f"unknown parameters for {self.kind}: {sorted(unknown)}"
-            )
         resolve_params(self)
 
 
-def parse_seeds(text: str) -> tuple:
+def non_negative_int(value) -> int:
+    """A seed or a batch size (0: full batch)."""
+    number = int(value)
+    if number < 0:
+        raise ValueError(f"must be >= 0, got {number}")
+    return number
+
+
+def parse_seeds(text) -> tuple:
     """Seeds in one of three forms: "7", "0,1,2", or "start:count"."""
-    text = text.strip()
+    text = str(text).strip()
     if ":" in text:
         start_s, count_s = text.split(":", 1)
-        start, count = int(start_s), int(count_s)
+        start, count = non_negative_int(start_s), int(count_s)
         if count < 1:
             raise ValueError("seed count must be >= 1")
         return tuple(range(start, start + count))
-    return tuple(int(part) for part in text.split(",") if part.strip())
+    return tuple(non_negative_int(part) for part in text.split(",") if part.strip())
 
 
 def parse_grid(text: str) -> list:
@@ -202,17 +207,6 @@ def parse_p(value) -> float:
     return p
 
 
-def parse_batch(value, key: str):
-    """A minibatch size as OptimizerConfig.batch: 0 or empty means full
-    batch (None).  A negative size is rejected, naming the ``key`` it came
-    from."""
-    text = str(value).strip()
-    batch = int(text) if text else 0
-    if batch < 0:
-        raise ValueError(f"{key} must be >= 0 (0: full batch), got {batch}")
-    return batch or None
-
-
 def _parse_dims(text) -> list:
     """A grid of dimensions: positive integers."""
     values = parse_grid(text)
@@ -221,66 +215,136 @@ def _parse_dims(text) -> list:
     return [int(v) for v in values]
 
 
-def _check_clip_k(value) -> None:
-    if not 0 < value < math.inf:
-        raise ValueError(f"must be finite and positive, got {value}")
+def _finite_positive(value) -> float:
+    number = float(value)
+    if not 0 < number < math.inf:
+        raise ValueError(f"must be finite and positive, got {number}")
+    return number
 
 
-# [params] keys whose values must parse beyond their default's type
-_CHECKS = {
-    "batch": partial(parse_batch, key="batch"),
-    "p": parse_p,
-    "c_grid": parse_grid,
-    "k_grid": parse_grid,
-    "eps_grid": parse_grid,
-    "budgets": parse_grid,
-    "d_list": _parse_dims,
-    "clip_k": _check_clip_k,  # fig9 only: the privacy sweep needs a finite clip
+def _float_or_none(value):
+    return None if str(value).strip().lower() == "none" else float(value)
+
+
+def _kept_as_text(parse):
+    """A parser that checks a value with ``parse`` and keeps its text, as the
+    manifest echoes it."""
+
+    def check(value):
+        parse(value)
+        return str(value)
+
+    return check
+
+
+# how a value is converted when its key has no parser: by its default's type
+_TYPE_PARSERS = {int: int, float: float, str: str, type(None): _float_or_none}
+
+# [experiment]: kind and output_dir are required
+_EXPERIMENT = {"kind": "", "output_dir": "", "seeds": (0,)}
+_EXPERIMENT_PARSERS = {"seeds": parse_seeds}
+
+# [params]: each kind's table is _DEFAULTS[kind]
+_PARAMS_PARSERS = {
+    "batch": non_negative_int,
+    "p": _kept_as_text(parse_p),
+    "c_grid": _kept_as_text(parse_grid),
+    "k_grid": _kept_as_text(parse_grid),
+    "eps_grid": _kept_as_text(parse_grid),
+    "budgets": _kept_as_text(parse_grid),
+    "d_list": _kept_as_text(_parse_dims),
+    "clip_k": _finite_positive,  # fig9 only: the privacy sweep needs a finite clip
 }
 
+# [train] of `rpopt train`: the OptimizerConfig fields, with c and p for its loss
+_TRAIN = {
+    "eta": 0.1,
+    "steps": 100,
+    "c": 0.0,
+    "p": 2.0,
+    "clip_k": math.inf,
+    "sigma": 0.0,
+    "noise_mode": "theory",
+    "first_step_eta": None,
+    "batch": 0,
+    "seed": 0,
+    "attack_steps": 10,
+}
+_TRAIN_PARSERS = {"p": parse_p, "batch": non_negative_int, "seed": non_negative_int}
 
-def load_experiment_config(path) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
-    if not read:
-        raise ValueError(f"cannot read config file {path}")
-    if "experiment" not in parser:
-        raise ValueError("config needs an [experiment] section")
-    section = parser["experiment"]
-    kind = section.get("kind", "").strip()
-    output_dir = section.get("output_dir", "").strip()
-    if not output_dir:
-        raise ValueError("[experiment] output_dir is required")
-    seeds = parse_seeds(section.get("seeds", "0"))
-    params = dict(parser["params"]) if "params" in parser else {}
-    return ExperimentConfig(kind=kind, output_dir=output_dir, seeds=seeds, params=params)
+
+def parse_named(name: str, parse, value):
+    """``parse(value)``, with ``name``, where the value came from, put in
+    front of the message of a ValueError it raises."""
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
-def resolve_params(config: ExperimentConfig) -> dict:
-    """Defaults overlaid with the config's [params]; values stay typed.  A
-    value that does not parse is rejected, naming its key."""
-    resolved = dict(_DEFAULTS[config.kind])
-    for key, raw in config.params.items():
-        default = resolved[key]
-        try:
-            if isinstance(default, int):
-                value = int(raw)
-            elif isinstance(default, float):
-                value = float(raw)
-            elif default is None:
-                value = None if str(raw).lower() == "none" else float(raw)
-            else:
-                value = str(raw)
-            if key in _CHECKS:
-                _CHECKS[key](value)
-        except ValueError as exc:
-            raise ValueError(f"[params] {key}: {exc}") from None
-        resolved[key] = value
+def read_section(name: str, values: dict, defaults: dict, parsers: dict) -> dict:
+    """The INI section [name]: ``defaults`` overlaid with ``values``.
+
+    Each value is converted once, by its key's entry in ``parsers`` or else
+    by its default's type (a None default takes a float or "none"), and an
+    empty value means the default.  An unknown key, or a value that does not
+    parse, raises ValueError naming "[name] key".
+    """
+    unknown = sorted(set(values) - set(defaults))
+    if unknown:
+        raise ValueError(
+            f"[{name}]: unknown parameters {unknown}; known: {', '.join(defaults)}"
+        )
+    resolved = dict(defaults)
+    for key, raw in values.items():
+        if str(raw).strip():
+            parse = parsers.get(key) or _TYPE_PARSERS[type(defaults[key])]
+            resolved[key] = parse_named(f"[{name}] {key}", parse, raw)
     return resolved
 
 
+def read_ini(path, sections: tuple) -> dict:
+    """Each of ``sections`` of the INI file ``path`` as a dict of raw values,
+    with inline ";" and "#" comments removed.  The first section is required,
+    the others read as empty when absent, and any other section is rejected,
+    so nothing in the file goes unread."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    if not parser.read(path):
+        raise ValueError(f"cannot read config file {path}")
+    unknown = [name for name in parser.sections() if name not in sections]
+    if unknown:
+        taken = ", ".join(f"[{name}]" for name in sections)
+        raise ValueError(f"{path}: unknown section [{unknown[0]}]; this config takes {taken}")
+    if sections[0] not in parser:
+        raise ValueError(f"config {path} has no [{sections[0]}] section")
+    return {name: dict(parser[name]) if name in parser else {} for name in sections}
+
+
+def load_experiment_config(path) -> ExperimentConfig:
+    sections = read_ini(path, ("experiment", "params"))
+    head = read_section("experiment", sections["experiment"], _EXPERIMENT, _EXPERIMENT_PARSERS)
+    if not head["output_dir"]:
+        raise ValueError("[experiment] output_dir is required")
+    return ExperimentConfig(params=sections["params"], **head)
+
+
+def load_train_config(path) -> OptimizerConfig:
+    """OptimizerConfig from the [train] section of an INI file."""
+    values = read_section("train", read_ini(path, ("train",))["train"], _TRAIN, _TRAIN_PARSERS)
+    c, p = values.pop("c"), values.pop("p")
+    values["spec"] = LossSpec.adversarial(c, p) if c > 0 else LossSpec.nominal()
+    values["batch"] = values["batch"] or None
+    return parse_named("[train]", lambda fields: OptimizerConfig(**fields), values)
+
+
+def resolve_params(config: ExperimentConfig) -> dict:
+    """The kind's defaults overlaid with the config's [params], typed."""
+    return read_section("params", config.params, _DEFAULTS[config.kind], _PARAMS_PARSERS)
+
+
 # a failure in these stages is a fault of the run's inputs (a data file or a
-# value that only fits once the data is known), raised as ValueError
+# value that only fits once the data is known), raised as ValueError, as is
+# a bound's regime violation in any stage
 _INPUT_STAGES = ("generate-data", "load-data")
 
 
@@ -304,8 +368,9 @@ def run_experiment(config: ExperimentConfig) -> list:
     and moved in only when the run succeeds: the old manifest is removed
     first and the new one moved in last, so a manifest never names files of
     another run, and a failed run leaves ``output_dir`` as it was (absent,
-    if it was).  A failure while the inputs are read raises ValueError, any
-    later one ExperimentError; both name the stage.
+    if it was).  A failure while the inputs are read, or a bound's regime
+    violation, raises ValueError, any other one ExperimentError; both name
+    the stage.
     """
     params = resolve_params(config)
     parent, name = os.path.split(os.path.abspath(config.output_dir))
@@ -317,8 +382,9 @@ def run_experiment(config: ExperimentConfig) -> list:
             notes = _RUNNERS[config.kind](config, params, artifacts)
         except Exception as exc:
             message = f"stage {artifacts.stage!r} failed: {exc}"
-            if artifacts.stage in _INPUT_STAGES and isinstance(
-                exc, (ValueError, FileNotFoundError)
+            if isinstance(exc, InvalidRegimeError) or (
+                artifacts.stage in _INPUT_STAGES
+                and isinstance(exc, (ValueError, FileNotFoundError))
             ):
                 raise ValueError(message) from exc
             raise ExperimentError(message) from exc
@@ -454,7 +520,7 @@ def _run_fig1(config, params, artifacts):
 def _run_fig2(config, params, artifacts):
     artifacts.stage = "evaluate-gaps"
     d_list = _parse_dims(params["d_list"])
-    ts = log_spaced_steps(int(params["t_max"]), int(params["points"]))
+    ts = log_spaced_steps(params["t_max"], params["points"])
     decades = [10**k for k in range(0, int(math.log10(params["t_max"])) + 1)]
     ts = np.unique(np.concatenate([ts, decades]))
     base = BoundInputs(
@@ -538,8 +604,7 @@ def _run_fig3(config, params, artifacts):
 
 def _sweep_dataset(params) -> Dataset:
     if params["images"]:
-        limit = int(params["limit"]) if params["limit"] else None
-        return load_idx(params["images"], params["labels"], limit=limit)
+        return load_idx(params["images"], params["labels"], limit=params["limit"] or None)
     if params["data_csv"]:
         return load_csv(params["data_csv"])
     return generate_separable(
@@ -550,9 +615,9 @@ def _sweep_dataset(params) -> Dataset:
 def _sweep_base_config(config, params) -> OptimizerConfig:
     return OptimizerConfig(
         eta=params["eta"],
-        steps=int(params["steps"]),
-        batch=parse_batch(params["batch"], "[params] batch"),
-        attack_steps=int(params["attack_steps"]),
+        steps=params["steps"],
+        batch=params["batch"] or None,
+        attack_steps=params["attack_steps"],
         seed=config.seeds[0],
     )
 
@@ -571,11 +636,11 @@ def _run_sweep_kind(mode, config, params, artifacts):
     common = dict(
         test_dataset=test_ds,
         p=parse_p(params["p"]),
-        workers=int(params["workers"]),
-        curvature_examples=int(params["curvature_examples"]),
+        workers=params["workers"],
+        curvature_examples=params["curvature_examples"],
         curvature_tol=params["curvature_tol"],
-        curvature_iters=int(params["curvature_iters"]),
-        eval_attack_steps=int(params["eval_attack_steps"]),
+        curvature_iters=params["curvature_iters"],
+        eval_attack_steps=params["eval_attack_steps"],
     )
     c_grid = parse_grid(params["c_grid"])
     if mode == "clip":
@@ -605,13 +670,13 @@ def _run_sweep_kind(mode, config, params, artifacts):
 
 def _run_bounds_only(config, params, artifacts):
     artifacts.stage = "evaluate-bounds"
-    ts = log_spaced_steps(int(params["t_max"]), int(params["points"]))
+    ts = log_spaced_steps(params["t_max"], params["points"])
     base = BoundInputs(
         t=1,
         eta=params["eta"],
         gamma=params["gamma"],
         c=params["c"],
-        d=int(params["d"]),
+        d=params["d"],
         sigma=params["sigma"],
         form=params["form"],
     )
@@ -638,7 +703,7 @@ def _run_attack_eval(config, params, artifacts):
     )
     train_ds, test_ds = split(dataset, params["test_fraction"], seed=config.seeds[0])
     p = parse_p(params["p"])
-    eta, steps, c_train = params["eta"], int(params["steps"]), params["c_train"]
+    eta, steps, c_train = params["eta"], params["steps"], params["c_train"]
 
     artifacts.stage = "train-standard"
     plain = train(
@@ -660,8 +725,8 @@ def _run_attack_eval(config, params, artifacts):
         attack = AttackConfig(
             budget=budget,
             p=p,
-            steps=int(params["attack_steps"]) if budget > 0 else 0,
-            restarts=int(params["restarts"]),
+            steps=params["attack_steps"] if budget > 0 else 0,
+            restarts=params["restarts"],
             seed=config.seeds[0] + index,
         )
         acc_plain = robust_accuracy(plain, test_ds, attack)

@@ -224,13 +224,13 @@ class TestCsvRoundTrip:
     def test_ragged_row_reports_line_number(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("label,f0,f1\n1,0.1,0.2\n-1,0.3\n")
-        with pytest.raises(DataFormatError, match="line 3"):
+        with pytest.raises(DataFormatError, match="ragged.csv:3"):
             load_csv(str(path))
 
     def test_non_numeric_feature_reports_line_number(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("label,f0\n1,zebra\n")
-        with pytest.raises(DataFormatError, match="line 2"):
+        with pytest.raises(DataFormatError, match="nan.csv:2"):
             load_csv(str(path))
 
     def test_fractional_label_rejected(self, tmp_path):

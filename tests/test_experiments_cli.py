@@ -11,6 +11,7 @@ import pytest
 
 from rpopt.cli import load_train_config, main
 from rpopt.data import load_csv
+from rpopt import experiments
 from rpopt.errors import DataFormatError, ExperimentError
 from rpopt.experiments import (
     KINDS,
@@ -857,6 +858,128 @@ class TestCliInProcess:
     def test_bad_verb_exits_one(self, run_cli):
         code, _, _ = run_cli("frobnicate")
         assert code == 1
+
+
+def _as_text(value) -> str:
+    """A typed config value as it is written in an INI file."""
+    if value is None:
+        return "none"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+_FIG3 = "[experiment]\nkind = fig3-robust-compare\noutput_dir = {out}\n"
+_FIG3_PARAMS = "[params]\nn = 40\nsteps = 5\n"
+
+
+class TestConfigReader:
+    """One convention for [experiment], [params] and [train]."""
+
+    @pytest.mark.parametrize(
+        "name, defaults, parsers",
+        [
+            ("experiment", experiments._EXPERIMENT, experiments._EXPERIMENT_PARSERS),
+            ("train", experiments._TRAIN, experiments._TRAIN_PARSERS),
+        ]
+        + [
+            ("params", defaults, experiments._PARAMS_PARSERS)
+            for defaults in experiments._DEFAULTS.values()
+        ],
+        ids=["experiment", "train"] + [f"params-{kind}" for kind in experiments._DEFAULTS],
+    )
+    def test_every_default_reads_back_as_itself(self, name, defaults, parsers):
+        text = {key: _as_text(value) for key, value in defaults.items()}
+        back = experiments.read_section(name, text, defaults, parsers)
+        assert back == defaults
+        assert {key: type(v) for key, v in back.items()} == {
+            key: type(v) for key, v in defaults.items()
+        }
+
+    @pytest.fixture()
+    def data(self, run_cli, tmp_path):
+        path = tmp_path / "data.csv"
+        run_cli("gen-data", "--d", 4, "--n", 40, "--seed", 1, "--out", path)
+        return path
+
+    def _outputs(self, run_cli, tmp_path, data, section, key, line):
+        """The output bytes of one run whose [train] or [params] ends with
+        ``line``; a [params] ``key`` of batch selects a sweep kind."""
+        out = tmp_path / f"out{len(os.listdir(tmp_path))}"
+        ini = tmp_path / f"{out.name}.ini"
+        if section == "train":
+            ini.write_text("[train]\neta = 0.5\nsteps = 5\nc = 0.05\n" + line)
+            code, _, err = run_cli("train", "--config", ini, "--data", data, "--out", out)
+            assert code == 0, err
+            return [out.read_bytes()]
+        if key == "batch":
+            head = f"[experiment]\nkind = fig8-sweep\noutput_dir = {out}\n"
+            params = (f"[params]\ndata_csv = {data}\nc_grid = 0\nk_grid = 1\n"
+                      "steps = 2\ncurvature_examples = 8\n")
+        else:
+            head, params = _FIG3.format(out=out), _FIG3_PARAMS
+        ini.write_text(head + params + line)
+        code, _, err = run_cli("experiment", "--config", ini)
+        assert code == 0, err
+        return [path.read_bytes() for path in sorted(out.iterdir())]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("batch", ""), ("first_step_eta", ""), ("first_step_eta", "none")],
+        ids=["batch-empty", "first_step_eta-empty", "first_step_eta-none"],
+    )
+    def test_empty_and_none_mean_the_default_in_both_readers(
+        self, run_cli, tmp_path, data, key, value
+    ):
+        for section in ("train", "params"):
+            given = self._outputs(run_cli, tmp_path, data, section, key, f"{key} = {value}\n")
+            default = self._outputs(run_cli, tmp_path, data, section, key, "")
+            assert given == default, section
+
+    @pytest.mark.parametrize(
+        "verb, text, env_seed, source",
+        [
+            ("train", "[train]\neta = abc\n", None, "[train] eta"),
+            ("train", "[train]\nsteps = 5\n\n[trian]\neta = 0.5\n", None, "[trian]"),
+            ("train", "[train]\nsteps = 5\nseed = -1\n", None, "[train] seed"),
+            ("train", "[train]\nsteps = 5\n", -1, "RPOPT_SEED"),
+            ("train", "[train]\nsteps = 5\n", "abc", "RPOPT_SEED"),
+            ("experiment", _FIG3 + "seed = 5\n" + _FIG3_PARAMS, None,
+             "[experiment]: unknown parameters ['seed']"),
+            ("experiment", _FIG3 + "\n[parms]\neta = 0.5\n", None, "[parms]"),
+            ("experiment", _FIG3 + "seeds = -2\n" + _FIG3_PARAMS, None, "[experiment] seeds"),
+            ("experiment", _FIG3 + "seeds = 0:2\n" + _FIG3_PARAMS, -1, "RPOPT_SEED"),
+            ("experiment", _FIG3 + _FIG3_PARAMS, "abc", "RPOPT_SEED"),
+            ("experiment", _FIG3.replace("fig3-robust-compare", "bounds-only")
+             + "[params]\neta = 4.0\n", None, "stage 'evaluate-bounds' failed: eta < 4"),
+            ("attack-eval", ("--out-dir", "{out}", "--seeds", "-2", "--param", "n=40"), None,
+             "--seeds"),
+            ("gen-data", ("--d", "4", "--n", "10", "--seed", "-1", "--out", "{out}"), None,
+             "--seed"),
+        ],
+        ids=[
+            "train-unparsable-value", "train-stray-section", "train-negative-seed",
+            "train-negative-env-seed", "train-non-integer-env-seed",
+            "experiment-unknown-key", "experiment-stray-section", "experiment-negative-seeds",
+            "experiment-negative-env-seed", "experiment-non-integer-env-seed",
+            "experiment-regime-violation", "attack-eval-negative-seeds", "gen-data-negative-seed",
+        ],
+    )
+    def test_config_faults_exit_one_naming_their_source(
+        self, run_cli, tmp_path, data, verb, text, env_seed, source
+    ):
+        out = tmp_path / "out"
+        if isinstance(text, tuple):
+            argv = (verb, *(arg.format(out=out) for arg in text))
+        else:
+            ini = tmp_path / "run.ini"
+            ini.write_text(text.format(out=out))
+            argv = (verb, "--config", ini)
+            if verb == "train":
+                argv += ("--data", data, "--out", out)
+        code, _, err = run_cli(*argv, env_seed=env_seed)
+        assert code == 1 and source in err, err
+        assert not out.exists()
 
 
 class TestConsoleScript:
