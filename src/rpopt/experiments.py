@@ -222,6 +222,13 @@ def _finite_positive(value) -> float:
     return number
 
 
+def _finite_non_negative(value) -> float:
+    number = float(value)
+    if not 0 <= number < math.inf:
+        raise ValueError(f"must be finite and non-negative, got {number}")
+    return number
+
+
 def _float_or_none(value):
     return None if str(value).strip().lower() == "none" else float(value)
 
@@ -254,6 +261,9 @@ _PARAMS_PARSERS = {
     "budgets": _kept_as_text(parse_grid),
     "d_list": _kept_as_text(_parse_dims),
     "clip_k": _finite_positive,  # fig9 only: the privacy sweep needs a finite clip
+    "eta": _finite_positive,
+    "c": _finite_non_negative,
+    "c_train": _finite_non_negative,
 }
 
 # [train] of `rpopt train`: the OptimizerConfig fields, with c and p for its loss
@@ -270,7 +280,12 @@ _TRAIN = {
     "seed": 0,
     "attack_steps": 10,
 }
-_TRAIN_PARSERS = {"p": parse_p, "batch": non_negative_int, "seed": non_negative_int}
+_TRAIN_PARSERS = {
+    "c": _finite_non_negative,
+    "p": parse_p,
+    "batch": non_negative_int,
+    "seed": non_negative_int,
+}
 
 
 def parse_named(name: str, parse, value):

@@ -11,6 +11,17 @@ products below are exact for that expression; the multi-class softmax loss
 has no such closed form and only its nominal derivatives live here.  Its
 Hessian-vector product is exact too: the softmax is taken once per theta
 and each product costs one logit-sized pass (see :func:`hessian_operator`).
+
+The clipped (DP-SGD) step never builds per-example gradients: they are
+rank one.  A binary example's gradient is s_i r_i with r_i = -y_i x_i + c g
+(g the dual-norm subgradient of theta), and the step takes its norms and
+the weighted sum of the r_i from the identities
+
+    ||r_i||^2 = ||x_i||^2 - 2c y_i <x_i, g> + c^2 ||g||^2,
+    sum_i w_i r_i = -(w * y)^T X + c (sum_i w_i) g,
+
+so its work is the squared input norms and one product X g per cell (see
+:func:`step_terms`).
 """
 
 from __future__ import annotations
@@ -190,11 +201,20 @@ def step_terms(theta, x, y, spec: LossSpec, clip_k: float = math.inf, x_adv=None
     Each input batch costs one margin (binary) or logit (multi-class) pass.
     With ``clip_k`` finite, every per-example gradient is scaled to norm at
     most clip_k before averaging.  A linear model's per-example gradient is
-    rank one, r_i x_i^T for softmax (r_i = p_i - e_{y_i}) and s_i r_i for the
-    binary loss (r_i = -y_i x_i + c dq(theta), s_i the sigmoid of the margin),
-    so its norm is ||r_i|| ||x_i|| or s_i ||r_i|| and the clipped mean is one
-    matrix product; the (n, C, d) per-example tensor is never built.  With
-    clip_k = inf the gradient is exactly :func:`gradient`.
+    rank one, and no per-example tensor is built:
+
+    - softmax: r_i x_i^T (r_i = p_i - e_{y_i}), of norm ||r_i|| ||x_i||; the
+      clipped mean is one matrix product of the scaled residuals with X.
+    - binary: s_i r_i (r_i = -y_i x_i + c g, g the dual-norm subgradient of
+      theta, s_i the sigmoid of the margin), of norm s_i ||r_i||.  The r_i
+      are not built either: ||r_i||^2 = ||x_i||^2 - 2c y_i <x_i, g>
+      + c^2 ||g||^2 (floored at 0 against cancellation) and
+      sum_i w_i r_i = -(w * y)^T X + c (sum_i w_i) g, so the step costs two
+      products of X with a vector.  An example whose r_i nearly cancels adds
+      rounding of the size of eps c ||g|| / n to the mean, not of its own
+      (tiny) gradient.
+
+    With clip_k = inf the gradient is exactly :func:`gradient`.
 
     The multi-class worst-case loss has no closed form: with spec.c > 0 pass
     the attacked batch as ``x_adv``; the worst-case loss and the gradient
@@ -267,11 +287,19 @@ def step_terms_stack(theta, x, y, spec: LossSpec, clip_k, x_adv=None):
     sig = expit(z)
     if unclipped.all():
         return nominal, adversarial, _binary_gradient(theta, x, y, spec, sig)
-    r = -y[..., None] * x
+    # r_i = -y_i x_i + c g per cell, never built: its norms and weighted sum
+    # follow from x_i's squared norms and one product per cell with g
+    sq_norms = np.einsum("...ij,...ij->...i", x, x)
     if spec.c > 0.0:
-        r = r + (spec.c * spec.weight_norm_subgradient(theta))[:, None, :]
-    weights = sig * _clip_factors(sig * _row_norms(r), clip_k[:, None])
-    return nominal, adversarial, (weights[:, None, :] @ r)[:, 0] / n
+        g = spec.weight_norm_subgradient(theta)
+        xg = (x @ g[:, :, None])[..., 0]
+        gg = (g[:, None, :] @ g[:, :, None])[:, 0]
+        sq_norms = np.maximum(sq_norms - 2.0 * spec.c * y * xg + spec.c**2 * gg, 0.0)
+    weights = sig * _clip_factors(sig * np.sqrt(sq_norms), clip_k[:, None])
+    grad = (-(weights * y)[:, None, :] @ x)[:, 0]
+    if spec.c > 0.0:
+        grad += (spec.c * weights.sum(axis=-1))[:, None] * g
+    return nominal, adversarial, grad / n
 
 
 def hessian_operator(theta, x, y, spec: LossSpec):

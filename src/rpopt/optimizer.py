@@ -6,10 +6,11 @@ not applied (the analysed setting: the logistic losses here are already
 1-Lipschitz).  In ``dpsgd`` mode every per-example gradient is clipped to
 norm k and the clipped gradients are averaged; noise with std sigma * k / n
 is added to that mean (std sigma * k on the sum, for batch size n).  A
-linear model's per-example gradient is rank one, so its norm comes from the
-row norms of the residuals and the inputs, and the clipped mean is one
-matrix product (see :func:`rpopt.losses.step_terms`); no per-example
-gradient tensor is built.
+linear model's per-example gradient is rank one, so its norm and the
+clipped mean come from products of the inputs with the residuals (softmax)
+or with the dual-norm subgradient (binary); see
+:func:`rpopt.losses.step_terms`.  No per-example gradient, and for the
+binary loss no per-example residual, is built.
 
 Independent runs on one dataset that differ only in clip_k, sigma and seed
 (a sweep row, the seeds of a curve) train as one stack: :func:`train_stack`

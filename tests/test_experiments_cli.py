@@ -956,6 +956,12 @@ class TestConfigReader:
              "--seeds"),
             ("gen-data", ("--d", "4", "--n", "10", "--seed", "-1", "--out", "{out}"), None,
              "--seed"),
+            ("train", "[train]\nsteps = 5\nc = -0.5\n", None, "[train] c"),
+            ("experiment", _FIG3 + _FIG3_PARAMS + "eta = -1\n", None, "[params] eta"),
+            ("experiment", _FIG3.replace("fig3-robust-compare", "fig1-convergence")
+             + _FIG3_PARAMS + "c = -0.1\n", None, "[params] c"),
+            ("experiment", _FIG3.replace("fig3-robust-compare", "attack-eval")
+             + "[params]\nn = 40\nc_train = -0.2\n", None, "[params] c_train"),
         ],
         ids=[
             "train-unparsable-value", "train-stray-section", "train-negative-seed",
@@ -963,6 +969,8 @@ class TestConfigReader:
             "experiment-unknown-key", "experiment-stray-section", "experiment-negative-seeds",
             "experiment-negative-env-seed", "experiment-non-integer-env-seed",
             "experiment-regime-violation", "attack-eval-negative-seeds", "gen-data-negative-seed",
+            "train-negative-c", "params-negative-eta", "params-negative-c",
+            "params-negative-c_train",
         ],
     )
     def test_config_faults_exit_one_naming_their_source(

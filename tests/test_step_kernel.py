@@ -5,6 +5,7 @@ The reference for the clipped mean gradient is the tensor path it replaced:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,9 +35,10 @@ def _clipped_gradient(*args):
         return step_terms(*args)[2]
 
 
-def _assert_close(got, want):
+def _assert_close(got, want, scale=0.0):
+    # ``scale``: the size of terms that cancel in the kernel but not in want
     assert np.all(np.isfinite(got))
-    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    assert np.linalg.norm(got - want) <= 1e-13 * (np.linalg.norm(want) + scale)
 
 
 def _batch(rng, n, d):
@@ -89,6 +91,76 @@ class TestBinary:
         x, y = binary_case
         with pytest.raises(ValueError, match="closed-form"):
             step_terms(np.zeros(5), x, y, LossSpec.nominal(), x_adv=x)
+
+
+class TestBinaryRankOne:
+    """The binary clipped step takes ||r_i||^2 = ||x_i||^2 - 2c y_i <x_i, g>
+    + c^2 ||g||^2 and sum_i w_i r_i = -(w y)^T X + c (sum_i w_i) g, for
+    r_i = -y_i x_i + c g; it never builds the residuals.  (theta = 0 for
+    both norms is covered by the ``origin`` cases of TestBinary.)"""
+
+    @pytest.mark.parametrize("k", CLIP_KS)
+    @pytest.mark.parametrize("c", [0.07, 0.2])
+    def test_zero_residual_cancels_to_the_floor(self, rng, binary_case, c, k):
+        # x_0 = c y_0 sign(theta) makes r_0 = 0 exactly; in 5 dimensions the
+        # identity rounds to a tiny negative number for c = 0.07 (sqrt would
+        # raise) and to a tiny positive one for c = 0.2.  Row 0 is never
+        # clipped, and its two terms, each of norm at most c ||g|| / n,
+        # cancel in the mean only to rounding: with k = 1e-6 that is more
+        # than the clipped rows' own rounding
+        x, y = binary_case
+        theta = rng.normal(size=5)
+        x = x.copy()
+        x[0] = c * y[0] * np.sign(theta)
+        spec = LossSpec.adversarial(c, math.inf)
+        grad = _clipped_gradient(theta, x, y, spec, k)
+        cancelled = 2.0 * c * math.sqrt(5) / len(x)
+        _assert_close(grad, _reference_gradient(theta, x, y, spec, k), cancelled)
+
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_per_cell_minibatches_with_mixed_clipping(self, rng, p):
+        cells, n, d = 5, 12, 5
+        x = np.stack([_batch(rng, n, d) for _ in range(cells)])
+        y = rng.choice([-1.0, 1.0], size=(cells, n))
+        theta = rng.normal(size=(cells, d))
+        theta[2] = 0.0
+        clip_k = np.array([0.3, math.inf, 1e-6, 1e6, math.inf])
+        spec = LossSpec.adversarial(0.2, p)
+        with np.errstate(all="raise"):
+            grad = losses.step_terms_stack(theta, x, y, spec, clip_k)[2]
+        for i in range(cells):
+            _assert_close(grad[i], _reference_gradient(theta[i], x[i], y[i], spec, clip_k[i]))
+
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_stacked_cells_match_one_cell_calls(self, rng, p):
+        # every row is clipped, so the norms reach the gradient; <x_i, g> taken
+        # as one product across cells rounds differently from one per cell
+        cells, n, d = 6, 100, 20
+        x = _batch(rng, n, d)
+        y = rng.choice([-1.0, 1.0], size=n)
+        theta = rng.normal(size=(cells, d))
+        clip_k = np.full(cells, 1e-3)
+        spec = LossSpec.adversarial(0.2, p)
+        stacked = losses.step_terms_stack(theta, x, y, spec, clip_k)[2]
+        for i in range(cells):
+            alone = losses.step_terms_stack(theta[i : i + 1], x, y, spec, clip_k[i : i + 1])[2]
+            np.testing.assert_array_equal(stacked[i], alone[0])
+
+    @pytest.mark.parametrize("spec", BINARY_SPECS)
+    def test_step_peaks_below_one_residual_stack(self, spec):
+        cells, n, d = 10, 500, 20
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0.0, 1.0, size=(n, d)) / math.sqrt(d)
+        y = rng.choice([-1.0, 1.0], size=n)
+        theta = rng.normal(size=(cells, d))
+        clip_k = np.full(cells, 0.3)
+        tracemalloc.start()
+        try:
+            losses.step_terms_stack(theta, x, y, spec, clip_k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cells * n * d * 8
 
 
 class TestMulticlass:
