@@ -278,7 +278,7 @@ def exact_linear_robust_accuracy(model, dataset: Dataset, budget: float, p: floa
         raise ValueError("exact robust accuracy is only defined for binary linear models")
     if not dataset.is_binary:
         raise ValueError("exact robust accuracy requires binary labels")
-    spec = LossSpec.adversarial(budget, p) if budget > 0 else LossSpec.nominal()
+    spec = LossSpec.for_budget(budget, p)
     shift = budget * spec.weight_norm(theta) if budget > 0 else 0.0
     margins = dataset.labels * (dataset.features @ theta) - shift
     return float(np.mean(margins > 0))

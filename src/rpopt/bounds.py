@@ -196,6 +196,8 @@ def log_spaced_steps(t_max: int, points: int = 200) -> np.ndarray:
     """Unique integer steps, log-spaced from 1 to t_max inclusive."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
+    if points < 1:
+        raise ValueError("points must be >= 1")
     grid = np.unique(
         np.round(np.logspace(0.0, math.log10(t_max), num=points)).astype(np.int64)
     )

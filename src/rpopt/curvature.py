@@ -18,8 +18,8 @@ import numpy as np
 from . import losses as losses_mod
 from .attacks import AttackConfig, pgd_batch
 from .bounds import accountant_sigma
-from .data import Dataset, read_table, split, write_table
-from .errors import DataFormatError, DivergenceError, SingularityError
+from .data import Dataset, split
+from .errors import DivergenceError, SingularityError
 from .losses import LossSpec, model_weights
 from .optimizer import OptimizerConfig, train_stack
 
@@ -213,27 +213,14 @@ class SweepTable:
             out[cell.row, cell.col] = getattr(cell, field)
         return out
 
-    def to_csv(self, path) -> None:
-        rows = (
+    def columns(self) -> dict:
+        """The artifact table: SWEEP_COLUMNS, one row per cell in grid order."""
+        rows = [
             (cell.c, cell.knob, cell.lambda_max, cell.test_accuracy, cell.theta_norm,
              int(cell.converged), int(cell.diverged))
             for cell in sorted(self.cells, key=lambda cc: (cc.row, cc.col))
-        )
-        write_table(path, SWEEP_COLUMNS, rows)
-
-
-def read_sweep_csv(path) -> list[SweepCell]:
-    """Rows of a sweep CSV as SweepCell records (grid indices unknown: -1)."""
-    table = read_table(path)
-    missing = set(SWEEP_COLUMNS) - set(table)
-    if missing:
-        raise DataFormatError(f"{path}: sweep CSV lacks columns: {sorted(missing)}")
-    return [
-        SweepCell(-1, -1, c, knob, lam, acc, norm, bool(converged), bool(diverged))
-        for c, knob, lam, acc, norm, converged, diverged in zip(
-            *(table[name] for name in SWEEP_COLUMNS)
-        )
-    ]
+        ]
+        return dict(zip(SWEEP_COLUMNS, zip(*rows)))
 
 
 def cell_seed(seed: int, row: int, col: int) -> int:
@@ -268,7 +255,7 @@ def _evaluate_row(ctx: _SweepContext, job) -> list[SweepCell]:
     and seed and train together; divergence is recorded, not raised.
     """
     row, c, cells = job
-    spec = LossSpec.adversarial(c, ctx.p) if c > 0 else LossSpec.nominal()
+    spec = LossSpec.for_budget(c, ctx.p)
     configs = [
         replace(
             ctx.base_config,

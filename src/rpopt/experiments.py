@@ -1,6 +1,7 @@
-"""Experiment orchestration: parameterized runs that emit CSV artifacts plus
-a JSON manifest echoing every parameter (defaults included) so a run can be
-reproduced exactly from its output directory.
+"""Experiment orchestration: parameterized runs that each emit one CSV
+artifact, ``<kind>.csv``, plus a JSON manifest echoing every parameter
+(defaults included) so a run can be reproduced exactly from its output
+directory.
 
 Config files are INI ("key = value" sections)::
 
@@ -29,6 +30,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass, replace
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -165,6 +167,13 @@ def non_negative_int(value) -> int:
     return number
 
 
+def _positive_int(value) -> int:
+    number = int(value)
+    if number < 1:
+        raise ValueError(f"must be >= 1, got {number}")
+    return number
+
+
 def parse_seeds(text) -> tuple:
     """Seeds in one of three forms: "7", "0,1,2", or "start:count"."""
     text = str(text).strip()
@@ -229,6 +238,13 @@ def _finite_non_negative(value) -> float:
     return number
 
 
+def _open_unit(value) -> float:
+    number = float(value)
+    if not 0 < number < 1:
+        raise ValueError(f"must lie strictly between 0 and 1, got {number}")
+    return number
+
+
 def _float_or_none(value):
     return None if str(value).strip().lower() == "none" else float(value)
 
@@ -253,7 +269,13 @@ _EXPERIMENT_PARSERS = {"seeds": parse_seeds}
 
 # [params]: each kind's table is _DEFAULTS[kind]
 _PARAMS_PARSERS = {
-    "batch": non_negative_int,
+    **dict.fromkeys(
+        ("steps", "attack_steps", "restarts", "points", "t_max", "curvature_iters",
+         "curvature_examples", "workers"),
+        _positive_int,
+    ),
+    **dict.fromkeys(("batch", "eval_attack_steps", "limit", "data_seed"), non_negative_int),
+    **dict.fromkeys(("delta", "test_fraction"), _open_unit),
     "p": _kept_as_text(parse_p),
     "c_grid": _kept_as_text(parse_grid),
     "k_grid": _kept_as_text(parse_grid),
@@ -262,8 +284,10 @@ _PARAMS_PARSERS = {
     "d_list": _kept_as_text(_parse_dims),
     "clip_k": _finite_positive,  # fig9 only: the privacy sweep needs a finite clip
     "eta": _finite_positive,
+    "curvature_tol": _finite_positive,
     "c": _finite_non_negative,
     "c_train": _finite_non_negative,
+    "sigma": _finite_non_negative,
 }
 
 # [train] of `rpopt train`: the OptimizerConfig fields, with c and p for its loss
@@ -347,7 +371,7 @@ def load_train_config(path) -> OptimizerConfig:
     """OptimizerConfig from the [train] section of an INI file."""
     values = read_section("train", read_ini(path, ("train",))["train"], _TRAIN, _TRAIN_PARSERS)
     c, p = values.pop("c"), values.pop("p")
-    values["spec"] = LossSpec.adversarial(c, p) if c > 0 else LossSpec.nominal()
+    values["spec"] = LossSpec.for_budget(c, p)
     values["batch"] = values["batch"] or None
     return parse_named("[train]", lambda fields: OptimizerConfig(**fields), values)
 
@@ -363,21 +387,16 @@ def resolve_params(config: ExperimentConfig) -> dict:
 _INPUT_STAGES = ("generate-data", "load-data")
 
 
-class _ArtifactSet:
-    """Names the artifacts a runner writes into the staging directory."""
-
-    def __init__(self, staging_dir):
-        self.staging_dir = staging_dir
-        self.names = []
-        self.stage = "setup"  # advanced by the runner so failures name it
-
-    def path_for(self, name):
-        self.names.append(name)
-        return os.path.join(self.staging_dir, name)
+def artifact_name(kind: str) -> str:
+    """The one CSV an experiment of ``kind`` writes."""
+    return f"{kind}.csv"
 
 
 def run_experiment(config: ExperimentConfig) -> list:
-    """Run one experiment; returns the list of artifact paths written.
+    """Run one experiment; returns the paths of its artifact and manifest.
+
+    The kind's runner returns ``(columns, notes)``: the artifact table, as
+    an ordered mapping of column name to values, and the manifest's notes.
 
     Everything is written to a temporary directory beside ``output_dir``
     and moved in only when the run succeeds: the old manifest is removed
@@ -391,14 +410,18 @@ def run_experiment(config: ExperimentConfig) -> list:
     parent, name = os.path.split(os.path.abspath(config.output_dir))
     os.makedirs(parent, exist_ok=True)
     staging_dir = tempfile.mkdtemp(prefix=f".{name}-", dir=parent)
+    artifact = artifact_name(config.kind)
     try:
-        artifacts = _ArtifactSet(staging_dir)
+        stage = SimpleNamespace(name="setup")  # advanced by the runner so failures name it
         try:
-            notes = _RUNNERS[config.kind](config, params, artifacts)
+            columns, notes = _RUNNERS[config.kind](config, params, stage)
+            stage.name = "write-csv"
+            rows = zip(*columns.values(), strict=True)
+            write_table(os.path.join(staging_dir, artifact), list(columns), rows)
         except Exception as exc:
-            message = f"stage {artifacts.stage!r} failed: {exc}"
+            message = f"stage {stage.name!r} failed: {exc}"
             if isinstance(exc, InvalidRegimeError) or (
-                artifacts.stage in _INPUT_STAGES
+                stage.name in _INPUT_STAGES
                 and isinstance(exc, (ValueError, FileNotFoundError))
             ):
                 raise ValueError(message) from exc
@@ -408,7 +431,7 @@ def run_experiment(config: ExperimentConfig) -> list:
             "version": __version__,
             "seeds": list(config.seeds),
             "params": params,
-            "artifacts": artifacts.names,
+            "artifacts": [artifact],
             "notes": notes,
         }
         with open(os.path.join(staging_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
@@ -419,7 +442,7 @@ def run_experiment(config: ExperimentConfig) -> list:
             os.unlink(manifest_path)
         os.makedirs(config.output_dir, exist_ok=True)
         paths = []
-        for name in artifacts.names + [MANIFEST_NAME]:
+        for name in (artifact, MANIFEST_NAME):
             paths.append(os.path.join(config.output_dir, name))
             os.replace(os.path.join(staging_dir, name), paths[-1])
         return paths
@@ -440,6 +463,14 @@ def _mean_and_se(stack: np.ndarray) -> tuple:
     return mean, se
 
 
+def _bound_columns(base: BoundInputs, ts, names) -> dict:
+    """Each named rate bound at the steps ts, as the column bound_<name>."""
+    return {
+        f"bound_{name.replace('-', '_')}": bounds_mod.evaluate_series(name, base, ts)[:, 1]
+        for name in names
+    }
+
+
 def _solo_and_averaged_losses(dataset, solo, base, seeds, column: str):
     """The solo run's curve, and the mean and standard error of the curves
     of ``base`` over the seeds, trained as one stack (the configs may differ
@@ -453,8 +484,8 @@ def _solo_and_averaged_losses(dataset, solo, base, seeds, column: str):
     return (curves[0], *_mean_and_se(curves[1:]))
 
 
-def _run_fig1(config, params, artifacts):
-    artifacts.stage = "generate-data"
+def _run_fig1(config, params, stage):
+    stage.name = "generate-data"
     dataset = generate_separable(
         d=params["d"], n=params["n"], gamma=params["gamma"], seed=params["data_seed"]
     )
@@ -463,11 +494,10 @@ def _run_fig1(config, params, artifacts):
     first = params["first_step_eta"]
 
     def cfg(spec_c, noise):
-        spec = LossSpec.adversarial(spec_c) if spec_c > 0 else LossSpec.nominal()
         return OptimizerConfig(
             eta=eta,
             steps=steps,
-            spec=spec,
+            spec=LossSpec.for_budget(spec_c),
             sigma=noise,
             noise_mode="theory",
             first_step_eta=first,
@@ -476,55 +506,28 @@ def _run_fig1(config, params, artifacts):
 
     notes = {"warnings": validate_config(cfg(c, sigma), gamma=gamma)}
 
-    artifacts.stage = "train-nominal-private"
+    stage.name = "train-nominal-private"
     nominal, private, private_se = _solo_and_averaged_losses(
         dataset, cfg(0.0, 0.0), cfg(0.0, sigma), config.seeds, "nominal_loss"
     )
-    artifacts.stage = "train-robust-private"
+    stage.name = "train-robust-private"
     robust, robust_private, robust_private_se = _solo_and_averaged_losses(
         dataset, cfg(c, 0.0), cfg(c, sigma), config.seeds, "adversarial_loss"
     )
 
-    artifacts.stage = "evaluate-bounds"
+    stage.name = "evaluate-bounds"
     ts = np.arange(1, steps + 1)
     base = BoundInputs(t=1, eta=eta, gamma=gamma, c=c, d=params["d"], sigma=sigma)
-    series = {
-        name: bounds_mod.evaluate_series(name, base, ts)[:, 1]
-        for name in ("nominal", "private", "robust", "robust-private")
-    }
-
-    artifacts.stage = "write-csv"
-    header = [
-        "t",
-        "loss_nominal",
-        "loss_private",
-        "se_private",
-        "loss_robust",
-        "loss_robust_private",
-        "se_robust_private",
-        "bound_nominal",
-        "bound_private",
-        "bound_robust",
-        "bound_robust_private",
-    ]
-    rows = [
-        (
-            int(t),
-            nominal[t],
-            private[t],
-            private_se[t],
-            robust[t],
-            robust_private[t],
-            robust_private_se[t],
-            series["nominal"][t - 1],
-            series["private"][t - 1],
-            series["robust"][t - 1],
-            series["robust-private"][t - 1],
-        )
-        for t in ts
-    ]
-    write_table(artifacts.path_for("fig1-convergence.csv"), header, rows)
-    return notes
+    return {
+        "t": ts,
+        "loss_nominal": nominal[1:],
+        "loss_private": private[1:],
+        "se_private": private_se[1:],
+        "loss_robust": robust[1:],
+        "loss_robust_private": robust_private[1:],
+        "se_robust_private": robust_private_se[1:],
+        **_bound_columns(base, ts, ("nominal", "private", "robust", "robust-private")),
+    }, notes
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +535,8 @@ def _run_fig1(config, params, artifacts):
 # ---------------------------------------------------------------------------
 
 
-def _run_fig2(config, params, artifacts):
-    artifacts.stage = "evaluate-gaps"
+def _run_fig2(config, params, stage):
+    stage.name = "evaluate-gaps"
     d_list = _parse_dims(params["d_list"])
     ts = log_spaced_steps(params["t_max"], params["points"])
     decades = [10**k for k in range(0, int(math.log10(params["t_max"])) + 1)]
@@ -541,19 +544,11 @@ def _run_fig2(config, params, artifacts):
     base = BoundInputs(
         t=1, eta=params["eta"], gamma=params["gamma"], c=params["c"], sigma=params["sigma"]
     )
-    columns = {"gap_nonprivate": bounds_mod.gap_curve(base, "nonprivate", ts)[:, 1]}
+    columns = {"t": ts, "gap_nonprivate": bounds_mod.gap_curve(base, "nonprivate", ts)[:, 1]}
     for d in d_list:
         curve = bounds_mod.gap_curve(replace(base, d=d), "private", ts)
         columns[f"gap_private_d{d}"] = curve[:, 1]
-
-    artifacts.stage = "write-csv"
-    header = ["t"] + list(columns)
-    rows = [
-        tuple([int(t)] + [columns[name][i] for name in columns])
-        for i, t in enumerate(ts)
-    ]
-    write_table(artifacts.path_for("fig2-gap.csv"), header, rows)
-    return {}
+    return columns, {}
 
 
 # ---------------------------------------------------------------------------
@@ -561,15 +556,15 @@ def _run_fig2(config, params, artifacts):
 # ---------------------------------------------------------------------------
 
 
-def _run_fig3(config, params, artifacts):
-    artifacts.stage = "generate-data"
+def _run_fig3(config, params, stage):
+    stage.name = "generate-data"
     dataset = generate_separable(
         d=params["d"], n=params["n"], gamma=params["gamma"], seed=params["data_seed"]
     )
     eta, c, steps = params["eta"], params["c"], params["steps"]
     spec = LossSpec.adversarial(c)
 
-    artifacts.stage = "train-adversarial"
+    stage.name = "train-adversarial"
     robust_cfg = OptimizerConfig(
         eta=eta,
         steps=steps,
@@ -579,7 +574,7 @@ def _run_fig3(config, params, artifacts):
     )
     robust = train(dataset, robust_cfg)
 
-    artifacts.stage = "evaluate-adversarial-loss-of-standard"
+    stage.name = "evaluate-adversarial-loss-of-standard"
     # plain GD is deterministic; walk the iterates directly and score each
     # one with the worst-case loss the trace would not otherwise record
     x, y = dataset.features, dataset.labels.astype(np.float64)
@@ -590,26 +585,15 @@ def _run_fig3(config, params, artifacts):
         theta = theta - eta * gradient(theta, x, y, LossSpec.nominal())
         plain_adv[t + 1] = adversarial_logistic_loss(theta, x, y, spec)
 
-    artifacts.stage = "evaluate-bounds"
+    stage.name = "evaluate-bounds"
     ts = np.arange(1, steps + 1)
     base = BoundInputs(t=1, eta=eta, gamma=params["gamma"], c=c)
-    bound_robust = bounds_mod.evaluate_series("robust", base, ts)[:, 1]
-    bound_rus = bounds_mod.evaluate_series("robust-under-standard", base, ts)[:, 1]
-
-    artifacts.stage = "write-csv"
-    header = [
-        "t",
-        "adv_loss_adversarial_training",
-        "adv_loss_standard_training",
-        "bound_robust",
-        "bound_robust_under_standard",
-    ]
-    rows = [
-        (int(t), robust.adversarial_loss[t], plain_adv[t], bound_robust[t - 1], bound_rus[t - 1])
-        for t in ts
-    ]
-    write_table(artifacts.path_for("fig3-robust-compare.csv"), header, rows)
-    return {}
+    return {
+        "t": ts,
+        "adv_loss_adversarial_training": robust.adversarial_loss[1:],
+        "adv_loss_standard_training": plain_adv[1:],
+        **_bound_columns(base, ts, ("robust", "robust-under-standard")),
+    }, {}
 
 
 # ---------------------------------------------------------------------------
@@ -637,9 +621,9 @@ def _sweep_base_config(config, params) -> OptimizerConfig:
     )
 
 
-def _run_sweep_kind(mode, config, params, artifacts):
-    """fig8 (mode "clip") or fig9 (mode "dp"): one curvature sweep to CSV."""
-    artifacts.stage = "load-data"
+def _run_sweep_kind(mode, config, params, stage):
+    """fig8 (mode "clip") or fig9 (mode "dp"): one curvature sweep."""
+    stage.name = "load-data"
     dataset = _sweep_dataset(params)
     train_ds, test_ds = split(dataset, params["test_fraction"], seed=config.seeds[0])
     base = _sweep_base_config(config, params)
@@ -647,7 +631,7 @@ def _run_sweep_kind(mode, config, params, artifacts):
         raise ValueError(
             f"batch {base.batch} exceeds the {train_ds.n} examples of the training part"
         )
-    artifacts.stage = "sweep"
+    stage.name = "sweep"
     common = dict(
         test_dataset=test_ds,
         p=parse_p(params["p"]),
@@ -662,7 +646,7 @@ def _run_sweep_kind(mode, config, params, artifacts):
         table = clipping_smoothness_curve(
             train_ds, c_grid, parse_grid(params["k_grid"]), base, **common
         )
-        name, summary = "fig8-sweep.csv", {"mode": "clip"}
+        summary = {"mode": "clip"}
     else:
         table = privacy_smoothness_curve(
             train_ds,
@@ -672,10 +656,8 @@ def _run_sweep_kind(mode, config, params, artifacts):
             delta=params["delta"],
             **common,
         )
-        name, summary = "fig9-sweep.csv", {"mode": "dp", "delta": params["delta"]}
-    artifacts.stage = "write-csv"
-    table.to_csv(artifacts.path_for(name))
-    return summary
+        summary = {"mode": "dp", "delta": params["delta"]}
+    return table.columns(), summary
 
 
 # ---------------------------------------------------------------------------
@@ -683,8 +665,8 @@ def _run_sweep_kind(mode, config, params, artifacts):
 # ---------------------------------------------------------------------------
 
 
-def _run_bounds_only(config, params, artifacts):
-    artifacts.stage = "evaluate-bounds"
+def _run_bounds_only(config, params, stage):
+    stage.name = "evaluate-bounds"
     ts = log_spaced_steps(params["t_max"], params["points"])
     base = BoundInputs(
         t=1,
@@ -695,15 +677,8 @@ def _run_bounds_only(config, params, artifacts):
         sigma=params["sigma"],
         form=params["form"],
     )
-    names = ["nominal", "private", "robust", "robust-private", "robust-under-standard"]
-    columns = {name: bounds_mod.evaluate_series(name, base, ts)[:, 1] for name in names}
-    artifacts.stage = "write-csv"
-    header = ["t"] + [f"bound_{name.replace('-', '_')}" for name in names]
-    rows = [
-        tuple([int(t)] + [columns[name][i] for name in names]) for i, t in enumerate(ts)
-    ]
-    write_table(artifacts.path_for("bounds-only.csv"), header, rows)
-    return {}
+    names = ("nominal", "private", "robust", "robust-private", "robust-under-standard")
+    return {"t": ts, **_bound_columns(base, ts, names)}, {}
 
 
 # ---------------------------------------------------------------------------
@@ -711,8 +686,8 @@ def _run_bounds_only(config, params, artifacts):
 # ---------------------------------------------------------------------------
 
 
-def _run_attack_eval(config, params, artifacts):
-    artifacts.stage = "generate-data"
+def _run_attack_eval(config, params, stage):
+    stage.name = "generate-data"
     dataset = generate_separable(
         d=params["d"], n=params["n"], gamma=params["gamma"], seed=params["data_seed"]
     )
@@ -720,12 +695,12 @@ def _run_attack_eval(config, params, artifacts):
     p = parse_p(params["p"])
     eta, steps, c_train = params["eta"], params["steps"], params["c_train"]
 
-    artifacts.stage = "train-standard"
+    stage.name = "train-standard"
     plain = train(
         train_ds,
         OptimizerConfig(eta=eta, steps=steps, spec=LossSpec.nominal(), seed=config.seeds[0]),
     ).final_params
-    artifacts.stage = "train-adversarial"
+    stage.name = "train-adversarial"
     robust = train(
         train_ds,
         OptimizerConfig(
@@ -733,9 +708,9 @@ def _run_attack_eval(config, params, artifacts):
         ),
     ).final_params
 
-    artifacts.stage = "attack-eval"
+    stage.name = "attack-eval"
     budgets = parse_grid(params["budgets"])
-    rows = []
+    standard, adversarial = [], []
     for index, budget in enumerate(budgets):
         attack = AttackConfig(
             budget=budget,
@@ -744,29 +719,20 @@ def _run_attack_eval(config, params, artifacts):
             restarts=params["restarts"],
             seed=config.seeds[0] + index,
         )
-        acc_plain = robust_accuracy(plain, test_ds, attack)
-        acc_robust = robust_accuracy(robust, test_ds, attack)
-        rows.append(
-            (
-                budget,
-                acc_plain,
-                acc_robust,
-                acc_robust - acc_plain,
-                exact_linear_robust_accuracy(plain, test_ds, budget, p),
-                exact_linear_robust_accuracy(robust, test_ds, budget, p),
-            )
-        )
-    artifacts.stage = "write-csv"
-    header = [
-        "budget",
-        "acc_standard",
-        "acc_adversarial",
-        "improvement",
-        "exact_acc_standard",
-        "exact_acc_adversarial",
-    ]
-    write_table(artifacts.path_for("attack-eval.csv"), header, rows)
-    return {}
+        standard.append(robust_accuracy(plain, test_ds, attack))
+        adversarial.append(robust_accuracy(robust, test_ds, attack))
+
+    def exact(model):
+        return [exact_linear_robust_accuracy(model, test_ds, budget, p) for budget in budgets]
+
+    return {
+        "budget": budgets,
+        "acc_standard": standard,
+        "acc_adversarial": adversarial,
+        "improvement": np.subtract(adversarial, standard),
+        "exact_acc_standard": exact(plain),
+        "exact_acc_adversarial": exact(robust),
+    }, {}
 
 
 _RUNNERS = {

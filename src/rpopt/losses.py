@@ -80,6 +80,11 @@ class LossSpec:
     def adversarial(cls, c: float, p: float = 2.0) -> "LossSpec":
         return cls(kind="adversarial", c=float(c), p=float(p))
 
+    @classmethod
+    def for_budget(cls, c: float, p: float = 2.0) -> "LossSpec":
+        """The loss of budget c: worst-case when c > 0, else nominal."""
+        return cls.adversarial(c, p) if c > 0 else cls.nominal()
+
     @property
     def dual_q(self) -> float:
         """Exponent of the dual norm applied to the weights."""

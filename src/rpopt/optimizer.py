@@ -47,8 +47,8 @@ import numpy as np
 
 from . import losses as losses_mod
 from .attacks import AttackConfig, PGDWorkspace, pgd_batch
-from .data import Dataset, read_table, write_table
-from .errors import DataFormatError, DivergenceError
+from .data import Dataset, write_table
+from .errors import DivergenceError
 from .losses import LossSpec, ModelParams
 
 NOISE_MODES = ("theory", "dpsgd")
@@ -127,14 +127,6 @@ class TrainTrace:
     def to_csv(self, path: str) -> None:
         columns = [getattr(self, name) for name in self.COLUMNS[1:]]
         write_table(path, self.COLUMNS, zip(map(int, self.t), *columns))
-
-
-def read_trace_csv(path: str) -> dict[str, np.ndarray]:
-    """Read a trace CSV back into column arrays."""
-    table = read_table(path)
-    if tuple(table) != TrainTrace.COLUMNS:
-        raise DataFormatError(f"{path}: unexpected trace header {list(table)}")
-    return table
 
 
 def validate_config(config: OptimizerConfig, gamma: float | None = None) -> list[str]:

@@ -1,21 +1,20 @@
 """Verification of experiment artifacts.
 
-Every check is computed purely from the files an experiment wrote (CSV
-artifacts plus the manifest); nothing is retrained.  Failures are report
+Every check is computed purely from the files an experiment wrote (its one
+CSV artifact plus the manifest); nothing is retrained.  Failures are report
 content, not exceptions.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import read_table
-from .experiments import MANIFEST_NAME
+from .experiments import MANIFEST_NAME, artifact_name
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,7 @@ def _below_bound(table, loss_col, bound_col, se_col=None):
     )
 
 
-def _verify_fig1(run_dir, manifest):
-    table = read_table(os.path.join(run_dir, "fig1-convergence.csv"))
+def _verify_fig1(table, manifest):
     return [
         _below_bound(table, "loss_nominal", "bound_nominal"),
         _below_bound(table, "loss_private", "bound_private", "se_private"),
@@ -79,8 +77,7 @@ def _gap_columns(table):
     return [name for name in table if name.startswith("gap_")]
 
 
-def _verify_fig2(run_dir, manifest):
-    table = read_table(os.path.join(run_dir, "fig2-gap.csv"))
+def _verify_fig2(table, manifest):
     ts = table["t"]
     checks = []
     anchor = int(np.argmin(np.abs(ts - 10.0)))
@@ -126,8 +123,7 @@ def _verify_fig2(run_dir, manifest):
     return checks
 
 
-def _verify_fig3(run_dir, manifest):
-    table = read_table(os.path.join(run_dir, "fig3-robust-compare.csv"))
+def _verify_fig3(table, manifest):
     ts = table["t"]
     robust = table["bound_robust"]
     rus = table["bound_robust_under_standard"]
@@ -199,14 +195,14 @@ def _spearman_check(table, a, b, want_positive, name):
     return _check(title, passed, f"coefficient {coeff:.4f}")
 
 
-def _load_sweep(run_dir, filename):
-    table = read_table(os.path.join(run_dir, filename))
+def _trained_rows(table):
+    """The sweep's rows without the diverged cells."""
     keep = table["diverged"] == 0
     return {name: column[keep] for name, column in table.items()}
 
 
-def _verify_fig8(run_dir, manifest):
-    table = _load_sweep(run_dir, "fig8-sweep.csv")
+def _verify_fig8(table, manifest):
+    table = _trained_rows(table)
     return [
         _spearman_check(table, "lambda_max", "c", True, "lambda_max, c"),
         _spearman_check(table, "lambda_max", "k_or_epsilon", False, "lambda_max, clip k"),
@@ -216,10 +212,10 @@ def _verify_fig8(run_dir, manifest):
     ]
 
 
-def _verify_fig9(run_dir, manifest):
+def _verify_fig9(table, manifest):
     # No lambda-vs-c check here: DP noise dominates curvature in this sweep,
     # so the budget effect is only claimed for the noiseless clipping sweep.
-    table = _load_sweep(run_dir, "fig9-sweep.csv")
+    table = _trained_rows(table)
     return [
         _spearman_check(table, "lambda_max", "k_or_epsilon", False, "lambda_max, epsilon"),
         _spearman_check(
@@ -228,8 +224,7 @@ def _verify_fig9(run_dir, manifest):
     ]
 
 
-def _verify_bounds_only(run_dir, manifest):
-    table = read_table(os.path.join(run_dir, "bounds-only.csv"))
+def _verify_bounds_only(table, manifest):
     checks = []
     finite = all(np.all(np.isfinite(col)) for col in table.values())
     checks.append(_check("all bound values finite", finite, f"finite={finite}"))
@@ -254,8 +249,7 @@ def _verify_bounds_only(run_dir, manifest):
     return checks
 
 
-def _verify_attack_eval(run_dir, manifest):
-    table = read_table(os.path.join(run_dir, "attack-eval.csv"))
+def _verify_attack_eval(table, manifest):
     checks = []
     in_range = all(
         0.0 <= float(table[col].min()) and float(table[col].max()) <= 1.0
@@ -313,5 +307,5 @@ def verify_report(run_dir) -> VerifyReport:
     verifier = _VERIFIERS.get(kind)
     if verifier is None:
         raise ValueError(f"manifest names unknown experiment kind {kind!r}")
-    checks = verifier(run_dir, manifest)
+    checks = verifier(read_table(os.path.join(run_dir, artifact_name(kind))), manifest)
     return VerifyReport(kind=kind, checks=tuple(checks))

@@ -188,8 +188,10 @@ class TestSeriesAndGaps:
         assert np.all(np.diff(grid) > 0)
         assert grid.dtype == np.int64
         np.testing.assert_array_equal(log_spaced_steps(1), [1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="t_max"):
             log_spaced_steps(0)
+        with pytest.raises(ValueError, match="points"):
+            log_spaced_steps(10, points=0)
 
 
 class TestAccountant:

@@ -17,10 +17,9 @@ from rpopt.curvature import (
     optimum_spectrum,
     power_iteration,
     privacy_smoothness_curve,
-    read_sweep_csv,
 )
-from rpopt.data import Dataset, generate_equal_margin, generate_separable
-from rpopt.errors import DataFormatError, SingularityError
+from rpopt.data import Dataset, generate_equal_margin, generate_separable, read_table, write_table
+from rpopt.errors import SingularityError
 from rpopt.losses import LossSpec
 from rpopt.optimizer import OptimizerConfig, train
 from scipy.special import expit
@@ -201,38 +200,19 @@ class TestSweepPlumbing:
 
     def test_csv_roundtrip(self, tmp_path):
         table = self._table()
+        columns = table.columns()
+        assert tuple(columns) == SWEEP_COLUMNS
         path = str(tmp_path / "sweep.csv")
-        table.to_csv(path)
-        cells = read_sweep_csv(path)
-        assert len(cells) == 4
-        assert all(cell.row == -1 and cell.col == -1 for cell in cells)
-        by_key = {(cell.c, cell.knob): cell for cell in cells}
-        original = {(cell.c, cell.knob): cell for cell in table.cells}
-        for key, cell in by_key.items():
-            ref = original[key]
-            for field in ("lambda_max", "test_accuracy", "theta_norm"):
-                a, b = getattr(cell, field), getattr(ref, field)
-                assert (math.isnan(a) and math.isnan(b)) or a == b
-            assert cell.converged == ref.converged
-            assert cell.diverged == ref.diverged
-
-    def test_csv_missing_column_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("c,k_or_epsilon\n0.0,1.0\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="columns"):
-            read_sweep_csv(str(path))
-        assert len(SWEEP_COLUMNS) == 7
-
-    @pytest.mark.parametrize(
-        "body, problem",
-        [("0,1,2,3,4,1\n", "expected 7 fields"), ("0,1,2,3,4,yes,0\n", "non-numeric")],
-    )
-    def test_csv_bad_row_names_file_and_line(self, tmp_path, body, problem):
-        path = tmp_path / "sweep.csv"
-        header = ",".join(SWEEP_COLUMNS)
-        path.write_text(f"{header}\n0,1,2,3,4,1,0\n{body}", encoding="utf-8")
-        with pytest.raises(DataFormatError, match=f"sweep.csv:3: {problem}"):
-            read_sweep_csv(str(path))
+        write_table(path, list(columns), zip(*columns.values()))
+        back = read_table(path)
+        assert tuple(back) == SWEEP_COLUMNS
+        cells = sorted(table.cells, key=lambda cell: (cell.row, cell.col))
+        fields = ("c", "knob", "lambda_max", "test_accuracy", "theta_norm", "converged",
+                  "diverged")
+        for name, field in zip(SWEEP_COLUMNS, fields):
+            expected = np.array([float(getattr(cell, field)) for cell in cells])
+            np.testing.assert_array_equal(back[name], expected)
+        assert all(type(v) is int for v in columns["converged"] + columns["diverged"])
 
 
 @pytest.fixture(scope="module")
@@ -241,7 +221,7 @@ def sweep_dataset():
 
 
 class TestSweeps:
-    def test_clipping_sweep_shape_and_determinism(self, sweep_dataset, tmp_path):
+    def test_clipping_sweep_shape_and_determinism(self, sweep_dataset):
         base = OptimizerConfig(eta=1.0, steps=20, seed=3)
         kwargs = dict(
             c_grid=[0.0, 0.05],
@@ -258,10 +238,7 @@ class TestSweeps:
         assert all(0.0 <= cell.test_accuracy <= 1.0 for cell in table.cells)
         assert all(np.isfinite(cell.lambda_max) for cell in table.cells)
         again = clipping_smoothness_curve(sweep_dataset, **kwargs)
-        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        table.to_csv(a)
-        again.to_csv(b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert again.columns() == table.columns()
 
     def test_parallel_matches_serial(self, sweep_dataset):
         base = OptimizerConfig(eta=1.0, steps=10, seed=3)

@@ -17,6 +17,7 @@ from rpopt.experiments import (
     KINDS,
     MANIFEST_NAME,
     ExperimentConfig,
+    artifact_name,
     load_experiment_config,
     parse_grid,
     parse_p,
@@ -24,7 +25,6 @@ from rpopt.experiments import (
     resolve_params,
     run_experiment,
 )
-from rpopt.optimizer import read_trace_csv
 from rpopt.plotting import PlotSpec, read_table, render_plot
 from rpopt.report import _average_ranks, verify_report
 
@@ -129,6 +129,19 @@ class TestExperimentConfig:
             load_experiment_config(str(no_out))
 
 
+_TINY_SWEEP = {"n": "60", "steps": "3", "c_grid": "0,0.05", "curvature_examples": "16",
+               "curvature_iters": "20"}
+_TINY_PARAMS = {
+    "fig1-convergence": {"d": "5", "n": "40", "steps": "20"},
+    "fig2-gap": {"t_max": "1000", "points": "20"},
+    "fig3-robust-compare": {"n": "40", "steps": "20"},
+    "fig8-sweep": {**_TINY_SWEEP, "k_grid": "1"},
+    "fig9-sweep": {**_TINY_SWEEP, "eps_grid": "1"},
+    "bounds-only": {"t_max": "100", "points": "10"},
+    "attack-eval": {"n": "80", "steps": "20", "attack_steps": "3", "budgets": "0,0.1"},
+}
+
+
 class TestRunExperiment:
     def _fig1_config(self, out_dir):
         return ExperimentConfig(
@@ -154,6 +167,17 @@ class TestRunExperiment:
         assert manifest["params"]["d"] == 5
         assert manifest["params"]["sigma"] == 0.25  # default echoed
         assert manifest["artifacts"] == ["fig1-convergence.csv"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_kind_writes_one_artifact_that_verify_reads(self, tmp_path, kind):
+        out = tmp_path / "run"
+        params = _TINY_PARAMS[kind]
+        run_experiment(ExperimentConfig(kind=kind, output_dir=str(out), seeds=(0,), params=params))
+        assert sorted(os.listdir(out)) == sorted([artifact_name(kind), MANIFEST_NAME])
+        manifest = json.loads((out / MANIFEST_NAME).read_text(encoding="utf-8"))
+        assert manifest["artifacts"] == [artifact_name(kind)]
+        report = verify_report(str(out))
+        assert report.kind == kind and report.checks
 
     def test_fig1_is_deterministic(self, tmp_path):
         run_experiment(self._fig1_config(tmp_path / "a"))
@@ -441,11 +465,11 @@ class TestPlotting:
             read_table(str(empty))
         ragged = tmp_path / "ragged.csv"
         ragged.write_text("a,b\n1,2\n3\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="ragged.csv:3"):
+        with pytest.raises(DataFormatError, match="ragged.csv:3: expected 2 fields, got 1"):
             read_table(str(ragged))
         alpha = tmp_path / "alpha.csv"
-        alpha.write_text("a,b\n1,x\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="non-numeric"):
+        alpha.write_text("a,b\n1,2\n1,x\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="alpha.csv:3: non-numeric value 'x'"):
             read_table(str(alpha))
         repeated = tmp_path / "repeated.csv"
         repeated.write_text("a,b,a\n1,2,3\n", encoding="utf-8")
@@ -514,7 +538,7 @@ class TestCliInProcess:
         trace_path = str(tmp_path / "trace.csv")
         code, out, err = run_cli("train", "--config", str(ini), "--data", data, "--out", trace_path)
         assert code == 0 and "25 steps" in out
-        trace = read_trace_csv(trace_path)
+        trace = read_table(trace_path)
         assert trace["t"].shape == (26,)
 
     def test_train_warns_on_bad_regime(self, run_cli, tmp_path):
@@ -872,6 +896,26 @@ def _as_text(value) -> str:
 _FIG3 = "[experiment]\nkind = fig3-robust-compare\noutput_dir = {out}\n"
 _FIG3_PARAMS = "[params]\nn = 40\nsteps = 5\n"
 
+# (kind, key, value): one out-of-range value of each [params] key whose range
+# is checked when the config is read
+_RANGE_FAULTS = [
+    ("fig3-robust-compare", "steps", "0"),
+    ("attack-eval", "attack_steps", "0"),
+    ("attack-eval", "restarts", "0"),
+    ("bounds-only", "points", "0"),
+    ("bounds-only", "t_max", "0"),
+    ("fig8-sweep", "curvature_iters", "0"),
+    ("fig8-sweep", "curvature_examples", "0"),
+    ("fig8-sweep", "workers", "-1"),
+    ("fig8-sweep", "eval_attack_steps", "-1"),
+    ("fig8-sweep", "limit", "-5"),
+    ("fig1-convergence", "sigma", "-0.5"),
+    ("fig9-sweep", "delta", "2"),
+    ("fig8-sweep", "test_fraction", "1"),
+    ("fig8-sweep", "curvature_tol", "0"),
+    ("attack-eval", "data_seed", "-1"),
+]
+
 
 class TestConfigReader:
     """One convention for [experiment], [params] and [train]."""
@@ -962,6 +1006,11 @@ class TestConfigReader:
              + _FIG3_PARAMS + "c = -0.1\n", None, "[params] c"),
             ("experiment", _FIG3.replace("fig3-robust-compare", "attack-eval")
              + "[params]\nn = 40\nc_train = -0.2\n", None, "[params] c_train"),
+        ]
+        + [
+            ("experiment", _FIG3.replace("fig3-robust-compare", kind)
+             + f"[params]\n{key} = {value}\n", None, f"[params] {key}")
+            for kind, key, value in _RANGE_FAULTS
         ],
         ids=[
             "train-unparsable-value", "train-stray-section", "train-negative-seed",
@@ -971,7 +1020,8 @@ class TestConfigReader:
             "experiment-regime-violation", "attack-eval-negative-seeds", "gen-data-negative-seed",
             "train-negative-c", "params-negative-eta", "params-negative-c",
             "params-negative-c_train",
-        ],
+        ]
+        + [f"params-{key}-{value}" for _, key, value in _RANGE_FAULTS],
     )
     def test_config_faults_exit_one_naming_their_source(
         self, run_cli, tmp_path, data, verb, text, env_seed, source
@@ -1029,12 +1079,16 @@ class TestConsoleScript:
         assert proc.stdout.startswith("rpopt ")
 
     def test_module_invocation_matches(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "rpopt.cli", "bounds", "--setting", "nominal",
              "--eta", "0.1", "--gamma", "1.0", "--t", "1"],
             capture_output=True,
             text=True,
             timeout=120,
+            env=env,
         )
         assert proc.returncode == 0
         assert float(proc.stdout.strip()) == pytest.approx(11.243965681605893, rel=1e-14)

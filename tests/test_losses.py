@@ -57,6 +57,11 @@ class TestLossSpec:
         with pytest.raises(ValueError):
             LossSpec(kind="extreme")
 
+    def test_for_budget(self):
+        assert LossSpec.for_budget(0.0) == LossSpec.nominal()
+        assert LossSpec.for_budget(0.1, math.inf) == LossSpec.adversarial(0.1, math.inf)
+        assert LossSpec.for_budget(0.1) == LossSpec.adversarial(0.1, 2.0)
+
     def test_weight_norm_subgradient_zero_at_origin(self):
         spec = LossSpec.adversarial(0.2, p=2.0)
         np.testing.assert_array_equal(

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rpopt.data import Dataset, generate_separable
-from rpopt.errors import DataFormatError, DivergenceError
+from rpopt.data import Dataset, generate_separable, read_table
+from rpopt.errors import DivergenceError
 from rpopt.losses import LossSpec, adversarial_logistic_loss, logistic_loss
 from rpopt.optimizer import (
     OptimizerConfig,
@@ -12,7 +12,6 @@ from rpopt.optimizer import (
     clip_rows,
     expected_norm_bound,
     noise_calibration,
-    read_trace_csv,
     train,
     validate_config,
 )
@@ -235,26 +234,10 @@ class TestTraceCsv:
         trace = train(small_binary, OptimizerConfig(eta=0.4, steps=12, sigma=0.2, seed=5))
         path = str(tmp_path / "trace.csv")
         trace.to_csv(path)
-        back = read_trace_csv(path)
+        back = read_table(path)
+        assert tuple(back) == TrainTrace.COLUMNS
         for name in TrainTrace.COLUMNS:
             np.testing.assert_array_equal(back[name], np.asarray(getattr(trace, name), dtype=float))
-
-    def test_header_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="header"):
-            read_trace_csv(str(path))
-
-    @pytest.mark.parametrize(
-        "body, problem",
-        [("0,1,2,3\n", "expected 5 fields"), ("0,1,2,x,4\n", "non-numeric")],
-    )
-    def test_bad_row_names_file_and_line(self, tmp_path, body, problem):
-        path = tmp_path / "trace.csv"
-        header = ",".join(TrainTrace.COLUMNS)
-        path.write_text(f"{header}\n0,1,2,3,4\n{body}", encoding="utf-8")
-        with pytest.raises(DataFormatError, match=f"trace.csv:3: {problem}"):
-            read_trace_csv(str(path))
 
 
 class TestValidateConfig:

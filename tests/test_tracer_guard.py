@@ -63,3 +63,17 @@ def test_traced_sweep_reaches_every_numeric_layer(tracer_module):
     assert calls["losses.multiclass_gradient"] == 0
     assert tracer.counters["attacks.pgd_evals"] > 0
     assert tracer.counters["curvature.power_iteration.iterations"] > 0
+
+
+def test_traced_sweep_kind_is_seen_through_the_experiment(tracer_module, tmp_path):
+    import rpopt.cli  # noqa: F401  (the tracer needs every target module imported)
+    from rpopt import experiments
+
+    params = {"n": "40", "steps": "2", "c_grid": "0", "k_grid": "1", "curvature_iters": "5"}
+    config = experiments.ExperimentConfig("fig8-sweep", str(tmp_path / "fig8"), (0,), params)
+    with tracer_module.Tracer() as tracer:
+        experiments.run_experiment(config)
+    calls = {name: row["calls"] for name, row in tracer.summary().items()}
+    assert calls["experiments.run_experiment"] == 1
+    assert calls["curvature.sweep"] == 1
+    assert tracer.counters["curvature.cells"] == 1
