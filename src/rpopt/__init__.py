@@ -9,7 +9,6 @@ from .attacks import (
     PGDWorkspace,
     attack_dataset,
     exact_linear_robust_accuracy,
-    improvement_curve,
     pgd,
     pgd_batch,
     robust_accuracy,
@@ -30,6 +29,7 @@ from .bounds import (
     evaluate_series,
     excess_risk_bound,
     gap_curve,
+    regime_violations,
     sensitivity_bound,
 )
 from .curvature import (

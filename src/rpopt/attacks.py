@@ -255,6 +255,7 @@ def attack_dataset(model, dataset: Dataset, attack: AttackConfig) -> np.ndarray:
 
 
 def _correct(theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Whether the linear model theta classifies each row of x as its label."""
     if theta.ndim == 1:
         return y * (x @ theta) > 0
     return np.argmax(x @ theta.T, axis=1) == y
@@ -282,27 +283,3 @@ def exact_linear_robust_accuracy(model, dataset: Dataset, budget: float, p: floa
     shift = budget * spec.weight_norm(theta) if budget > 0 else 0.0
     margins = dataset.labels * (dataset.features @ theta) - shift
     return float(np.mean(margins > 0))
-
-
-def improvement_curve(
-    model_nominal,
-    model_robust,
-    dataset: Dataset,
-    budgets,
-    attack_template: AttackConfig,
-) -> list[tuple[float, float]]:
-    """Accuracy advantage of the robust model at each attack budget."""
-    rows = []
-    for budget in budgets:
-        attack = AttackConfig(
-            budget=float(budget),
-            p=attack_template.p,
-            steps=attack_template.steps,
-            step_size=attack_template.step_size,
-            restarts=attack_template.restarts,
-            seed=attack_template.seed,
-        )
-        acc_nominal = robust_accuracy(model_nominal, dataset, attack)
-        acc_robust = robust_accuracy(model_robust, dataset, attack)
-        rows.append((float(budget), acc_robust - acc_nominal))
-    return rows

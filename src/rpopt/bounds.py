@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import check_margin
 from .errors import InvalidRegimeError
 
 FORMS = ("appendix", "table")
@@ -49,8 +50,7 @@ class BoundInputs:
             raise ValueError("t must be an integer >= 1")
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError("eta must be positive and finite")
-        if not 0 < self.gamma <= 1:
-            raise ValueError("gamma must lie in (0, 1]")
+        check_margin(self.gamma)
         if not (math.isfinite(self.c) and self.c >= 0):
             raise ValueError("c must be finite and non-negative")
         if self.d < 0:
@@ -61,35 +61,45 @@ class BoundInputs:
             raise ValueError(f"form must be one of {FORMS}")
 
 
-def _require_nominal_regime(inputs: BoundInputs) -> None:
-    if not inputs.eta < 4.0:
-        raise InvalidRegimeError(f"eta < 4 violated (eta = {inputs.eta:g})")
-
-
 def curvature_budget(c: float, eta: float, gamma: float) -> float:
     """Smoothness constant s = (1+c)^2/4 + 2c/(eta gamma) of the worst-case loss
     along the descent trajectory."""
     return (1.0 + c) ** 2 / 4.0 + 2.0 * c / (eta * gamma)
 
 
-def _require_robust_regime(inputs: BoundInputs) -> float:
-    if not inputs.c < inputs.gamma / 2.0:
-        raise InvalidRegimeError(
-            f"c < gamma/2 violated (c = {inputs.c:g}, gamma = {inputs.gamma:g})"
-        )
-    s = curvature_budget(inputs.c, inputs.eta, inputs.gamma)
-    if not s * inputs.eta < 1.0:
-        raise InvalidRegimeError(
-            f"s * eta < 1 violated (s = {s:g}, eta = {inputs.eta:g}); "
-            "requires eta < 4(gamma - 2c)/(gamma (1+c)^2)"
-        )
-    return s
+def regime_violations(eta: float, gamma: float | None = None, c: float = 0.0) -> list[str]:
+    """The conditions of the analysed regime that the arguments violate:
+    eta < 4 for every rate and, given a margin gamma, the worst-case rates'
+    c < gamma/2 and s * eta < 1, i.e. eta < 4(gamma - 2c)/(gamma (1+c)^2)."""
+    violated = []
+    if not eta < 4.0:
+        violated.append(f"eta < 4 violated (eta = {eta:g})")
+    if gamma is None:
+        return violated
+    if not c < gamma / 2.0:
+        violated.append(f"c < gamma/2 violated (c = {c:g}, gamma = {gamma:g})")
+    else:
+        s = curvature_budget(c, eta, gamma)
+        if not s * eta < 1.0:
+            violated.append(
+                f"s * eta < 1 violated (s = {s:g}, eta = {eta:g}); "
+                "requires eta < 4(gamma - 2c)/(gamma (1+c)^2)"
+            )
+    return violated
+
+
+def _require_regime(inputs: BoundInputs, robust: bool = False) -> None:
+    """Raise InvalidRegimeError on the first violated condition of the
+    plain (or, when ``robust``, the worst-case) rates."""
+    violated = regime_violations(inputs.eta, inputs.gamma if robust else None, inputs.c)
+    if violated:
+        raise InvalidRegimeError(violated[0])
 
 
 def bound_nominal(inputs: BoundInputs) -> float:
     """Plain-descent rate: (8-eta)/(8 t eta) (1 + (log t / gamma)^2)
     + (8-eta)/4 * log((t+1)/t)."""
-    _require_nominal_regime(inputs)
+    _require_regime(inputs)
     t, eta, gamma = inputs.t, inputs.eta, inputs.gamma
     lead = (8.0 - eta) / (8.0 * t * eta)
     bracket = 1.0 + (math.log(t) / gamma) ** 2
@@ -100,7 +110,7 @@ def bound_nominal(inputs: BoundInputs) -> float:
 def bound_private(inputs: BoundInputs) -> float:
     """Noisy-descent rate: the plain bracket gains d sigma^2 and the rate
     gains the noise floor eta d sigma^2."""
-    _require_nominal_regime(inputs)
+    _require_regime(inputs)
     t, eta, gamma = inputs.t, inputs.eta, inputs.gamma
     noise_energy = inputs.d * inputs.sigma**2
     lead = (8.0 - eta) / (8.0 * t * eta)
@@ -123,9 +133,9 @@ def _robust_coefficients(inputs: BoundInputs, s: float) -> tuple[float, float]:
 
 def bound_robust(inputs: BoundInputs) -> float:
     """Worst-case-loss descent rate with budget c (no noise)."""
-    _require_nominal_regime(inputs)
-    s = _require_robust_regime(inputs)
+    _require_regime(inputs, robust=True)
     t, gamma, c = inputs.t, inputs.gamma, inputs.c
+    s = curvature_budget(c, inputs.eta, gamma)
     lead, tail = _robust_coefficients(inputs, s)
     bracket = (math.log(t) / (gamma - c)) ** 2 + (1.0 + c) ** 2
     return lead * bracket + tail * math.log1p(1.0 / t)
@@ -134,9 +144,9 @@ def bound_robust(inputs: BoundInputs) -> float:
 def bound_robust_private(inputs: BoundInputs) -> float:
     """Worst-case-loss noisy-descent rate: bracket gains d sigma^2, rate
     gains the noise floor eta d sigma^2."""
-    _require_nominal_regime(inputs)
-    s = _require_robust_regime(inputs)
+    _require_regime(inputs, robust=True)
     t, eta, gamma, c = inputs.t, inputs.eta, inputs.gamma, inputs.c
+    s = curvature_budget(c, eta, gamma)
     noise_energy = inputs.d * inputs.sigma**2
     lead, tail = _robust_coefficients(inputs, s)
     bracket = ((1.0 + c) ** 2 + noise_energy) + (math.log(t) / (gamma - c)) ** 2

@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--data", help="dataset CSV")
     tr.add_argument("--images", help="IDX image file (with --labels)")
     tr.add_argument("--labels", help="IDX label file")
-    tr.add_argument("--limit", type=int, default=None)
+    tr.add_argument("--limit", type=non_negative_int, default=0, help="0: every example")
     tr.add_argument("--out", required=True)
     tr.set_defaults(func=_cmd_train)
 

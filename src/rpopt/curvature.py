@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from . import losses as losses_mod
-from .attacks import AttackConfig, pgd_batch
+from .attacks import AttackConfig, _correct, pgd_batch
 from .bounds import accountant_sigma
 from .data import Dataset, split
 from .errors import DivergenceError, SingularityError
@@ -229,11 +229,7 @@ def cell_seed(seed: int, row: int, col: int) -> int:
 
 
 def accuracy(model, dataset: Dataset) -> float:
-    theta = model_weights(model)
-    scores = dataset.features @ (theta.T if theta.ndim == 2 else theta)
-    if theta.ndim == 2:
-        return float(np.mean(np.argmax(scores, axis=1) == dataset.labels))
-    return float(np.mean(scores * dataset.labels > 0))
+    return float(np.mean(_correct(model_weights(model), dataset.features, dataset.labels)))
 
 
 @dataclass(frozen=True)
@@ -262,7 +258,6 @@ def _evaluate_row(ctx: _SweepContext, job) -> list[SweepCell]:
             spec=spec,
             clip_k=clip_k,
             sigma=sigma,
-            noise_mode="dpsgd",
             seed=cell_seed(ctx.base_config.seed, row, col),
         )
         for col, _, clip_k, sigma in cells

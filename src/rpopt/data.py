@@ -129,6 +129,14 @@ def _balanced_labels(rng: np.random.Generator, n: int) -> np.ndarray:
     return labels[rng.permutation(n)].astype(np.int64)
 
 
+def check_margin(gamma: float) -> float:
+    """Return the margin gamma if it lies in (0, 1]: no unit-ball point
+    attains a larger one."""
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+    return gamma
+
+
 def generate_separable(d: int, n: int, gamma: float, seed: int) -> Dataset:
     """Sample n unit-ball points linearly separable with margin gamma.
 
@@ -141,8 +149,7 @@ def generate_separable(d: int, n: int, gamma: float, seed: int) -> Dataset:
         raise ValueError("d must be >= 1")
     if n < 2:
         raise ValueError("n must be >= 2")
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must lie in (0, 1]; no unit-ball point attains a larger margin")
+    check_margin(gamma)
     rng = np.random.default_rng(seed)
     u = _unit_vector(rng, d)
     labels = _balanced_labels(rng, n)
@@ -371,17 +378,17 @@ def _read_idx_header(handle, path, expected_magic, expected_dims):
     return values[1:]
 
 
-def load_idx(images_path: str, labels_path: str, limit: int | None = None) -> Dataset:
+def load_idx(images_path: str, labels_path: str, limit: int = 0) -> Dataset:
     """Load an IDX image/label pair (big-endian, magic 0x803 / 0x801).
 
     Pixels are scaled to [0, 1]; any flattened image with norm above 1 is
-    divided by its own norm.  ``limit`` keeps at most that many examples.
-    IDX labels are class indices, so the dataset is multi-class whatever
-    labels the kept examples carry, with the class count of the whole label
-    file.
+    divided by its own norm.  ``limit`` keeps at most that many examples,
+    and 0 keeps every one.  IDX labels are class indices, so the dataset is
+    multi-class whatever labels the kept examples carry, with the class
+    count of the whole label file.
     """
-    if limit is not None and limit <= 0:
-        raise DataFormatError("limit must be a positive number of examples")
+    if limit < 0:
+        raise DataFormatError("limit must be >= 0 (0: every example)")
     with open(images_path, "rb") as handle:
         n, rows, cols = _read_idx_header(handle, images_path, _IDX_IMAGES_MAGIC, 3)
         pixel_data = handle.read(n * rows * cols)
@@ -396,7 +403,7 @@ def load_idx(images_path: str, labels_path: str, limit: int | None = None) -> Da
         raise DataFormatError(
             f"image count {n} ({images_path}) != label count {n_labels} ({labels_path})"
         )
-    keep = n if limit is None else min(limit, n)
+    keep = min(limit, n) if limit else n
     images = np.frombuffer(pixel_data, dtype=np.uint8).reshape(n, rows * cols)
     features = images[:keep].astype(np.float64) / 255.0
     norms = np.linalg.norm(features, axis=1)

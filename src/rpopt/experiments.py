@@ -39,7 +39,7 @@ from ._version import __version__
 from .attacks import AttackConfig, exact_linear_robust_accuracy, robust_accuracy
 from .bounds import BoundInputs, log_spaced_steps
 from .curvature import clipping_smoothness_curve, privacy_smoothness_curve
-from .data import Dataset, generate_separable, load_csv, load_idx, split, write_table
+from .data import Dataset, check_margin, generate_separable, load_csv, load_idx, split, write_table
 from .errors import DivergenceError, ExperimentError, InvalidRegimeError
 from .losses import LossSpec, adversarial_logistic_loss, gradient
 from .optimizer import OptimizerConfig, train, train_stack, validate_config
@@ -288,6 +288,7 @@ _PARAMS_PARSERS = {
     "c": _finite_non_negative,
     "c_train": _finite_non_negative,
     "sigma": _finite_non_negative,
+    "gamma": lambda value: check_margin(float(value)),
 }
 
 # [train] of `rpopt train`: the OptimizerConfig fields, with c and p for its loss
@@ -298,7 +299,6 @@ _TRAIN = {
     "p": 2.0,
     "clip_k": math.inf,
     "sigma": 0.0,
-    "noise_mode": "theory",
     "first_step_eta": None,
     "batch": 0,
     "seed": 0,
@@ -372,13 +372,19 @@ def load_train_config(path) -> OptimizerConfig:
     values = read_section("train", read_ini(path, ("train",))["train"], _TRAIN, _TRAIN_PARSERS)
     c, p = values.pop("c"), values.pop("p")
     values["spec"] = LossSpec.for_budget(c, p)
-    values["batch"] = values["batch"] or None
     return parse_named("[train]", lambda fields: OptimizerConfig(**fields), values)
 
 
 def resolve_params(config: ExperimentConfig) -> dict:
     """The kind's defaults overlaid with the config's [params], typed."""
-    return read_section("params", config.params, _DEFAULTS[config.kind], _PARAMS_PARSERS)
+    params = read_section("params", config.params, _DEFAULTS[config.kind], _PARAMS_PARSERS)
+    if params.get("first_step_eta") is not None:  # > 2 * eta, as OptimizerConfig checks
+        parse_named(
+            "[params] first_step_eta",
+            lambda first: OptimizerConfig(eta=params["eta"], steps=1, first_step_eta=first),
+            params["first_step_eta"],
+        )
+    return params
 
 
 # a failure in these stages is a fault of the run's inputs (a data file or a
@@ -499,7 +505,6 @@ def _run_fig1(config, params, stage):
             steps=steps,
             spec=LossSpec.for_budget(spec_c),
             sigma=noise,
-            noise_mode="theory",
             first_step_eta=first,
             seed=config.seeds[0],
         )
@@ -603,7 +608,7 @@ def _run_fig3(config, params, stage):
 
 def _sweep_dataset(params) -> Dataset:
     if params["images"]:
-        return load_idx(params["images"], params["labels"], limit=params["limit"] or None)
+        return load_idx(params["images"], params["labels"], limit=params["limit"])
     if params["data_csv"]:
         return load_csv(params["data_csv"])
     return generate_separable(
@@ -615,7 +620,7 @@ def _sweep_base_config(config, params) -> OptimizerConfig:
     return OptimizerConfig(
         eta=params["eta"],
         steps=params["steps"],
-        batch=params["batch"] or None,
+        batch=params["batch"],
         attack_steps=params["attack_steps"],
         seed=config.seeds[0],
     )
@@ -627,7 +632,7 @@ def _run_sweep_kind(mode, config, params, stage):
     dataset = _sweep_dataset(params)
     train_ds, test_ds = split(dataset, params["test_fraction"], seed=config.seeds[0])
     base = _sweep_base_config(config, params)
-    if base.batch is not None and base.batch > train_ds.n:
+    if base.batch > train_ds.n:
         raise ValueError(
             f"batch {base.batch} exceeds the {train_ds.n} examples of the training part"
         )

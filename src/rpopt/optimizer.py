@@ -1,23 +1,24 @@
 """Gradient descent with optional worst-case losses, clipping, and noise.
 
-Two noise regimes are supported.  In ``theory`` mode Gaussian noise with
-per-coordinate std sigma is added to the mean batch gradient and clipping is
-not applied (the analysed setting: the logistic losses here are already
-1-Lipschitz).  In ``dpsgd`` mode every per-example gradient is clipped to
-norm k and the clipped gradients are averaged; noise with std sigma * k / n
-is added to that mean (std sigma * k on the sum, for batch size n).  A
-linear model's per-example gradient is rank one, so its norm and the
-clipped mean come from products of the inputs with the residuals (softmax)
-or with the dual-norm subgradient (binary); see
+Whether ``clip_k`` is finite decides the noise regime.  With clip_k = inf
+(the analysed setting: the logistic losses here are already 1-Lipschitz)
+Gaussian noise with per-coordinate std sigma is added to the mean batch
+gradient.  With a finite clip_k (DP-SGD) every per-example gradient is
+clipped to norm k and the clipped gradients are averaged; noise with std
+sigma * k / n is added to that mean (std sigma * k on the sum, for batch
+size n).  A linear model's per-example gradient is rank one, so its norm
+and the clipped mean come from products of the inputs with the residuals
+(softmax) or with the dual-norm subgradient (binary); see
 :func:`rpopt.losses.step_terms`.  No per-example gradient, and for the
 binary loss no per-example residual, is built.
 
 Independent runs on one dataset that differ only in clip_k, sigma and seed
-(a sweep row, the seeds of a curve) train as one stack: :func:`train_stack`
-keeps their iterates as one (K, d) or (K, C, d) array and takes each step
-with one call of :func:`rpopt.losses.step_terms_stack`.  Each cell keeps
-its own random streams and divergence, and its numbers are bit-identical
-to training it alone; :func:`train` is the one-cell case.
+(a sweep row, the seeds of a curve, cells of either regime) train as one
+stack: :func:`train_stack` keeps their iterates as one (K, d) or (K, C, d)
+array and takes each step with one call of
+:func:`rpopt.losses.step_terms_stack`.  Each cell keeps its own random
+streams and divergence, and its numbers are bit-identical to training it
+alone; :func:`train` is the one-cell case.
 
 Multi-class worst-case training attacks every live cell of a step with
 PGD, and those attacks run concurrently on lanes.  A lane is one thread
@@ -47,23 +48,24 @@ import numpy as np
 
 from . import losses as losses_mod
 from .attacks import AttackConfig, PGDWorkspace, pgd_batch
+from .bounds import regime_violations
 from .data import Dataset, write_table
 from .errors import DivergenceError
 from .losses import LossSpec, ModelParams
-
-NOISE_MODES = ("theory", "dpsgd")
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Training hyperparameters.
 
-    ``first_step_eta`` is the optional larger first-step rate; when left as
-    None it defaults to eta for nominal training and 4 * eta for worst-case
-    training (the two-phase rule, which keeps the iterate norm away from the
-    origin where the worst-case loss is non-smooth).  ``attack_steps`` only
-    matters for multi-class worst-case training, whose loss is defined
-    through the projected-gradient attack.
+    A finite ``clip_k`` clips every per-example gradient to that norm and
+    scales the noise with it (see :func:`noise_calibration`); ``batch = 0``
+    means full batch.  ``first_step_eta`` is the optional larger first-step
+    rate; when left as None it defaults to eta for nominal training and
+    4 * eta for worst-case training (the two-phase rule, which keeps the
+    iterate norm away from the origin where the worst-case loss is
+    non-smooth).  ``attack_steps`` only matters for multi-class worst-case
+    training, whose loss is defined through the projected-gradient attack.
     """
 
     eta: float
@@ -71,9 +73,8 @@ class OptimizerConfig:
     spec: LossSpec = LossSpec.nominal()
     clip_k: float = math.inf
     sigma: float = 0.0
-    noise_mode: str = "theory"
     first_step_eta: float | None = None
-    batch: int | None = None  # None -> full batch
+    batch: int = 0
     seed: int = 0
     attack_steps: int = 10
 
@@ -86,12 +87,10 @@ class OptimizerConfig:
             raise ValueError("clip_k must be positive (inf disables clipping)")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be finite and non-negative")
-        if self.noise_mode not in NOISE_MODES:
-            raise ValueError(f"noise_mode must be one of {NOISE_MODES}")
         if self.first_step_eta is not None and not self.first_step_eta / 2 > self.eta:
             raise ValueError("first_step_eta must exceed 2 * eta")
-        if self.batch is not None and self.batch < 1:
-            raise ValueError("batch must be >= 1")
+        if self.batch < 0:
+            raise ValueError("batch must be >= 0 (0: full batch)")
         if self.attack_steps < 1:
             raise ValueError("attack_steps must be >= 1")
 
@@ -130,38 +129,20 @@ class TrainTrace:
 
 
 def validate_config(config: OptimizerConfig, gamma: float | None = None) -> list[str]:
-    """Advisory warnings about regimes where the convergence rates fail."""
-    warnings = []
-    if config.eta >= 4.0:
-        warnings.append("eta >= 4 breaks the plain-descent rate (requires eta < 4)")
+    """Advisory warnings: the conditions of the analysed regime, from
+    :func:`rpopt.bounds.regime_violations`, that the config violates.  The
+    worst-case conditions apply to a budget c > 0 on data of margin gamma."""
     c = config.spec.c
-    if c > 0 and gamma is not None:
-        if c >= gamma / 2:
-            warnings.append(
-                f"budget c={c:g} >= gamma/2={gamma / 2:g}: outside the analysed robust regime"
-            )
-        else:
-            threshold = 4.0 * (gamma - 2.0 * c) / (gamma * (1.0 + c) ** 2)
-            if config.eta >= threshold:
-                warnings.append(
-                    f"eta={config.eta:g} >= {threshold:g} breaks the worst-case rate "
-                    "(requires eta < 4(gamma - 2c)/(gamma (1+c)^2))"
-                )
-    if config.noise_mode == "dpsgd" and math.isinf(config.clip_k):
-        warnings.append("dpsgd mode needs a finite clip_k to calibrate noise")
-    if config.noise_mode == "theory" and math.isfinite(config.clip_k):
-        warnings.append("clip_k is ignored in theory mode")
-    return warnings
+    return regime_violations(config.eta, gamma if c > 0 else None, c)
 
 
 def noise_calibration(config: OptimizerConfig, n: int) -> float:
-    """Effective per-coordinate noise std on the mean gradient for n examples."""
+    """Effective per-coordinate noise std on the mean gradient of n
+    examples: sigma, or sigma * clip_k / n when clip_k is finite."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if config.noise_mode == "theory":
-        return config.sigma
     if math.isinf(config.clip_k):
-        raise ValueError("dpsgd mode requires a finite clip_k")
+        return config.sigma
     return config.sigma * config.clip_k / n
 
 
@@ -210,10 +191,11 @@ STACKED_FIELDS = ("clip_k", "sigma", "seed")
 def train_stack(dataset: Dataset, configs) -> list:
     """Train one independent cell per config, as one stacked program.
 
-    The configs may differ only in ``clip_k``, ``sigma`` and ``seed``.  The
-    iterates are stacked as (K, d) or (K, C, d) and every step is one call
-    of :func:`rpopt.losses.step_terms_stack`; each cell keeps its own
-    Generator (batch choice and noise) and its own PGD seeds.  Entry i of
+    The configs may differ only in ``clip_k``, ``sigma`` and ``seed``, so
+    one stack may mix clipped and unclipped cells.  The iterates are
+    stacked as (K, d) or (K, C, d) and every step is one call of
+    :func:`rpopt.losses.step_terms_stack`; each cell keeps its own Generator
+    (batch choice and noise) and its own PGD seeds.  Entry i of
     the result is what ``train(dataset, configs[i])`` returns, bit for bit,
     or the DivergenceError it raises: a cell that diverges stops updating
     and never changes another cell's numbers.
@@ -249,15 +231,13 @@ def train_stack(dataset: Dataset, configs) -> list:
         y_all = dataset.labels.astype(np.float64)
         shape = (dataset.dim,)
     n_all = dataset.n
-    if batch is not None and batch > n_all:
+    if batch > n_all:
         raise ValueError("batch size exceeds dataset size")
     noise_std = [
         noise_calibration(config, batch or n_all) if config.sigma > 0 else 0.0
         for config in configs
     ]
-    clip_k = np.array(
-        [config.clip_k if config.noise_mode == "dpsgd" else math.inf for config in configs]
-    )
+    clip_k = np.array([config.clip_k for config in configs])
     rngs = [np.random.default_rng(config.seed) for config in configs]
     # per cell and iterate: nominal loss, worst-case loss, ||theta||, ||grad||
     rows = np.zeros((len(configs), steps + 1, 4))
@@ -322,7 +302,7 @@ def train_stack(dataset: Dataset, configs) -> list:
         for t in range(steps + 1):
             if not len(live):
                 break
-            if batch is None or t == steps:  # the final row is on the full set
+            if batch == 0 or t == steps:  # the final row is on the full set
                 xb, yb = x_all, y_all
             else:
                 idx = np.array([rngs[k].choice(n_all, size=batch, replace=False) for k in live])

@@ -7,13 +7,12 @@ from rpopt.attacks import (
     AttackConfig,
     attack_dataset,
     exact_linear_robust_accuracy,
-    improvement_curve,
     pgd,
     pgd_batch,
     robust_accuracy,
 )
 from rpopt.data import Dataset, generate_separable
-from rpopt.losses import LossSpec, ModelParams, adversarial_logistic_loss, logistic_loss
+from rpopt.losses import LossSpec, adversarial_logistic_loss, logistic_loss
 from rpopt.optimizer import OptimizerConfig, train
 
 
@@ -179,10 +178,3 @@ class TestAccuracies:
         deltas = attack_dataset(np.array([1.0, -0.5]), ds, AttackConfig(budget=0.3, steps=5))
         adv = ds.features + deltas
         assert adv.min() >= -1e-12
-
-    def test_improvement_curve_shape(self, trained):
-        ds, model = trained
-        robust_model = ModelParams(0.5 * model.weights)
-        rows = improvement_curve(model, robust_model, ds, [0.0, 0.1], AttackConfig(budget=1.0, steps=10))
-        assert [r[0] for r in rows] == [0.0, 0.1]
-        assert all(-1.0 <= r[1] <= 1.0 for r in rows)

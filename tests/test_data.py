@@ -296,8 +296,9 @@ class TestIdxRoundTrip:
         ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
         write_idx(images, np.arange(5), ip, lp)
         assert load_idx(ip, lp, limit=3).n == 3
+        assert load_idx(ip, lp, limit=0).n == load_idx(ip, lp).n == 5
         with pytest.raises(DataFormatError, match="limit"):
-            load_idx(ip, lp, limit=0)
+            load_idx(ip, lp, limit=-1)
 
     def test_limited_subset_stays_multiclass(self, tmp_path):
         images = np.zeros((5, 2, 2), dtype=np.uint8)
@@ -306,8 +307,6 @@ class TestIdxRoundTrip:
         subset = load_idx(ip, lp, limit=3)
         assert set(subset.labels) == {1}
         assert not subset.is_binary and subset.num_classes == 3
-        with pytest.raises(DataFormatError, match="limit"):
-            load_idx(ip, lp, limit=0)
 
     def test_write_rejects_out_of_range(self, tmp_path):
         ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")

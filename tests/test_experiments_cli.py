@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rpopt.cli import load_train_config, main
-from rpopt.data import load_csv
+from rpopt.data import load_csv, write_idx
 from rpopt import experiments
 from rpopt.errors import DataFormatError, ExperimentError
 from rpopt.experiments import (
@@ -582,6 +582,25 @@ class TestCliInProcess:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_train_limit_zero_reads_every_example(self, run_cli, tmp_path):
+        rng = np.random.default_rng(3)
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx(rng.uniform(size=(12, 3, 3)), np.arange(12) % 3, images, labels)
+        ini = tmp_path / "train.ini"
+        ini.write_text("[train]\neta = 0.5\nsteps = 4\n", encoding="utf-8")
+        outputs = {}
+        for limit in ("0", "12", "5", None):
+            out = tmp_path / f"trace-{limit}.csv"
+            flags = () if limit is None else ("--limit", limit)
+            code, _, err = run_cli("train", "--config", ini, "--images", images,
+                                   "--labels", labels, *flags, "--out", out)
+            assert code == 0, err
+            outputs[limit] = out.read_bytes()
+        assert outputs["0"] == outputs["12"] == outputs[None] != outputs["5"]
+        code, _, err = run_cli("train", "--config", ini, "--images", images,
+                               "--labels", labels, "--limit", "-1", "--out", tmp_path / "t")
+        assert code == 1 and "--limit" in err
+
     def test_train_rejects_a_negative_batch(self, run_cli, tmp_path):
         data = str(tmp_path / "data.csv")
         run_cli("gen-data", "--d", 4, "--n", 40, "--out", data)
@@ -914,6 +933,11 @@ _RANGE_FAULTS = [
     ("fig8-sweep", "test_fraction", "1"),
     ("fig8-sweep", "curvature_tol", "0"),
     ("attack-eval", "data_seed", "-1"),
+    ("fig2-gap", "gamma", "1.5"),
+    ("bounds-only", "gamma", "2"),
+    ("fig1-convergence", "gamma", "0"),
+    ("fig3-robust-compare", "first_step_eta", "0.1"),
+    ("fig1-convergence", "first_step_eta", "0.2"),
 ]
 
 
@@ -1001,6 +1025,8 @@ class TestConfigReader:
             ("gen-data", ("--d", "4", "--n", "10", "--seed", "-1", "--out", "{out}"), None,
              "--seed"),
             ("train", "[train]\nsteps = 5\nc = -0.5\n", None, "[train] c"),
+            ("train", "[train]\nsteps = 5\nnoise_mode = dpsgd\n", None,
+             "[train]: unknown parameters ['noise_mode']"),
             ("experiment", _FIG3 + _FIG3_PARAMS + "eta = -1\n", None, "[params] eta"),
             ("experiment", _FIG3.replace("fig3-robust-compare", "fig1-convergence")
              + _FIG3_PARAMS + "c = -0.1\n", None, "[params] c"),
@@ -1018,8 +1044,8 @@ class TestConfigReader:
             "experiment-unknown-key", "experiment-stray-section", "experiment-negative-seeds",
             "experiment-negative-env-seed", "experiment-non-integer-env-seed",
             "experiment-regime-violation", "attack-eval-negative-seeds", "gen-data-negative-seed",
-            "train-negative-c", "params-negative-eta", "params-negative-c",
-            "params-negative-c_train",
+            "train-negative-c", "train-noise_mode-is-unknown", "params-negative-eta",
+            "params-negative-c", "params-negative-c_train",
         ]
         + [f"params-{key}-{value}" for _, key, value in _RANGE_FAULTS],
     )

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from rpopt.bounds import BOUND_FUNCTIONS, BoundInputs
 from rpopt.data import Dataset, generate_separable, read_table
-from rpopt.errors import DivergenceError
-from rpopt.losses import LossSpec, adversarial_logistic_loss, logistic_loss
+from rpopt.errors import DivergenceError, InvalidRegimeError
+from rpopt.losses import LossSpec, adversarial_logistic_loss, gradient, logistic_loss
 from rpopt.optimizer import (
     OptimizerConfig,
     TrainTrace,
@@ -27,8 +28,7 @@ class TestOptimizerConfig:
             dict(eta=0.1, steps=10, clip_k=0.0),
             dict(eta=0.1, steps=10, sigma=-1.0),
             dict(eta=0.1, steps=10, sigma=math.inf),
-            dict(eta=0.1, steps=10, noise_mode="gauss"),
-            dict(eta=0.1, steps=10, batch=0),
+            dict(eta=0.1, steps=10, batch=-1),
             dict(eta=0.1, steps=10, attack_steps=0),
         ],
     )
@@ -108,7 +108,7 @@ class TestTraceContract:
 class TestDeterminismAndDescent:
     def test_bitwise_deterministic_with_noise(self, small_binary):
         cfg = OptimizerConfig(
-            eta=0.3, steps=30, sigma=0.5, batch=16, clip_k=1.0, noise_mode="dpsgd", seed=99
+            eta=0.3, steps=30, sigma=0.5, batch=16, clip_k=1.0, seed=99
         )
         a = train(small_binary, cfg)
         b = train(small_binary, cfg)
@@ -153,25 +153,18 @@ class TestClippingAndNoise:
 
     def test_first_step_respects_clip(self, small_binary):
         k = 0.05
-        cfg = OptimizerConfig(eta=1.0, steps=1, clip_k=k, noise_mode="dpsgd")
+        cfg = OptimizerConfig(eta=1.0, steps=1, clip_k=k)
         trace = train(small_binary, cfg)
         assert trace.theta_norm[1] <= 1.0 * k + 1e-12
 
     def test_noise_calibration(self):
-        theory = OptimizerConfig(eta=0.1, steps=1, sigma=3.0)
-        assert noise_calibration(theory, 50) == 3.0
-        dp = OptimizerConfig(eta=0.1, steps=1, sigma=3.0, clip_k=2.0, noise_mode="dpsgd")
-        assert noise_calibration(dp, 50) == pytest.approx(3.0 * 2.0 / 50)
-        bad = OptimizerConfig(eta=0.1, steps=1, sigma=3.0, noise_mode="dpsgd")
-        with pytest.raises(ValueError, match="clip_k"):
-            noise_calibration(bad, 50)
+        # clip_k decides the regime: sigma unclipped, sigma * k / n clipped
+        unclipped = OptimizerConfig(eta=0.1, steps=1, sigma=3.0)
+        assert noise_calibration(unclipped, 50) == 3.0
+        clipped = OptimizerConfig(eta=0.1, steps=1, sigma=3.0, clip_k=2.0)
+        assert noise_calibration(clipped, 50) == 3.0 * 2.0 / 50
         with pytest.raises(ValueError, match="n"):
-            noise_calibration(theory, 0)
-
-    def test_dpsgd_noise_needs_finite_clip(self, small_binary):
-        cfg = OptimizerConfig(eta=0.1, steps=2, sigma=1.0, noise_mode="dpsgd")
-        with pytest.raises(ValueError, match="clip_k"):
-            train(small_binary, cfg)
+            noise_calibration(unclipped, 0)
 
     def test_divergence_error_reports_step(self, small_binary):
         cfg = OptimizerConfig(eta=2.0, steps=5, sigma=1e308, seed=0)
@@ -207,6 +200,17 @@ class TestBatchingAndMulticlass:
     def test_batch_must_fit(self, small_binary):
         with pytest.raises(ValueError, match="batch"):
             train(small_binary, OptimizerConfig(eta=0.1, steps=1, batch=small_binary.n + 1))
+
+    def test_batch_zero_trains_on_the_whole_set(self, small_binary):
+        eta, steps = 0.5, 6
+        trace = train(small_binary, OptimizerConfig(eta=eta, steps=steps, batch=0))
+        x, y = small_binary.features, small_binary.labels.astype(np.float64)
+        theta = np.zeros(small_binary.dim)
+        for t in range(steps):
+            grad = gradient(theta, x, y, LossSpec.nominal())
+            assert trace.grad_norm[t] == pytest.approx(np.linalg.norm(grad), rel=1e-12)
+            theta = theta - eta * grad
+        np.testing.assert_allclose(trace.final_params.weights, theta, rtol=1e-12)
 
     def test_minibatch_differs_from_full_batch(self, small_binary):
         full = train(small_binary, OptimizerConfig(eta=0.5, steps=20, seed=0))
@@ -257,10 +261,18 @@ class TestValidateConfig:
     def test_flags_eta_above_robust_threshold(self):
         cfg = OptimizerConfig(eta=3.9, steps=1, spec=LossSpec.adversarial(0.1, 2.0))
         warnings = validate_config(cfg, gamma=1.0)
-        assert any("worst-case rate" in w for w in warnings)
+        assert any("s * eta < 1" in w for w in warnings)
 
-    def test_flags_noise_mode_clip_mismatches(self):
-        dp = OptimizerConfig(eta=0.1, steps=1, noise_mode="dpsgd")
-        assert any("clip_k" in w for w in validate_config(dp))
-        th = OptimizerConfig(eta=0.1, steps=1, clip_k=1.0)
-        assert any("ignored" in w for w in validate_config(th))
+    @pytest.mark.parametrize(
+        "eta, c, gamma", [(4.0, 0.0, 1.0), (0.01, 0.5, 1.0), (3.9, 0.1, 1.0), (0.1, 0.1, 1.0)]
+    )
+    def test_warns_exactly_where_the_bound_refuses(self, eta, c, gamma):
+        setting = "robust" if c > 0 else "nominal"
+        cfg = OptimizerConfig(eta=eta, steps=1, spec=LossSpec.adversarial(c, 2.0))
+        warnings = validate_config(cfg, gamma=gamma)
+        try:
+            BOUND_FUNCTIONS[setting](BoundInputs(t=1, eta=eta, gamma=gamma, c=c))
+        except InvalidRegimeError as exc:
+            assert warnings[0] == str(exc)
+        else:
+            assert warnings == []

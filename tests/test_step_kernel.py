@@ -223,7 +223,6 @@ def test_multiclass_dpsgd_training_builds_no_per_example_tensor(monkeypatch):
         spec=LossSpec.adversarial(0.05, math.inf),
         clip_k=k,
         sigma=0.5,
-        noise_mode="dpsgd",
         batch=24,
         seed=7,
         attack_steps=3,

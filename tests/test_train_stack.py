@@ -28,7 +28,6 @@ from rpopt.optimizer import (
     STACKED_FIELDS,
     OptimizerConfig,
     TrainTrace,
-    noise_calibration,
     train,
     train_stack,
 )
@@ -46,9 +45,11 @@ def _train_one(dataset, config):
     else:
         y_all = dataset.labels.astype(np.float64)
         theta = np.zeros(dataset.dim)
-    noise_std = noise_calibration(config, config.batch or dataset.n) if config.sigma > 0 else 0.0
+    # the noise std on the mean gradient: sigma unclipped, sigma * k / batch clipped
+    noise_std = config.sigma
+    if math.isfinite(config.clip_k):
+        noise_std = config.sigma * config.clip_k / (config.batch or dataset.n)
     rng = np.random.default_rng(config.seed)
-    clip_k = config.clip_k if config.noise_mode == "dpsgd" else math.inf
     rows = np.zeros((config.steps + 1, 5))
 
     def eval_at(xb, yb, t):
@@ -58,10 +59,10 @@ def _train_one(dataset, config):
                 budget=spec.c, p=spec.p, steps=config.attack_steps, seed=config.seed + 7919 * (t + 1)
             )
             x_adv = xb + pgd_batch(theta, xb, yb, attack, box=dataset.box)
-        return step_terms(theta, xb, yb, spec, clip_k, x_adv)
+        return step_terms(theta, xb, yb, spec, config.clip_k, x_adv)
 
     for t in range(config.steps + 1):
-        if config.batch is None or t == config.steps:
+        if config.batch == 0 or t == config.steps:
             xb, yb = x_all, y_all
         else:
             idx = rng.choice(dataset.n, size=config.batch, replace=False)
@@ -136,9 +137,9 @@ BINARY_SPECS = {
 
 class TestBinary:
     @pytest.mark.parametrize("spec", BINARY_SPECS.values(), ids=BINARY_SPECS.keys())
-    @pytest.mark.parametrize("batch", [None, 17], ids=["full", "minibatch"])
+    @pytest.mark.parametrize("batch", [0, 17], ids=["full", "minibatch"])
     def test_dpsgd_cells_match_one_cell_training(self, binary_data, spec, batch):
-        base = OptimizerConfig(eta=0.5, steps=15, spec=spec, noise_mode="dpsgd", batch=batch)
+        base = OptimizerConfig(eta=0.5, steps=15, spec=spec, batch=batch)
         # finite and infinite thresholds, with and without noise, in one stack
         configs = _cells(
             base,
@@ -152,6 +153,15 @@ class TestBinary:
         configs = [replace(base, sigma=0.25, seed=seed) for seed in range(4)]
         _check_stack(binary_data, configs + [replace(base, seed=9)])
 
+    @pytest.mark.parametrize("batch", [0, 17], ids=["full", "minibatch"])
+    def test_noisy_cells_of_both_regimes_mix(self, binary_data, batch):
+        # unclipped cells (noise std sigma) beside clipped ones (sigma * k / batch)
+        base = OptimizerConfig(eta=0.5, steps=15, spec=BINARY_SPECS["c>0,p=2"], batch=batch)
+        configs = _cells(
+            base, [(math.inf, 0.3, 1), (0.5, 0.7, 2), (math.inf, 0.1, 3), (2.0, 3.0, 4)]
+        )
+        _check_stack(binary_data, configs)
+
     def test_single_cell_stack_is_train(self, binary_data):
         config = OptimizerConfig(eta=0.2, steps=5, sigma=0.3, seed=11)
         _check_stack(binary_data, [config])
@@ -159,13 +169,19 @@ class TestBinary:
 
 class TestMulticlass:
     @pytest.mark.parametrize("c", [0.0, 0.05], ids=["clean", "attacked"])
-    @pytest.mark.parametrize("batch", [None, 24], ids=["full", "minibatch"])
+    @pytest.mark.parametrize("batch", [0, 24], ids=["full", "minibatch"])
     def test_cells_match_one_cell_training(self, box_data, c, batch):
         spec = LossSpec.adversarial(c, math.inf) if c > 0 else LossSpec.nominal()
-        base = OptimizerConfig(
-            eta=1.0, steps=8, spec=spec, noise_mode="dpsgd", batch=batch, attack_steps=3
-        )
+        base = OptimizerConfig(eta=1.0, steps=8, spec=spec, batch=batch, attack_steps=3)
         configs = _cells(base, [(0.05, 0.5, 7), (math.inf, 0.0, 8), (0.5, 0.0, 9)])
+        _check_stack(box_data, configs)
+
+    @pytest.mark.parametrize("batch", [0, 24], ids=["full", "minibatch"])
+    def test_noisy_cells_of_both_regimes_mix(self, box_data, batch):
+        base = OptimizerConfig(
+            eta=1.0, steps=8, spec=LossSpec.adversarial(0.05), batch=batch, attack_steps=3
+        )
+        configs = _cells(base, [(math.inf, 0.4, 7), (0.05, 0.5, 8), (math.inf, 0.1, 9)])
         _check_stack(box_data, configs)
 
 
@@ -188,11 +204,11 @@ class LaneFault(Exception):
 
 class TestAttackLanes:
     @pytest.mark.parametrize("p", [2.0, math.inf], ids=["l2", "linf"])
-    @pytest.mark.parametrize("batch", [None, 24], ids=["full", "minibatch"])
+    @pytest.mark.parametrize("batch", [0, 24], ids=["full", "minibatch"])
     def test_the_lane_count_changes_no_bit(self, box_data, monkeypatch, batch, p):
         base = OptimizerConfig(
-            eta=1.0, steps=10, spec=LossSpec.adversarial(0.05, p), noise_mode="dpsgd",
-            batch=batch, attack_steps=3,
+            eta=1.0, steps=10, spec=LossSpec.adversarial(0.05, p), batch=batch,
+            attack_steps=3,
         )
         # finite and infinite thresholds; a finite iterate so large that its
         # l2 attack overflows; three cells that overflow at different steps,
@@ -228,8 +244,7 @@ class TestAttackLanes:
         self, box_data, monkeypatch, failing_seed
     ):
         base = OptimizerConfig(
-            eta=1.0, steps=5, spec=LossSpec.adversarial(0.05), noise_mode="dpsgd",
-            attack_steps=3,
+            eta=1.0, steps=5, spec=LossSpec.adversarial(0.05), attack_steps=3,
         )
         configs = _cells(base, [(0.5, 0.0, 7), (0.5, 0.0, 8), (0.5, 0.0, 9)])
 
@@ -279,16 +294,20 @@ class TestAttackLanes:
 
 
 class TestDivergence:
-    @pytest.mark.parametrize("mode", ["theory", "dpsgd"])
-    @pytest.mark.parametrize("batch", [None, 17], ids=["full", "minibatch"])
-    def test_diverging_cells_leave_their_stack_mates_alone(self, binary_data, batch, mode):
-        base = OptimizerConfig(eta=0.5, steps=30, batch=batch, noise_mode=mode)
+    @pytest.mark.parametrize("clipped", [True, False], ids=["clipped", "unclipped"])
+    @pytest.mark.parametrize("batch", [0, 17], ids=["full", "minibatch"])
+    def test_diverging_cells_leave_their_stack_mates_alone(self, binary_data, batch, clipped):
+        base = OptimizerConfig(eta=0.5, steps=30, batch=batch)
         mates = [replace(base, clip_k=0.1, sigma=0.2, seed=1), replace(base, clip_k=2.0, seed=3)]
         # the first overflows at once, the second only after several steps
         diverging = [
             replace(base, clip_k=1e3, sigma=1e308, seed=2),
             replace(base, clip_k=15.0, sigma=1e307, seed=0),
         ]
+        if not clipped:
+            # the same cells unclipped: noise std sigma
+            mates = [replace(cell, clip_k=math.inf) for cell in mates]
+            diverging = [replace(cell, clip_k=math.inf) for cell in diverging]
         configs = [diverging[0], mates[0], diverging[1], mates[1]]
         with np.errstate(over="ignore", invalid="ignore"):
             solo_steps = []
@@ -320,7 +339,7 @@ class TestValidation:
         shared = {f.name for f in fields(OptimizerConfig)} - set(STACKED_FIELDS)
         assert set(STACKED_FIELDS) == {"clip_k", "sigma", "seed"}
         assert shared == {
-            "eta", "steps", "first_step_eta", "batch", "spec", "noise_mode", "attack_steps"
+            "eta", "steps", "first_step_eta", "batch", "spec", "attack_steps"
         }
 
     @pytest.mark.parametrize(
@@ -331,7 +350,6 @@ class TestValidation:
             {"first_step_eta": 1.0},
             {"batch": 10},
             {"spec": LossSpec.adversarial(0.05)},
-            {"noise_mode": "dpsgd"},
             {"attack_steps": 3},
         ],
         ids=lambda change: next(iter(change)),
