@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset
-from .losses import LossSpec, _clip_factors, _softmax_terms, _softplus, model_weights
+from .losses import LossSpec, _clip_factors, _softmax_terms, _softplus, model_weights, sigmoid
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ def _pointwise_objective(theta: np.ndarray, y: np.ndarray, grads: np.ndarray, ws
 
         def binary(x):
             z = -yf * (x @ theta)
-            np.multiply(expit(z)[:, None], y_theta, out=grads)
+            np.multiply(sigmoid(z)[:, None], y_theta, out=grads)
             return _softplus(z)
 
         return binary

@@ -85,7 +85,13 @@ def _cmd_train(args) -> int:
         config = replace(config, seed=args.env_seed)
     dataset = _load_dataset(args)
     gamma = dataset.margin if dataset.is_binary else None
-    for warning in validate_config(config, gamma=gamma):
+    warnings = validate_config(config, gamma=gamma)
+    if dataset.is_binary and gamma is None and config.spec.c > 0:
+        # only a generated dataset knows its margin; a CSV stores no separator
+        warnings.append(
+            f"c < gamma/2 and s * eta < 1 not checked: the CSV {args.data} carries no margin"
+        )
+    for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     trace = train(dataset, config)
     trace.to_csv(args.out)

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import SingularityError
 
@@ -115,6 +114,17 @@ def l2_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt((a[..., None, :] @ a[..., :, None])[..., 0, 0])
 
 
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function 1 / (1 + exp(-z)), elementwise.
+
+    exp(-z) overflows to inf for z below about -709.8 and underflows to 0
+    above about 745, which give the exact limits 0 and 1; neither warns nor
+    raises, whatever numpy error state the caller has set.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def _softplus(z: np.ndarray) -> np.ndarray:
     # log(1 + exp(z)) without overflow on either tail
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
@@ -164,7 +174,7 @@ def per_example_gradients(theta, x, y, spec: LossSpec) -> np.ndarray:
         r = _softmax_terms(x @ theta.T, y)[1]
         return r[:, :, None] * x[:, None, :]
     x, y = _as_batch(x, y)
-    sig = expit(_binary_margins(theta, x, y, spec))
+    sig = sigmoid(_binary_margins(theta, x, y, spec))
     r = -y[:, None] * x
     if spec.c > 0.0:
         r = r + spec.c * spec.weight_norm_subgradient(theta)[None, :]
@@ -178,7 +188,7 @@ def gradient(theta, x, y, spec: LossSpec) -> np.ndarray:
         _require_nominal(spec)
         return multiclass_gradient(theta, x, y)
     x, y = _as_batch(x, y)
-    sig = expit(_binary_margins(theta, x, y, spec))
+    sig = sigmoid(_binary_margins(theta, x, y, spec))
     return _binary_gradient(theta[None], x, y, spec, sig[None])[0]
 
 
@@ -289,7 +299,7 @@ def step_terms_stack(theta, x, y, spec: LossSpec, clip_k, x_adv=None):
     if spec.c > 0.0:
         z = z + (spec.c * spec.weight_norm(theta))[:, None]
         adversarial = _softplus(z).mean(axis=-1)
-    sig = expit(z)
+    sig = sigmoid(z)
     if unclipped.all():
         return nominal, adversarial, _binary_gradient(theta, x, y, spec, sig)
     # r_i = -y_i x_i + c g per cell, never built: its norms and weighted sum
@@ -334,7 +344,7 @@ def hessian_operator(theta, x, y, spec: LossSpec):
         return multiclass_matvec
     x, y = _as_batch(x, y)
     n = x.shape[0]
-    sig = expit(_binary_margins(theta, x, y, spec))
+    sig = sigmoid(_binary_margins(theta, x, y, spec))
     weights = sig * (1.0 - sig)
     if spec.c == 0.0:
         return lambda v: x.T @ (weights * (x @ np.asarray(v, dtype=np.float64))) / n

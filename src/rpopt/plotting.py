@@ -7,9 +7,9 @@ SVG files (no timestamps, fixed float formatting).
 
 from __future__ import annotations
 
+import html
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -76,6 +76,11 @@ def _tick_label(value: float) -> str:
             return f"1e{exponent}"
         return f"{mantissa:g}e{exponent}"
     return f"{value:g}"
+
+
+def _escape(text: str) -> str:
+    # only &, < and > need escaping in element text; quotes stay as written
+    return html.escape(text, quote=False)
 
 
 def _transform(values: np.ndarray, log: bool) -> np.ndarray:
@@ -162,7 +167,7 @@ def render_plot(csv_path, spec: PlotSpec, out_path) -> str:
         )
         parts.append(
             f'<text x="{px:.2f}" y="{top + plot_h + 18}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="middle">{escape(label)}</text>'
+            f'font-size="11" text-anchor="middle">{_escape(label)}</text>'
         )
     for pos, label in y_ticks:
         py = sy(pos)
@@ -174,7 +179,7 @@ def render_plot(csv_path, spec: PlotSpec, out_path) -> str:
         )
         parts.append(
             f'<text x="{left - 8}" y="{py + 4:.2f}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end">{escape(label)}</text>'
+            f'font-size="11" text-anchor="end">{_escape(label)}</text>'
         )
 
     for index, name in enumerate(y_names):
@@ -202,26 +207,26 @@ def render_plot(csv_path, spec: PlotSpec, out_path) -> str:
         )
         parts.append(
             f'<text x="{legend_x - 120}" y="{row_y + 4:.2f}" '
-            f'font-family="sans-serif" font-size="11">{escape(name)}</text>'
+            f'font-family="sans-serif" font-size="11">{_escape(name)}</text>'
         )
 
     if spec.title:
         parts.append(
             f'<text x="{width / 2:.2f}" y="18" font-family="sans-serif" '
-            f'font-size="14" text-anchor="middle">{escape(spec.title)}</text>'
+            f'font-size="14" text-anchor="middle">{_escape(spec.title)}</text>'
         )
     if spec.x_label:
         parts.append(
             f'<text x="{left + plot_w / 2:.2f}" y="{height - 8}" '
             f'font-family="sans-serif" font-size="12" text-anchor="middle">'
-            f"{escape(spec.x_label)}</text>"
+            f"{_escape(spec.x_label)}</text>"
         )
     if spec.y_label:
         parts.append(
             f'<text x="14" y="{top + plot_h / 2:.2f}" font-family="sans-serif" '
             f'font-size="12" text-anchor="middle" '
             f'transform="rotate(-90 14 {top + plot_h / 2:.2f})">'
-            f"{escape(spec.y_label)}</text>"
+            f"{_escape(spec.y_label)}</text>"
         )
 
     parts.append("</svg>")

@@ -430,7 +430,7 @@ class TestPlotting:
 
     def test_svg_is_deterministic_and_well_formed(self, tmp_path):
         csv_path = self._csv(tmp_path)
-        spec = PlotSpec(x_column="t", log_x=True, title="a <b> title")
+        spec = PlotSpec(x_column="t", log_x=True, title="a <b> & \"c\" 'd' title")
         out1, out2 = str(tmp_path / "p1.svg"), str(tmp_path / "p2.svg")
         render_plot(csv_path, spec, out1)
         render_plot(csv_path, spec, out2)
@@ -439,7 +439,8 @@ class TestPlotting:
         text = data.decode("utf-8")
         assert text.startswith("<svg ")
         assert text.count("<polyline") == 2
-        assert "a &lt;b&gt; title" in text
+        # element text escapes &, < and >; quotes stay as written
+        assert "a &lt;b&gt; &amp; \"c\" 'd' title" in text
         assert "alpha" in text and "beta" in text
 
     def test_column_selection_and_errors(self, tmp_path):
@@ -550,6 +551,25 @@ class TestCliInProcess:
                                "--out", str(tmp_path / "t.csv"))
         assert code == 0
         assert "warning:" in err and "eta" in err
+
+    def test_train_on_a_csv_says_the_worst_case_regime_is_unchecked(self, run_cli, tmp_path):
+        # the generated data have margin 0.302, so c = 0.9 breaks c < gamma/2,
+        # but the CSV stores no separator and hence no margin to check against
+        data = str(tmp_path / "data.csv")
+        _, out, _ = run_cli(
+            "gen-data", "--d", 4, "--n", 40, "--gamma", 0.3, "--seed", 1, "--out", data
+        )
+        assert "margin=0.302" in out
+        ini = tmp_path / "train.ini"
+        ini.write_text("[train]\neta = 3.9\nsteps = 3\nc = 0.9\n", encoding="utf-8")
+        argv = ("train", "--config", str(ini), "--data", data, "--out", str(tmp_path / "t.csv"))
+        code, _, err = run_cli(*argv)
+        assert code == 0
+        assert "c < gamma/2 and s * eta < 1 not checked" in err
+        assert "carries no margin" in err
+        ini.write_text("[train]\neta = 3.9\nsteps = 3\n", encoding="utf-8")
+        code, _, err = run_cli(*argv)
+        assert code == 0 and "warning" not in err
 
     def test_train_requires_data_source(self, run_cli, tmp_path):
         ini = tmp_path / "train.ini"
@@ -1095,6 +1115,23 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("rpopt ")
+
+    def test_import_needs_numpy_alone(self):
+        # scipy is a test dependency only, and escaping SVG text must not pull
+        # in xml.sax, which loads urllib.request and http.client
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, rpopt.cli; "
+            "print('\\n'.join(m for m in sys.modules "
+            "if m.partition('.')[0] in ('scipy', 'xml', 'http') or m == 'urllib.request'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
     @pytest.mark.skipif(shutil.which("rpopt") is None, reason="rpopt console script not installed")
     def test_installed_script_version(self):

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from rpopt.errors import SingularityError
 from rpopt.losses import (
@@ -14,6 +16,7 @@ from rpopt.losses import (
     multiclass_gradient,
     multiclass_loss,
     per_example_gradients,
+    sigmoid,
 )
 
 # Direct-arithmetic oracles for one fixed input, frozen from an independent
@@ -67,6 +70,28 @@ class TestLossSpec:
         np.testing.assert_array_equal(
             spec.weight_norm_subgradient(np.zeros(3)), np.zeros(3)
         )
+
+
+class TestSigmoid:
+    EDGES = np.array([0.0, -0.0, np.inf, -np.inf, 710.0, -710.0, 746.0, -746.0, np.nan])
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 10.0, 100.0, 800.0])
+    def test_matches_scipy_expit_within_four_ulp(self, scale):
+        # numpy's exp and libm's differ by a few ulp on a few percent of inputs
+        z = scale * np.random.default_rng(0).standard_normal(200_000)
+        np.testing.assert_array_max_ulp(sigmoid(z), expit(z), maxulp=4)
+
+    def test_exact_values_at_the_edges(self):
+        # exp(-z) overflows beyond z = -709.78 and underflows beyond 745.13
+        expected = np.array([0.5, 0.5, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, np.nan])
+        np.testing.assert_array_equal(sigmoid(self.EDGES), expected)
+
+    def test_silent_under_the_strictest_error_state(self):
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigmoid(self.EDGES)
+            sigmoid(np.linspace(-800.0, 800.0, 10_001))
+            assert np.geterr()["over"] == "raise"
 
 
 class TestModelParams:

@@ -24,7 +24,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from rpopt.attacks import AttackConfig, PGDWorkspace, pgd_batch
 from rpopt.curvature import max_eigenvalue
@@ -37,6 +36,7 @@ from rpopt.losses import (
     multiclass_gradient,
     multiclass_loss,
     per_example_gradients,
+    sigmoid,
 )
 from rpopt.optimizer import clip_rows
 
@@ -114,7 +114,7 @@ def _loss_and_grad(theta, y):
         def binary(x):
             z = -yf * (x @ theta)
             values = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-            return values, expit(z)[:, None] * (-yf[:, None] * theta[None, :])
+            return values, sigmoid(z)[:, None] * (-yf[:, None] * theta[None, :])
 
         return binary
 
@@ -319,7 +319,7 @@ def _binary_hvp_per_call(theta, v, x, y, spec):
     z = -y * (x @ theta)
     if spec.c > 0.0:
         z = z + spec.c * spec.weight_norm(theta)
-    sig = expit(z)
+    sig = sigmoid(z)
     weights = sig * (1.0 - sig)
     if spec.c == 0.0:
         return x.T @ (weights * (x @ v)) / n
