@@ -35,6 +35,7 @@ from .bounds import (
 from .curvature import (
     SpectrumReport,
     SweepCell,
+    SweepSettings,
     SweepTable,
     attacked_max_eigenvalue,
     clipping_smoothness_curve,

@@ -18,7 +18,7 @@ import numpy as np
 from . import losses as losses_mod
 from .attacks import AttackConfig, _correct, pgd_batch
 from .bounds import accountant_sigma
-from .data import Dataset, split
+from .data import Dataset
 from .errors import DivergenceError, SingularityError
 from .losses import LossSpec, model_weights
 from .optimizer import OptimizerConfig, train_stack
@@ -202,25 +202,29 @@ class SweepCell:
 
 @dataclass(frozen=True)
 class SweepTable:
-    mode: str  # "clip" or "dp"
-    c_grid: tuple
-    knob_grid: tuple
-    cells: tuple
-
-    def matrix(self, field: str = "lambda_max") -> np.ndarray:
-        out = np.full((len(self.c_grid), len(self.knob_grid)), np.nan)
-        for cell in self.cells:
-            out[cell.row, cell.col] = getattr(cell, field)
-        return out
+    cells: tuple  # in grid order: row by row, each row in column order
 
     def columns(self) -> dict:
-        """The artifact table: SWEEP_COLUMNS, one row per cell in grid order."""
+        """The artifact table: SWEEP_COLUMNS, one row per cell."""
         rows = [
             (cell.c, cell.knob, cell.lambda_max, cell.test_accuracy, cell.theta_norm,
              int(cell.converged), int(cell.diverged))
-            for cell in sorted(self.cells, key=lambda cc: (cc.row, cc.col))
+            for cell in self.cells
         ]
         return dict(zip(SWEEP_COLUMNS, zip(*rows)))
+
+
+@dataclass(frozen=True)
+class SweepSettings:
+    """How a sweep trains and scores its cells; each field is the [params]
+    key of the fig8/fig9 kinds that it is read from."""
+
+    p: float  # perturbation norm of the training loss and the evaluation attack
+    workers: int  # processes for the c-rows; 1 runs them in this process
+    curvature_examples: int  # training examples the Hessian is taken over
+    curvature_tol: float
+    curvature_iters: int
+    eval_attack_steps: int  # PGD steps of the multi-class curvature attack
 
 
 def cell_seed(seed: int, row: int, col: int) -> int:
@@ -232,66 +236,56 @@ def accuracy(model, dataset: Dataset) -> float:
     return float(np.mean(_correct(model_weights(model), dataset.features, dataset.labels)))
 
 
-@dataclass(frozen=True)
-class _SweepContext:
-    train_dataset: Dataset
-    test_dataset: Dataset
-    base_config: OptimizerConfig
-    p: float
-    curvature_examples: int
-    curvature_tol: float
-    curvature_iters: int
-    eval_attack_steps: int
-
-
-def _evaluate_row(ctx: _SweepContext, job) -> list[SweepCell]:
+def _evaluate_row(train_ds, test_ds, base_config, settings, columns, job) -> list[SweepCell]:
     """Train one c-row of the grid as one stack, then score each cell.
 
     A row shares its loss spec, so its cells differ only in clip_k, sigma
     and seed and train together; divergence is recorded, not raised.
     """
-    row, c, cells = job
-    spec = LossSpec.for_budget(c, ctx.p)
+    row, c = job
+    spec = LossSpec.for_budget(c, settings.p)
     configs = [
         replace(
-            ctx.base_config,
+            base_config,
             spec=spec,
             clip_k=clip_k,
             sigma=sigma,
-            seed=cell_seed(ctx.base_config.seed, row, col),
+            seed=cell_seed(base_config.seed, row, col),
         )
-        for col, _, clip_k, sigma in cells
+        for col, (_, clip_k, sigma) in enumerate(columns)
     ]
-    outcomes = train_stack(ctx.train_dataset, configs)
+    outcomes = train_stack(train_ds, configs)
     return [
-        _score_cell(ctx, row, col, c, knob, config, outcome)
-        for (col, knob, _, _), config, outcome in zip(cells, configs, outcomes)
+        _score_cell(train_ds, test_ds, settings, row, col, c, knob, config, outcome)
+        for col, ((knob, _, _), config, outcome) in enumerate(zip(columns, configs, outcomes))
     ]
 
 
-def _score_cell(ctx, row, col, c, knob, config, outcome) -> SweepCell:
+def _score_cell(train_ds, test_ds, settings, row, col, c, knob, config, outcome) -> SweepCell:
     """Test accuracy and top Hessian eigenvalue of one trained cell."""
     if isinstance(outcome, DivergenceError):
         return SweepCell(row, col, c, knob, math.nan, math.nan, math.nan, False, True)
     theta = outcome.final_params.weights
-    test_acc = accuracy(theta, ctx.test_dataset)
-    limit = min(ctx.curvature_examples, ctx.train_dataset.n)
-    xs = ctx.train_dataset.features[:limit]
-    ys = ctx.train_dataset.labels[:limit]
+    test_acc = accuracy(theta, test_ds)
+    limit = min(settings.curvature_examples, train_ds.n)
+    xs = train_ds.features[:limit]
+    ys = train_ds.labels[:limit]
     if theta.ndim == 2 and c > 0:
         report = attacked_max_eigenvalue(
             theta,
             xs,
             ys,
-            AttackConfig(budget=c, p=ctx.p, steps=ctx.eval_attack_steps, seed=config.seed + 1),
-            box=ctx.train_dataset.box,
-            tol=ctx.curvature_tol,
-            max_iters=ctx.curvature_iters,
+            AttackConfig(budget=c, p=settings.p, steps=settings.eval_attack_steps,
+                         seed=config.seed + 1),
+            box=train_ds.box,
+            tol=settings.curvature_tol,
+            max_iters=settings.curvature_iters,
             seed=config.seed + 2,
         )
     else:
         report = _top_eigenpair(
-            theta, xs, ys, config.spec, ctx.curvature_tol, ctx.curvature_iters, config.seed + 2
+            theta, xs, ys, config.spec, settings.curvature_tol, settings.curvature_iters,
+            config.seed + 2,
         )
     return SweepCell(
         row=row,
@@ -306,95 +300,57 @@ def _score_cell(ctx, row, col, c, knob, config, outcome) -> SweepCell:
     )
 
 
-def _run_sweep(ctx: _SweepContext, jobs, workers: int) -> list[SweepCell]:
-    """Evaluate the row jobs (row, c, [(col, knob, clip_k, sigma), ...]), in
-    a process pool when workers > 1; rows are independent, so the cells are
-    the same either way."""
-    if workers <= 1:
-        rows = [_evaluate_row(ctx, job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(partial(_evaluate_row, ctx), jobs))
-    return [cell for row in rows for cell in row]
-
-
-def _resolve_split(dataset, test_dataset, seed):
-    if test_dataset is not None:
-        return dataset, test_dataset
-    return split(dataset, test_fraction=1.0 / 6.0, seed=seed)
-
-
-def _sweep(mode, dataset, c_grid, knob_grid, knob_terms, base_config, test_dataset, p,
-           workers, curvature_examples, curvature_tol, curvature_iters,
-           eval_attack_steps) -> SweepTable:
-    """The body of both sweeps: one model per (c, knob) cell, whose column
-    trains with the (clip_k, sigma) that ``knob_terms(knob_grid)`` gives it."""
+def _sweep(train_ds, test_ds, c_grid, columns, base_config, settings) -> SweepTable:
+    """The body of both sweeps: one model per (c, column) cell, where each
+    column (knob, clip_k, sigma) is the value the cell is reported under and
+    the clip and noise it trains with.  The c-rows run in a process pool
+    when settings.workers > 1; rows are independent, so the cells, and
+    their order, are the same either way."""
     c_grid = [float(c) for c in c_grid]
-    knob_grid = [float(v) for v in knob_grid]
-    if not c_grid or not knob_grid:
+    if not c_grid or not columns:
         raise ValueError("grids must be nonempty")
-    columns = [
-        (j, knob, clip_k, sigma)
-        for j, (knob, (clip_k, sigma)) in enumerate(zip(knob_grid, knob_terms(knob_grid)))
-    ]
-    train_ds, test_ds = _resolve_split(dataset, test_dataset, base_config.seed)
-    ctx = _SweepContext(train_ds, test_ds, base_config, p, curvature_examples,
-                        curvature_tol, curvature_iters, eval_attack_steps)
-    jobs = [(i, c, columns) for i, c in enumerate(c_grid)]
-    cells = _run_sweep(ctx, jobs, workers)
-    return SweepTable(mode, tuple(c_grid), tuple(knob_grid), tuple(cells))
+    evaluate = partial(_evaluate_row, train_ds, test_ds, base_config, settings, columns)
+    if settings.workers <= 1:
+        rows = list(map(evaluate, enumerate(c_grid)))
+    else:
+        with ProcessPoolExecutor(max_workers=settings.workers) as pool:
+            rows = list(pool.map(evaluate, enumerate(c_grid)))
+    return SweepTable(tuple(cell for row in rows for cell in row))
 
 
 def clipping_smoothness_curve(
-    dataset: Dataset,
+    train_ds: Dataset,
+    test_ds: Dataset,
     c_grid,
     k_grid,
     base_config: OptimizerConfig,
-    test_dataset: Dataset | None = None,
-    p: float = math.inf,
-    workers: int = 1,
-    curvature_examples: int = 512,
-    curvature_tol: float = 1e-6,
-    curvature_iters: int = 300,
-    eval_attack_steps: int = 10,
+    settings: SweepSettings,
 ) -> SweepTable:
     """One model per (c, k) cell, trained with per-example clipping and no
     noise, scored by top Hessian eigenvalue and test accuracy."""
-    return _sweep("clip", dataset, c_grid, k_grid, lambda ks: [(k, 0.0) for k in ks],
-                  base_config, test_dataset, p, workers, curvature_examples,
-                  curvature_tol, curvature_iters, eval_attack_steps)
+    columns = [(float(k), float(k), 0.0) for k in k_grid]
+    return _sweep(train_ds, test_ds, c_grid, columns, base_config, settings)
 
 
 def privacy_smoothness_curve(
-    dataset: Dataset,
+    train_ds: Dataset,
+    test_ds: Dataset,
     c_grid,
     epsilon_grid,
     base_config: OptimizerConfig,
-    delta: float = 1e-5,
-    test_dataset: Dataset | None = None,
-    p: float = math.inf,
-    workers: int = 1,
-    curvature_examples: int = 512,
-    curvature_tol: float = 1e-6,
-    curvature_iters: int = 300,
-    eval_attack_steps: int = 10,
+    settings: SweepSettings,
+    delta: float,
 ) -> SweepTable:
     """One model per (c, epsilon) cell, trained privately: per-example clip
     to the base config's k, Gaussian noise calibrated so the whole run is
     (epsilon, delta) private."""
     k = base_config.clip_k
-
-    def knob_terms(epsilon_grid):
-        if not math.isfinite(k):
-            raise ValueError("privacy sweep requires a finite clip_k in base_config")
-        # one calibration per epsilon: noise on the gradient sum has std sigma*k,
-        # so the config sigma is the calibrated absolute std divided by k
-        sigma_by_eps = {
-            eps: accountant_sigma(eps, delta, base_config.steps, lipschitz=k).sigma / k
-            for eps in epsilon_grid
-        }
-        return [(k, sigma_by_eps[eps]) for eps in epsilon_grid]
-
-    return _sweep("dp", dataset, c_grid, epsilon_grid, knob_terms, base_config,
-                  test_dataset, p, workers, curvature_examples, curvature_tol,
-                  curvature_iters, eval_attack_steps)
+    if not math.isfinite(k):
+        raise ValueError("privacy sweep requires a finite clip_k in base_config")
+    # noise on the gradient sum has std sigma*k, so the config sigma is the
+    # calibrated absolute std divided by k
+    columns = [
+        (eps, k, accountant_sigma(eps, delta, base_config.steps, lipschitz=k).sigma / k)
+        for eps in map(float, epsilon_grid)
+    ]
+    return _sweep(train_ds, test_ds, c_grid, columns, base_config, settings)

@@ -28,7 +28,7 @@ import math
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from types import SimpleNamespace
 
@@ -38,7 +38,7 @@ from . import bounds as bounds_mod
 from ._version import __version__
 from .attacks import AttackConfig, exact_linear_robust_accuracy, robust_accuracy
 from .bounds import BoundInputs, log_spaced_steps
-from .curvature import clipping_smoothness_curve, privacy_smoothness_curve
+from .curvature import SweepSettings, clipping_smoothness_curve, privacy_smoothness_curve
 from .data import Dataset, check_margin, generate_separable, load_csv, load_idx, split, write_table
 from .errors import DivergenceError, ExperimentError, InvalidRegimeError
 from .losses import LossSpec, adversarial_logistic_loss, gradient
@@ -156,6 +156,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
         if not self.seeds:
             raise ValueError("seeds list must be nonempty")
+        if self.kind in ("fig8-sweep", "fig9-sweep") and len(self.seeds) > 1:
+            raise ValueError(f"[experiment] seeds: {self.kind} takes one seed, got {self.seeds}")
         resolve_params(self)
 
 
@@ -186,9 +188,10 @@ def parse_seeds(text) -> tuple:
     return tuple(non_negative_int(part) for part in text.split(",") if part.strip())
 
 
-def parse_grid(text: str) -> list:
-    """Comma-separated values; an element "a:b:n" expands to n log-spaced
-    points from a to b inclusive."""
+def parse_grid(text: str, check=float) -> list:
+    """Comma-separated values, each converted by ``check``, which may also
+    range-check it; an element "a:b:n" expands to n log-spaced points from
+    a to b inclusive."""
     values = []
     for part in str(text).split(","):
         part = part.strip()
@@ -197,11 +200,11 @@ def parse_grid(text: str) -> list:
         if ":" in part:
             lo_s, hi_s, n_s = part.split(":")
             lo, hi, n = float(lo_s), float(hi_s), int(n_s)
-            if lo <= 0 or hi <= 0:
-                raise ValueError("log-spaced grid endpoints must be positive")
-            values.extend(float(v) for v in np.geomspace(lo, hi, n))
+            if not (0 < lo < math.inf and 0 < hi < math.inf):
+                raise ValueError("log-spaced grid endpoints must be finite and positive")
+            values.extend(check(v) for v in np.geomspace(lo, hi, n))
         else:
-            values.append(float(part))
+            values.append(check(part))
     if not values:
         raise ValueError(f"empty grid: {text!r}")
     return values
@@ -224,25 +227,22 @@ def _parse_dims(text) -> list:
     return [int(v) for v in values]
 
 
-def _finite_positive(value) -> float:
-    number = float(value)
-    if not 0 < number < math.inf:
-        raise ValueError(f"must be finite and positive, got {number}")
-    return number
+def _float_in(accept, words):
+    """A float parser that requires ``accept(value)``, which ``words`` describe."""
+
+    def parse(value):
+        number = float(value)
+        if not accept(number):
+            raise ValueError(f"must {words}, got {number}")
+        return number
+
+    return parse
 
 
-def _finite_non_negative(value) -> float:
-    number = float(value)
-    if not 0 <= number < math.inf:
-        raise ValueError(f"must be finite and non-negative, got {number}")
-    return number
-
-
-def _open_unit(value) -> float:
-    number = float(value)
-    if not 0 < number < 1:
-        raise ValueError(f"must lie strictly between 0 and 1, got {number}")
-    return number
+_finite_positive = _float_in(lambda x: 0 < x < math.inf, "be finite and positive")
+_finite_non_negative = _float_in(lambda x: 0 <= x < math.inf, "be finite and non-negative")
+_open_unit = _float_in(lambda x: 0 < x < 1, "lie strictly between 0 and 1")
+_positive = _float_in(lambda x: x > 0, "be positive")
 
 
 def _float_or_none(value):
@@ -277,10 +277,10 @@ _PARAMS_PARSERS = {
     **dict.fromkeys(("batch", "eval_attack_steps", "limit", "data_seed"), non_negative_int),
     **dict.fromkeys(("delta", "test_fraction"), _open_unit),
     "p": _kept_as_text(parse_p),
-    "c_grid": _kept_as_text(parse_grid),
-    "k_grid": _kept_as_text(parse_grid),
-    "eps_grid": _kept_as_text(parse_grid),
-    "budgets": _kept_as_text(parse_grid),
+    "c_grid": _kept_as_text(partial(parse_grid, check=_finite_non_negative)),
+    "k_grid": _kept_as_text(partial(parse_grid, check=_positive)),  # inf: no clipping
+    "eps_grid": _kept_as_text(partial(parse_grid, check=_finite_positive)),
+    "budgets": _kept_as_text(partial(parse_grid, check=_finite_non_negative)),
     "d_list": _kept_as_text(_parse_dims),
     "clip_k": _finite_positive,  # fig9 only: the privacy sweep needs a finite clip
     "eta": _finite_positive,
@@ -616,50 +616,42 @@ def _sweep_dataset(params) -> Dataset:
     )
 
 
-def _sweep_base_config(config, params) -> OptimizerConfig:
-    return OptimizerConfig(
+def _run_sweep_kind(mode, config, params, stage):
+    """fig8 (mode "clip") or fig9 (mode "dp"): one curvature sweep."""
+    stage.name = "load-data"
+    dataset = _sweep_dataset(params)
+    train_ds, test_ds = split(dataset, params["test_fraction"], seed=config.seeds[0])
+    base = OptimizerConfig(
         eta=params["eta"],
         steps=params["steps"],
         batch=params["batch"],
         attack_steps=params["attack_steps"],
         seed=config.seeds[0],
     )
-
-
-def _run_sweep_kind(mode, config, params, stage):
-    """fig8 (mode "clip") or fig9 (mode "dp"): one curvature sweep."""
-    stage.name = "load-data"
-    dataset = _sweep_dataset(params)
-    train_ds, test_ds = split(dataset, params["test_fraction"], seed=config.seeds[0])
-    base = _sweep_base_config(config, params)
     if base.batch > train_ds.n:
         raise ValueError(
             f"batch {base.batch} exceeds the {train_ds.n} examples of the training part"
         )
     stage.name = "sweep"
-    common = dict(
-        test_dataset=test_ds,
-        p=parse_p(params["p"]),
-        workers=params["workers"],
-        curvature_examples=params["curvature_examples"],
-        curvature_tol=params["curvature_tol"],
-        curvature_iters=params["curvature_iters"],
-        eval_attack_steps=params["eval_attack_steps"],
-    )
+    settings = SweepSettings(**{
+        **{field.name: params[field.name] for field in fields(SweepSettings)},
+        "p": parse_p(params["p"]),
+    })
     c_grid = parse_grid(params["c_grid"])
     if mode == "clip":
         table = clipping_smoothness_curve(
-            train_ds, c_grid, parse_grid(params["k_grid"]), base, **common
+            train_ds, test_ds, c_grid, parse_grid(params["k_grid"]), base, settings
         )
         summary = {"mode": "clip"}
     else:
         table = privacy_smoothness_curve(
             train_ds,
+            test_ds,
             c_grid,
             parse_grid(params["eps_grid"]),
             replace(base, clip_k=params["clip_k"]),
-            delta=params["delta"],
-            **common,
+            settings,
+            params["delta"],
         )
         summary = {"mode": "dp", "delta": params["delta"]}
     return table.columns(), summary

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from rpopt.curvature import SweepSettings
 from rpopt.data import generate_separable, write_idx
 
 
@@ -24,6 +27,20 @@ def digits_idx(tmp_path_factory):
 @pytest.fixture(scope="session")
 def small_binary():
     return generate_separable(d=6, n=80, gamma=0.3, seed=1)
+
+
+@pytest.fixture(scope="session")
+def sweep_settings():
+    """The fig8/fig9 kinds' default scoring settings, for calling the sweep
+    entries directly."""
+    return SweepSettings(
+        p=math.inf,
+        workers=1,
+        curvature_examples=512,
+        curvature_tol=1e-6,
+        curvature_iters=300,
+        eval_attack_steps=10,
+    )
 
 
 @pytest.fixture()

@@ -1,12 +1,17 @@
+import dataclasses
+import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rpopt import experiments
 from rpopt.attacks import AttackConfig
 from rpopt.curvature import (
     SWEEP_COLUMNS,
     SweepCell,
+    SweepSettings,
     SweepTable,
     accuracy,
     attacked_max_eigenvalue,
@@ -18,7 +23,14 @@ from rpopt.curvature import (
     power_iteration,
     privacy_smoothness_curve,
 )
-from rpopt.data import Dataset, generate_equal_margin, generate_separable, read_table, write_table
+from rpopt.data import (
+    Dataset,
+    generate_equal_margin,
+    generate_separable,
+    read_table,
+    split,
+    write_table,
+)
 from rpopt.errors import SingularityError
 from rpopt.losses import LossSpec
 from rpopt.optimizer import OptimizerConfig, train
@@ -187,16 +199,7 @@ class TestSweepPlumbing:
             SweepCell(1, 0, 0.1, 1.0, 0.75, 0.8, 1.0, False, False),
             SweepCell(1, 1, 0.1, 2.0, math.nan, math.nan, math.nan, False, True),
         )
-        return SweepTable("clip", (0.0, 0.1), (1.0, 2.0), cells)
-
-    def test_matrix_layout(self):
-        table = self._table()
-        lam = table.matrix("lambda_max")
-        assert lam.shape == (2, 2)
-        assert lam[0, 1] == 0.25 and lam[1, 0] == 0.75
-        assert math.isnan(lam[1, 1])
-        acc = table.matrix("test_accuracy")
-        assert acc[0, 0] == 0.9
+        return SweepTable(cells)
 
     def test_csv_roundtrip(self, tmp_path):
         table = self._table()
@@ -206,7 +209,7 @@ class TestSweepPlumbing:
         write_table(path, list(columns), zip(*columns.values()))
         back = read_table(path)
         assert tuple(back) == SWEEP_COLUMNS
-        cells = sorted(table.cells, key=lambda cell: (cell.row, cell.col))
+        cells = table.cells  # already in grid order, which columns() keeps
         fields = ("c", "knob", "lambda_max", "test_accuracy", "theta_norm", "converged",
                   "diverged")
         for name, field in zip(SWEEP_COLUMNS, fields):
@@ -216,73 +219,83 @@ class TestSweepPlumbing:
 
 
 @pytest.fixture(scope="module")
-def sweep_dataset():
-    return generate_separable(d=4, n=90, gamma=0.3, seed=6)
+def sweep_split():
+    """A (train, test) pair, split as the sweep kinds split with seed 3."""
+    return split(generate_separable(d=4, n=90, gamma=0.3, seed=6), 1.0 / 6.0, seed=3)
 
 
 class TestSweeps:
-    def test_clipping_sweep_shape_and_determinism(self, sweep_dataset):
+    def test_clipping_sweep_shape_and_determinism(self, sweep_split, sweep_settings):
         base = OptimizerConfig(eta=1.0, steps=20, seed=3)
-        kwargs = dict(
-            c_grid=[0.0, 0.05],
-            k_grid=[0.5, 2.0],
-            base_config=base,
-            curvature_examples=64,
-            curvature_iters=150,
+        args = (
+            *sweep_split,
+            [0.0, 0.05],
+            [0.5, 2.0],
+            base,
+            replace(sweep_settings, curvature_examples=64, curvature_iters=150),
         )
-        table = clipping_smoothness_curve(sweep_dataset, **kwargs)
-        assert table.mode == "clip"
-        assert table.c_grid == (0.0, 0.05) and table.knob_grid == (0.5, 2.0)
+        table = clipping_smoothness_curve(*args)
+        columns = table.columns()
+        assert columns["c"] == (0.0, 0.0, 0.05, 0.05)
+        assert columns["k_or_epsilon"] == (0.5, 2.0, 0.5, 2.0)
         assert len(table.cells) == 4
         assert not any(cell.diverged for cell in table.cells)
         assert all(0.0 <= cell.test_accuracy <= 1.0 for cell in table.cells)
         assert all(np.isfinite(cell.lambda_max) for cell in table.cells)
-        again = clipping_smoothness_curve(sweep_dataset, **kwargs)
+        again = clipping_smoothness_curve(*args)
         assert again.columns() == table.columns()
 
-    def test_parallel_matches_serial(self, sweep_dataset):
+    def test_parallel_matches_serial(self, sweep_split, sweep_settings):
         base = OptimizerConfig(eta=1.0, steps=10, seed=3)
-        kwargs = dict(
-            c_grid=[0.0],
-            k_grid=[0.5, 2.0],
-            base_config=base,
-            curvature_examples=32,
-            curvature_iters=100,
+        settings = replace(sweep_settings, curvature_examples=32, curvature_iters=100)
+        serial = clipping_smoothness_curve(*sweep_split, [0.0], [0.5, 2.0], base, settings)
+        parallel = clipping_smoothness_curve(
+            *sweep_split, [0.0], [0.5, 2.0], base, replace(settings, workers=2)
         )
-        serial = clipping_smoothness_curve(sweep_dataset, workers=1, **kwargs)
-        parallel = clipping_smoothness_curve(sweep_dataset, workers=2, **kwargs)
         assert serial.cells == parallel.cells
 
-    def test_privacy_sweep_calibrates_noise(self, sweep_dataset):
+    def test_privacy_sweep_calibrates_noise(self, sweep_split, sweep_settings):
         base = OptimizerConfig(eta=0.5, steps=10, clip_k=1.0, seed=3)
         table = privacy_smoothness_curve(
-            sweep_dataset,
-            c_grid=[0.0],
-            epsilon_grid=[2.0, 20.0],
-            base_config=base,
-            curvature_examples=32,
-            curvature_iters=100,
+            *sweep_split,
+            [0.0],
+            [2.0, 20.0],
+            base,
+            replace(sweep_settings, curvature_examples=32, curvature_iters=100),
+            1e-5,
         )
-        assert table.mode == "dp"
-        assert table.knob_grid == (2.0, 20.0)
+        assert [cell.knob for cell in table.cells] == [2.0, 20.0]
         by_eps = {cell.knob: cell for cell in table.cells}
         # more budget, less noise: the low-epsilon model is farther from the
         # noiseless solution in norm than the high-epsilon one on average;
         # just require both cells scored and distinct
         assert by_eps[2.0].lambda_max != by_eps[20.0].lambda_max
 
-    def test_privacy_sweep_requires_finite_clip(self, sweep_dataset):
+    def test_privacy_sweep_requires_finite_clip(self, sweep_split, sweep_settings):
         base = OptimizerConfig(eta=0.5, steps=10, seed=3)
         with pytest.raises(ValueError, match="clip_k"):
-            privacy_smoothness_curve(
-                sweep_dataset, c_grid=[0.0], epsilon_grid=[2.0], base_config=base
-            )
+            privacy_smoothness_curve(*sweep_split, [0.0], [2.0], base, sweep_settings, 1e-5)
 
-    def test_empty_grids_rejected(self, sweep_dataset):
+    def test_empty_grids_rejected(self, sweep_split, sweep_settings):
         base = OptimizerConfig(eta=0.5, steps=10, seed=3)
         with pytest.raises(ValueError, match="grids"):
-            clipping_smoothness_curve(sweep_dataset, [], [1.0], base)
+            clipping_smoothness_curve(*sweep_split, [], [1.0], base, sweep_settings)
         with pytest.raises(ValueError, match="grids"):
             privacy_smoothness_curve(
-                sweep_dataset, [0.0], [], OptimizerConfig(eta=0.5, steps=10, clip_k=1.0)
+                *sweep_split, [0.0], [], OptimizerConfig(eta=0.5, steps=10, clip_k=1.0),
+                sweep_settings, 1e-5,
             )
+
+
+def test_sweep_settings_are_said_once():
+    """The sweep entries take every setting from their caller, and each
+    SweepSettings field is the [params] key of the sweep kinds that it is
+    read from, so the kinds' table holds the only defaults."""
+    for entry in (clipping_smoothness_curve, privacy_smoothness_curve):
+        for parameter in inspect.signature(entry).parameters.values():
+            assert parameter.default is inspect.Parameter.empty, (entry.__name__, parameter)
+    settings = dataclasses.fields(SweepSettings)
+    for field in settings:
+        assert field.default is dataclasses.MISSING, field.name
+        assert field.default_factory is dataclasses.MISSING, field.name
+    assert {field.name for field in settings} <= set(experiments._COMMON_SWEEP)

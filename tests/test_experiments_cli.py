@@ -63,6 +63,17 @@ class TestParsers:
         with pytest.raises(ValueError, match="empty"):
             parse_grid(" , ")
 
+    def test_grid_ranges_are_checked_on_read(self):
+        config = ExperimentConfig(
+            kind="fig8-sweep", output_dir="x", seeds=(0,),
+            params={"c_grid": "0,0.01:0.1:2", "k_grid": "0.5,inf"},  # inf: an unclipped column
+        )
+        params = experiments.resolve_params(config)
+        assert (params["c_grid"], params["k_grid"]) == ("0,0.01:0.1:2", "0.5,inf")
+        with pytest.raises(ValueError, match=r"\[params\] c_grid: must be finite"):
+            ExperimentConfig(kind="fig8-sweep", output_dir="x", seeds=(0,),
+                             params={"c_grid": "0,-0.05"})
+
 
 class TestExperimentConfig:
     def test_unknown_kind_and_params(self):
@@ -824,6 +835,24 @@ class TestCliInProcess:
                     tmp_path / "kind" / artifact
                 ).read_bytes()
 
+    @pytest.mark.parametrize("mode, kind", [("clip", "fig8-sweep"), ("dp", "fig9-sweep")])
+    def test_sweep_kinds_take_one_seed(self, run_cli, tmp_path, sweep_data, mode, kind):
+        # a seed is a whole sweep, and a sweep does not average over seeds
+        params = dict(_TINY_PARAMS[kind], data_csv=sweep_data)
+        ini = _write_ini(tmp_path / "exp.ini", kind, tmp_path / "kind", params, seeds="0,1")
+        code, _, err = run_cli("experiment", "--config", ini)
+        assert code == 1 and "[experiment] seeds" in err, err
+        assert not (tmp_path / "kind").exists()
+        overrides = [arg for k, v in params.items() for arg in ("--param", f"{k}={v}")]
+        for seeds, expected in (("0:2", 1), ("1", 0)):
+            out = tmp_path / f"seeds-{seeds}"
+            code, _, err = run_cli(
+                "sweep", "--mode", mode, "--out-dir", out, "--seeds", seeds, *overrides
+            )
+            assert code == expected, err
+            assert ("[experiment] seeds" in err) == (expected == 1)
+            assert out.exists() == (expected == 0)
+
     def test_sweep_batch_larger_than_training_part_fails(self, run_cli, tmp_path, sweep_data):
         out = tmp_path / "sweep"
         # 50 training examples after the default split, against batch 51
@@ -958,6 +987,18 @@ _RANGE_FAULTS = [
     ("fig1-convergence", "gamma", "0"),
     ("fig3-robust-compare", "first_step_eta", "0.1"),
     ("fig1-convergence", "first_step_eta", "0.2"),
+    ("fig8-sweep", "c_grid", "-0.05,0"),
+    ("fig8-sweep", "c_grid", "nan"),
+    ("fig8-sweep", "c_grid", "inf"),
+    ("fig9-sweep", "c_grid", "0,0.01:inf:3"),
+    ("fig8-sweep", "k_grid", "-1"),
+    ("fig8-sweep", "k_grid", "0"),
+    ("fig8-sweep", "k_grid", "nan"),
+    ("fig9-sweep", "eps_grid", "0"),
+    ("fig9-sweep", "eps_grid", "-2"),
+    ("fig9-sweep", "eps_grid", "inf"),
+    ("attack-eval", "budgets", "-0.1"),
+    ("attack-eval", "budgets", "0,nan"),
 ]
 
 

@@ -10,6 +10,7 @@ import importlib
 import importlib.util
 import inspect
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,18 +42,19 @@ def test_positional_parameters_the_counters_read(module_name, attr, index, name)
     assert list(inspect.signature(function).parameters)[index] == name
 
 
-def test_traced_sweep_reaches_every_numeric_layer(tracer_module):
+def test_traced_sweep_reaches_every_numeric_layer(tracer_module, sweep_settings):
     from rpopt import curvature
-    from rpopt.data import Dataset
+    from rpopt.data import Dataset, split
     from rpopt.optimizer import OptimizerConfig
 
     rng = np.random.default_rng(0)
     x = rng.uniform(0.0, 1.0, size=(30, 4)) / 2.0
     dataset = Dataset(x, rng.integers(0, 3, size=30), box=(0.0, 1.0), num_classes=3)
     config = OptimizerConfig(eta=0.5, steps=3, attack_steps=2)
+    settings = replace(sweep_settings, curvature_iters=5, eval_attack_steps=2)
     with tracer_module.Tracer() as tracer:
         curvature.clipping_smoothness_curve(
-            dataset, [0.0, 0.05], [1.0], config, curvature_iters=5, eval_attack_steps=2
+            *split(dataset, 1.0 / 6.0, seed=0), [0.0, 0.05], [1.0], config, settings
         )
     calls = {name: row["calls"] for name, row in tracer.summary().items()}
     assert calls["curvature.sweep"] == 1

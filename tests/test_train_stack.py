@@ -21,7 +21,7 @@ import pytest
 from rpopt import optimizer
 from rpopt.attacks import AttackConfig, pgd_batch
 from rpopt.curvature import clipping_smoothness_curve
-from rpopt.data import Dataset, generate_separable
+from rpopt.data import Dataset, generate_separable, split
 from rpopt.errors import DivergenceError
 from rpopt.losses import LossSpec, step_terms
 from rpopt.optimizer import (
@@ -365,16 +365,13 @@ class TestValidation:
             train_stack(binary_data, [])
 
 
-def test_parallel_rows_match_serial_grid():
-    dataset = generate_separable(d=4, n=90, gamma=0.3, seed=6)
-    kwargs = dict(
-        c_grid=[0.0, 0.05],
-        k_grid=[0.5, 2.0],
-        base_config=OptimizerConfig(eta=1.0, steps=10, seed=3),
-        curvature_examples=32,
-        curvature_iters=100,
+def test_parallel_rows_match_serial_grid(sweep_settings):
+    train_ds, test_ds = split(generate_separable(d=4, n=90, gamma=0.3, seed=6), 1.0 / 6.0, seed=3)
+    base = OptimizerConfig(eta=1.0, steps=10, seed=3)
+    settings = replace(sweep_settings, curvature_examples=32, curvature_iters=100)
+    serial = clipping_smoothness_curve(train_ds, test_ds, [0.0, 0.05], [0.5, 2.0], base, settings)
+    parallel = clipping_smoothness_curve(
+        train_ds, test_ds, [0.0, 0.05], [0.5, 2.0], base, replace(settings, workers=2)
     )
-    serial = clipping_smoothness_curve(dataset, workers=1, **kwargs)
-    parallel = clipping_smoothness_curve(dataset, workers=2, **kwargs)
     assert [(cell.row, cell.col) for cell in serial.cells] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert serial.cells == parallel.cells
