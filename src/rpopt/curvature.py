@@ -4,14 +4,23 @@ Dominant-eigenvalue estimation by power iteration on Hessian-vector
 products, the closed-form curvature c/(2 ||theta*||) at a worst-case-trained
 optimum, and hyperparameter sweeps relating the clipping threshold and the
 privacy level to the curvature of the solution.
+
+A sweep runs its c-rows on one process per CPU this process may use (its
+affinity mask), at most one per row; with one CPU or one row they run in
+this process and none is started.  While a row runs, the loaded OpenBLAS
+runs one thread, so that its threads do not compete with the row's attack
+lanes (see :mod:`rpopt.optimizer`) or with the other rows.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -21,7 +30,7 @@ from .bounds import accountant_sigma
 from .data import Dataset
 from .errors import DivergenceError, SingularityError
 from .losses import LossSpec, model_weights
-from .optimizer import OptimizerConfig, train_stack
+from .optimizer import OptimizerConfig, train_stack, usable_cpus
 
 SWEEP_COLUMNS = (
     "c",
@@ -220,7 +229,6 @@ class SweepSettings:
     key of the fig8/fig9 kinds that it is read from."""
 
     p: float  # perturbation norm of the training loss and the evaluation attack
-    workers: int  # processes for the c-rows; 1 runs them in this process
     curvature_examples: int  # training examples the Hessian is taken over
     curvature_tol: float
     curvature_iters: int
@@ -236,8 +244,56 @@ def accuracy(model, dataset: Dataset) -> float:
     return float(np.mean(_correct(model_weights(model), dataset.features, dataset.labels)))
 
 
+@cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS this process has
+    loaded, or None where none is loaded or it exports neither; looked up
+    once per process."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({
+                line.split(None, 5)[-1].strip()
+                for line in maps
+                if "openblas" in line.rsplit("/", 1)[-1].lower()
+            })
+    except OSError:  # no such file where the platform is not Linux
+        return None
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)  # loads nothing new
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(library, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(library, f"{prefix}_set_num_threads{suffix}", None)
+                if get and set_:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with the loaded OpenBLAS on one thread, then give it back
+    the count it had, also on error; nothing changes where none is loaded."""
+    control = _openblas_threads()
+    if control is None:
+        yield
+        return
+    get, set_ = control
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def _evaluate_row(train_ds, test_ds, base_config, settings, columns, job) -> list[SweepCell]:
-    """Train one c-row of the grid as one stack, then score each cell.
+    """Train one c-row of the grid as one stack, then score each cell, with
+    BLAS on one thread.
 
     A row shares its loss spec, so its cells differ only in clip_k, sigma
     and seed and train together; divergence is recorded, not raised.
@@ -254,11 +310,12 @@ def _evaluate_row(train_ds, test_ds, base_config, settings, columns, job) -> lis
         )
         for col, (_, clip_k, sigma) in enumerate(columns)
     ]
-    outcomes = train_stack(train_ds, configs)
-    return [
-        _score_cell(train_ds, test_ds, settings, row, col, c, knob, config, outcome)
-        for col, ((knob, _, _), config, outcome) in enumerate(zip(columns, configs, outcomes))
-    ]
+    with _one_blas_thread():
+        outcomes = train_stack(train_ds, configs)
+        return [
+            _score_cell(train_ds, test_ds, settings, row, col, c, knob, config, outcome)
+            for col, ((knob, _, _), config, outcome) in enumerate(zip(columns, configs, outcomes))
+        ]
 
 
 def _score_cell(train_ds, test_ds, settings, row, col, c, knob, config, outcome) -> SweepCell:
@@ -303,18 +360,25 @@ def _score_cell(train_ds, test_ds, settings, row, col, c, knob, config, outcome)
 def _sweep(train_ds, test_ds, c_grid, columns, base_config, settings) -> SweepTable:
     """The body of both sweeps: one model per (c, column) cell, where each
     column (knob, clip_k, sigma) is the value the cell is reported under and
-    the clip and noise it trains with.  The c-rows run in a process pool
-    when settings.workers > 1; rows are independent, so the cells, and
-    their order, are the same either way."""
+    the clip and noise it trains with.  The c-rows run on min(rows, usable
+    CPUs) processes, or in this one when that is 1; rows are independent, so
+    the cells, and their order, are the same either way.  An error in a row
+    is raised here, once the rows already running have ended and the others
+    are cancelled, so no process outlives the call."""
     c_grid = [float(c) for c in c_grid]
     if not c_grid or not columns:
         raise ValueError("grids must be nonempty")
     evaluate = partial(_evaluate_row, train_ds, test_ds, base_config, settings, columns)
-    if settings.workers <= 1:
+    processes = min(len(c_grid), usable_cpus())
+    if processes == 1:
         rows = list(map(evaluate, enumerate(c_grid)))
     else:
-        with ProcessPoolExecutor(max_workers=settings.workers) as pool:
-            rows = list(pool.map(evaluate, enumerate(c_grid)))
+        with ProcessPoolExecutor(processes) as pool:
+            try:
+                rows = list(pool.map(evaluate, enumerate(c_grid)))
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
     return SweepTable(tuple(cell for row in rows for cell in row))
 
 

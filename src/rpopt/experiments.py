@@ -77,7 +77,6 @@ _COMMON_SWEEP = {
     "attack_steps": 4,
     "p": "inf",
     "c_grid": "0,0.005:0.05:9",
-    "workers": 1,
     "curvature_examples": 512,
     "curvature_tol": 1e-6,
     "curvature_iters": 300,
@@ -156,7 +155,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
         if not self.seeds:
             raise ValueError("seeds list must be nonempty")
-        if self.kind in ("fig8-sweep", "fig9-sweep") and len(self.seeds) > 1:
+        # fig1 averages its curves over the seeds; every other kind runs one
+        if self.kind != "fig1-convergence" and len(self.seeds) > 1:
             raise ValueError(f"[experiment] seeds: {self.kind} takes one seed, got {self.seeds}")
         resolve_params(self)
 
@@ -271,7 +271,7 @@ _EXPERIMENT_PARSERS = {"seeds": parse_seeds}
 _PARAMS_PARSERS = {
     **dict.fromkeys(
         ("steps", "attack_steps", "restarts", "points", "t_max", "curvature_iters",
-         "curvature_examples", "workers"),
+         "curvature_examples"),
         _positive_int,
     ),
     **dict.fromkeys(("batch", "eval_attack_steps", "limit", "data_seed"), non_negative_int),

@@ -331,14 +331,18 @@ def train_stack(dataset: Dataset, configs) -> list:
     return outcomes
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, or the machine's
+    CPU count where the platform has no mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _lane_count(cells: int) -> int:
     """Attack lanes for a stack of ``cells`` attacked cells: one per cell, at
     most one per CPU this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cells, cpus)
+    return min(cells, usable_cpus())
 
 
 def _cell_norms(stack: np.ndarray) -> np.ndarray:

@@ -35,7 +35,6 @@ def sweep_settings():
     entries directly."""
     return SweepSettings(
         p=math.inf,
-        workers=1,
         curvature_examples=512,
         curvature_tol=1e-6,
         curvature_iters=300,

@@ -1,12 +1,15 @@
 import dataclasses
 import inspect
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rpopt import experiments
+from rpopt import curvature, experiments
 from rpopt.attacks import AttackConfig
 from rpopt.curvature import (
     SWEEP_COLUMNS,
@@ -29,10 +32,12 @@ from rpopt.data import (
     generate_separable,
     read_table,
     split,
+    write_idx,
     write_table,
 )
 from rpopt.errors import SingularityError
 from rpopt.losses import LossSpec
+from rpopt.experiments import ExperimentConfig, artifact_name, run_experiment
 from rpopt.optimizer import OptimizerConfig, train
 from scipy.special import expit
 
@@ -245,14 +250,45 @@ class TestSweeps:
         again = clipping_smoothness_curve(*args)
         assert again.columns() == table.columns()
 
-    def test_parallel_matches_serial(self, sweep_split, sweep_settings):
+    def test_parallel_matches_serial(self, sweep_split, sweep_settings, monkeypatch):
         base = OptimizerConfig(eta=1.0, steps=10, seed=3)
         settings = replace(sweep_settings, curvature_examples=32, curvature_iters=100)
-        serial = clipping_smoothness_curve(*sweep_split, [0.0], [0.5, 2.0], base, settings)
-        parallel = clipping_smoothness_curve(
-            *sweep_split, [0.0], [0.5, 2.0], base, replace(settings, workers=2)
-        )
+        pools = []
+
+        class CountedPool(ProcessPoolExecutor):
+            def __init__(self, processes):
+                pools.append(processes)
+                super().__init__(processes)
+
+        monkeypatch.setattr(curvature, "ProcessPoolExecutor", CountedPool)
+        tables = []
+        for cpus in (1, 2):  # one CPU runs the rows here, two on two processes
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            tables.append(
+                clipping_smoothness_curve(*sweep_split, [0.0, 0.05], [0.5, 2.0], base, settings)
+            )
+        serial, parallel = tables
+        assert pools == [2]
+        assert [(cell.row, cell.col) for cell in serial.cells] == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert serial.cells == parallel.cells
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus, c_grid", [(1, [0.0, 0.05]), (4, [0.05])],
+                             ids=["one cpu", "one row"])
+    def test_one_process_starts_none(self, sweep_split, sweep_settings, monkeypatch, cpus,
+                                     c_grid):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the sweep started a process pool")
+
+        monkeypatch.setattr(curvature, "ProcessPoolExecutor", no_pool)
+        base = OptimizerConfig(eta=1.0, steps=5, seed=3)
+        settings = replace(sweep_settings, curvature_examples=16, curvature_iters=20)
+        table = clipping_smoothness_curve(*sweep_split, c_grid, [0.5, 2.0], base, settings)
+        assert len(table.cells) == 2 * len(c_grid)
 
     def test_privacy_sweep_calibrates_noise(self, sweep_split, sweep_settings):
         base = OptimizerConfig(eta=0.5, steps=10, clip_k=1.0, seed=3)
@@ -285,6 +321,78 @@ class TestSweeps:
                 *sweep_split, [0.0], [], OptimizerConfig(eta=0.5, steps=10, clip_k=1.0),
                 sweep_settings, 1e-5,
             )
+
+
+_BLAS = curvature._openblas_threads()
+
+
+@pytest.fixture()
+def blas_threads():
+    """Sets the loaded OpenBLAS's thread count; gives the old count back
+    after the test."""
+    if _BLAS is None:
+        pytest.skip("no OpenBLAS thread control is loaded (another BLAS, or no /proc/self/maps)")
+    get, set_ = _BLAS
+    before = get()
+
+    def set_threads(count):
+        set_(count)
+        if get() != count:
+            pytest.skip(f"OpenBLAS does not run {count} threads here")
+
+    yield set_threads
+    set_(before)
+
+
+class RowFault(Exception):
+    pass
+
+
+class TestBlasThreads:
+    def test_a_row_runs_one_thread_and_gives_the_count_back(
+        self, sweep_split, sweep_settings, monkeypatch, blas_threads
+    ):
+        get = _BLAS[0]
+        # one CPU: the rows run in this process, where the count can be read
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        seen = []
+        real = curvature.train_stack
+
+        def spy(dataset, configs):
+            seen.append(get())
+            return real(dataset, configs)
+
+        def fault(dataset, configs):
+            raise RowFault()
+
+        base = OptimizerConfig(eta=1.0, steps=5, seed=3)
+        settings = replace(sweep_settings, curvature_examples=16, curvature_iters=20)
+        blas_threads(2)
+        monkeypatch.setattr(curvature, "train_stack", spy)
+        clipping_smoothness_curve(*sweep_split, [0.0, 0.05], [0.5], base, settings)
+        assert seen == [1, 1]
+        assert get() == 2
+        monkeypatch.setattr(curvature, "train_stack", fault)
+        with pytest.raises(RowFault):
+            clipping_smoothness_curve(*sweep_split, [0.0, 0.05], [0.5], base, settings)
+        assert get() == 2
+
+    def test_attacked_sweep_csv_does_not_depend_on_the_blas_threads(self, tmp_path, blas_threads):
+        rng = np.random.default_rng(4)
+        images, labels = str(tmp_path / "images.idx"), str(tmp_path / "labels.idx")
+        write_idx(rng.uniform(0.0, 1.0, size=(48, 3, 3)), rng.integers(0, 3, size=48),
+                  images, labels)
+        params = {"images": images, "labels": labels, "c_grid": "0,0.05", "k_grid": "0.5,2",
+                  "steps": "4", "attack_steps": "2", "eval_attack_steps": "2",
+                  "curvature_examples": "16", "curvature_iters": "30"}
+        outputs = []
+        for threads in (1, 2):
+            blas_threads(threads)
+            out = tmp_path / f"blas{threads}"
+            run_experiment(ExperimentConfig("fig8-sweep", str(out), (0,), params))
+            outputs.append((out / artifact_name("fig8-sweep")).read_bytes())
+        assert outputs[0] == outputs[1]
+        assert b"0.05" in outputs[0]  # the attacked row was swept
 
 
 def test_sweep_settings_are_said_once():

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 from rpopt.cli import load_train_config, main
 from rpopt.data import load_csv, write_idx
-from rpopt import experiments
+from rpopt import curvature, experiments
 from rpopt.errors import DataFormatError, ExperimentError
 from rpopt.experiments import (
     KINDS,
@@ -113,19 +114,19 @@ class TestExperimentConfig:
         path = tmp_path / "exp.ini"
         path.write_text(
             "[experiment]\n"
-            "kind = bounds-only\n"
+            "kind = fig1-convergence\n"
             "output_dir = out/run  ; trailing comment\n"
             "seeds = 0:3\n"
             "\n"
             "[params]\n"
-            "t_max = 100\n",
+            "steps = 100\n",
             encoding="utf-8",
         )
         config = load_experiment_config(str(path))
-        assert config.kind == "bounds-only"
+        assert config.kind == "fig1-convergence"
         assert config.output_dir == "out/run"
         assert config.seeds == (0, 1, 2)
-        assert config.params == {"t_max": "100"}
+        assert config.params == {"steps": "100"}
 
     def test_load_experiment_config_errors(self, tmp_path):
         with pytest.raises(ValueError, match="cannot read"):
@@ -835,6 +836,29 @@ class TestCliInProcess:
                     tmp_path / "kind" / artifact
                 ).read_bytes()
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_second_seed_is_used_or_refused(self, run_cli, tmp_path, kind):
+        # fig1 averages its curves over the seeds; every other kind runs one
+        # seed, so a manifest never lists a seed that no number came from
+        outputs = {}
+        for seeds in ("0,1", "0", "1"):
+            out = tmp_path / seeds
+            ini = _write_ini(tmp_path / f"{seeds}.ini", kind, out, _TINY_PARAMS[kind], seeds=seeds)
+            code, _, err = run_cli("experiment", "--config", ini)
+            if kind != "fig1-convergence" and seeds == "0,1":
+                assert code == 1 and "[experiment] seeds" in err, err
+                assert not out.exists()
+                return
+            assert code == 0, err
+            outputs[seeds] = read_table(str(out / artifact_name(kind)))
+        both = outputs["0,1"]
+        assert np.all(both["se_private"][1:] > 0)
+        for one in ("0", "1"):
+            assert not np.array_equal(both["loss_private"], outputs[one]["loss_private"])
+        assert np.array_equal(
+            both["loss_private"], (outputs["0"]["loss_private"] + outputs["1"]["loss_private"]) / 2
+        )
+
     @pytest.mark.parametrize("mode, kind", [("clip", "fig8-sweep"), ("dp", "fig9-sweep")])
     def test_sweep_kinds_take_one_seed(self, run_cli, tmp_path, sweep_data, mode, kind):
         # a seed is a whole sweep, and a sweep does not average over seeds
@@ -852,6 +876,33 @@ class TestCliInProcess:
             assert code == expected, err
             assert ("[experiment] seeds" in err) == (expected == 1)
             assert out.exists() == (expected == 0)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the fault is planted by patching this process, which only a forked row "
+        "process inherits",
+    )
+    def test_a_fault_in_a_row_process_fails_the_sweep_stage(
+        self, run_cli, tmp_path, sweep_data, monkeypatch
+    ):
+        parent = os.getpid()
+        real = curvature.train_stack
+
+        def fault_in_a_row_process(dataset, configs):
+            if os.getpid() != parent:
+                raise RuntimeError("planted fault in a row process")
+            return real(dataset, configs)
+
+        monkeypatch.setattr(curvature, "train_stack", fault_in_a_row_process)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        out = tmp_path / "kind"
+        params = dict(_TINY_PARAMS["fig8-sweep"], data_csv=sweep_data)
+        code, _, err = run_cli("experiment", "--config",
+                               _write_ini(tmp_path / "exp.ini", "fig8-sweep", out, params))
+        assert code == 2, err
+        assert "stage 'sweep' failed: planted fault in a row process" in err
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
     def test_sweep_batch_larger_than_training_part_fails(self, run_cli, tmp_path, sweep_data):
         out = tmp_path / "sweep"
@@ -974,7 +1025,6 @@ _RANGE_FAULTS = [
     ("bounds-only", "t_max", "0"),
     ("fig8-sweep", "curvature_iters", "0"),
     ("fig8-sweep", "curvature_examples", "0"),
-    ("fig8-sweep", "workers", "-1"),
     ("fig8-sweep", "eval_attack_steps", "-1"),
     ("fig8-sweep", "limit", "-5"),
     ("fig1-convergence", "sigma", "-0.5"),
@@ -1075,6 +1125,10 @@ class TestConfigReader:
             ("train", "[train]\nsteps = 5\n", "abc", "RPOPT_SEED"),
             ("experiment", _FIG3 + "seed = 5\n" + _FIG3_PARAMS, None,
              "[experiment]: unknown parameters ['seed']"),
+            ("experiment", _FIG3.replace("fig3-robust-compare", "fig8-sweep")
+             + "[params]\nworkers = 2\n", None, "[params]: unknown parameters ['workers']"),
+            ("sweep", ("--mode", "clip", "--out-dir", "{out}", "--param", "workers=2"), None,
+             "[params]: unknown parameters ['workers']"),
             ("experiment", _FIG3 + "\n[parms]\neta = 0.5\n", None, "[parms]"),
             ("experiment", _FIG3 + "seeds = -2\n" + _FIG3_PARAMS, None, "[experiment] seeds"),
             ("experiment", _FIG3 + "seeds = 0:2\n" + _FIG3_PARAMS, -1, "RPOPT_SEED"),
@@ -1102,7 +1156,9 @@ class TestConfigReader:
         ids=[
             "train-unparsable-value", "train-stray-section", "train-negative-seed",
             "train-negative-env-seed", "train-non-integer-env-seed",
-            "experiment-unknown-key", "experiment-stray-section", "experiment-negative-seeds",
+            "experiment-unknown-key", "params-workers-is-unknown",
+            "sweep-param-workers-is-unknown", "experiment-stray-section",
+            "experiment-negative-seeds",
             "experiment-negative-env-seed", "experiment-non-integer-env-seed",
             "experiment-regime-violation", "attack-eval-negative-seeds", "gen-data-negative-seed",
             "train-negative-c", "train-noise_mode-is-unknown", "params-negative-eta",

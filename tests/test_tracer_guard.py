@@ -42,10 +42,13 @@ def test_positional_parameters_the_counters_read(module_name, attr, index, name)
     assert list(inspect.signature(function).parameters)[index] == name
 
 
-def test_traced_sweep_reaches_every_numeric_layer(tracer_module, sweep_settings):
+def test_traced_sweep_reaches_every_numeric_layer(tracer_module, sweep_settings, monkeypatch):
     from rpopt import curvature
     from rpopt.data import Dataset, split
     from rpopt.optimizer import OptimizerConfig
+
+    # the tracer sees only its own process: one CPU keeps both rows in it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
     rng = np.random.default_rng(0)
     x = rng.uniform(0.0, 1.0, size=(30, 4)) / 2.0

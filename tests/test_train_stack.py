@@ -365,13 +365,16 @@ class TestValidation:
             train_stack(binary_data, [])
 
 
-def test_parallel_rows_match_serial_grid(sweep_settings):
+def test_parallel_rows_match_serial_grid(sweep_settings, monkeypatch):
     train_ds, test_ds = split(generate_separable(d=4, n=90, gamma=0.3, seed=6), 1.0 / 6.0, seed=3)
     base = OptimizerConfig(eta=1.0, steps=10, seed=3)
     settings = replace(sweep_settings, curvature_examples=32, curvature_iters=100)
-    serial = clipping_smoothness_curve(train_ds, test_ds, [0.0, 0.05], [0.5, 2.0], base, settings)
-    parallel = clipping_smoothness_curve(
-        train_ds, test_ds, [0.0, 0.05], [0.5, 2.0], base, replace(settings, workers=2)
-    )
+    tables = []
+    for cpus in (1, 2):  # one CPU runs the rows here, two on two processes
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        tables.append(
+            clipping_smoothness_curve(train_ds, test_ds, [0.0, 0.05], [0.5, 2.0], base, settings)
+        )
+    serial, parallel = tables
     assert [(cell.row, cell.col) for cell in serial.cells] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert serial.cells == parallel.cells
