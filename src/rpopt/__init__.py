@@ -7,7 +7,6 @@ from ._version import __version__
 from .attacks import (
     AttackConfig,
     PGDWorkspace,
-    attack_dataset,
     exact_linear_robust_accuracy,
     pgd,
     pgd_batch,
@@ -41,7 +40,6 @@ from .curvature import (
     clipping_smoothness_curve,
     max_eigenvalue,
     optimum_curvature,
-    optimum_spectrum,
     power_iteration,
     privacy_smoothness_curve,
 )
@@ -51,7 +49,6 @@ from .data import (
     generate_separable,
     load_csv,
     load_idx,
-    margin_wrt,
     save_csv,
     split,
     write_idx,
@@ -76,13 +73,11 @@ from .losses import (
     multiclass_gradient,
     multiclass_loss,
     per_example_gradients,
-    step_terms,
     step_terms_stack,
 )
 from .optimizer import (
     OptimizerConfig,
     TrainTrace,
-    expected_norm_bound,
     noise_calibration,
     train,
     train_stack,

@@ -32,8 +32,7 @@ class AttackConfig:
 
     budget: float  # perturbation radius c
     p: float = math.inf  # ball norm: 2 or inf
-    steps: int = 100
-    step_size: float | None = None  # None -> 2.5 * budget / steps
+    steps: int = 100  # each of length 2.5 * budget / steps
     restarts: int = 1
     seed: int = 0
 
@@ -44,18 +43,8 @@ class AttackConfig:
             raise ValueError("attack norm p must be 2 or inf")
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
-        if self.step_size is not None and not self.step_size > 0:
-            raise ValueError("step_size must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-
-    @property
-    def effective_step_size(self) -> float:
-        if self.step_size is not None:
-            return self.step_size
-        if self.steps == 0:
-            return 0.0
-        return 2.5 * self.budget / self.steps
 
 
 class PGDWorkspace:
@@ -199,7 +188,7 @@ def pgd_batch(
         return np.zeros((n, d))
     ws = PGDWorkspace() if workspace is None else workspace
     c, p = attack.budget, attack.p
-    alpha = attack.effective_step_size
+    alpha = 2.5 * c / attack.steps
     constrain = _constraint(x, c, p, box, ws)
     delta = ws.array("delta", (n, d))
     grads = ws.array("grads", (n, d))
@@ -248,11 +237,6 @@ def pgd(
     return deltas[0] if x.ndim == 1 else deltas
 
 
-def attack_dataset(model, dataset: Dataset, attack: AttackConfig) -> np.ndarray:
-    """Attack every example; the dataset's box domain (if any) is respected."""
-    return pgd_batch(model, dataset.features, dataset.labels, attack, box=dataset.box)
-
-
 def _correct(theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Whether the linear model theta classifies each row of x as its label."""
     if theta.ndim == 1:
@@ -263,7 +247,7 @@ def _correct(theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def robust_accuracy(model, dataset: Dataset, attack: AttackConfig) -> float:
     """Fraction of examples still classified correctly after the attack."""
     theta = model_weights(model)
-    deltas = attack_dataset(model, dataset, attack)
+    deltas = pgd_batch(theta, dataset.features, dataset.labels, attack, box=dataset.box)
     return float(np.mean(_correct(theta, dataset.features + deltas, dataset.labels)))
 
 
@@ -278,7 +262,7 @@ def exact_linear_robust_accuracy(model, dataset: Dataset, budget: float, p: floa
         raise ValueError("exact robust accuracy is only defined for binary linear models")
     if not dataset.is_binary:
         raise ValueError("exact robust accuracy requires binary labels")
-    spec = LossSpec.for_budget(budget, p)
+    spec = LossSpec(budget, p)
     shift = budget * spec.weight_norm(theta) if budget > 0 else 0.0
     margins = dataset.labels * (dataset.features @ theta) - shift
     return float(np.mean(margins > 0))

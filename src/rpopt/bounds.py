@@ -96,61 +96,54 @@ def _require_regime(inputs: BoundInputs, robust: bool = False) -> None:
         raise InvalidRegimeError(violated[0])
 
 
-def bound_nominal(inputs: BoundInputs) -> float:
-    """Plain-descent rate: (8-eta)/(8 t eta) (1 + (log t / gamma)^2)
-    + (8-eta)/4 * log((t+1)/t)."""
+def _plain_rate(inputs: BoundInputs, noise_energy: float) -> float:
+    """Plain-descent rate with noise energy d sigma^2:
+    (8-eta)/(8 t eta) (1 + d sigma^2 + (log t / gamma)^2)
+    + (8-eta)/4 * log((t+1)/t) + eta d sigma^2."""
     _require_regime(inputs)
     t, eta, gamma = inputs.t, inputs.eta, inputs.gamma
-    lead = (8.0 - eta) / (8.0 * t * eta)
-    bracket = 1.0 + (math.log(t) / gamma) ** 2
-    tail = (8.0 - eta) / 4.0 * math.log1p(1.0 / t)
-    return lead * bracket + tail
-
-
-def bound_private(inputs: BoundInputs) -> float:
-    """Noisy-descent rate: the plain bracket gains d sigma^2 and the rate
-    gains the noise floor eta d sigma^2."""
-    _require_regime(inputs)
-    t, eta, gamma = inputs.t, inputs.eta, inputs.gamma
-    noise_energy = inputs.d * inputs.sigma**2
     lead = (8.0 - eta) / (8.0 * t * eta)
     bracket = (1.0 + noise_energy) + (math.log(t) / gamma) ** 2
     tail = (8.0 - eta) / 4.0 * math.log1p(1.0 / t)
     return lead * bracket + tail + eta * noise_energy
 
 
-def _robust_coefficients(inputs: BoundInputs, s: float) -> tuple[float, float]:
-    """Leading 1/t coefficient and the log(1 + 1/t) coefficient."""
+def bound_nominal(inputs: BoundInputs) -> float:
+    """Plain-descent rate, without noise."""
+    return _plain_rate(inputs, 0.0)
+
+
+def bound_private(inputs: BoundInputs) -> float:
+    """Noisy-descent rate: the plain bracket gains d sigma^2 and the rate
+    gains the noise floor eta d sigma^2."""
+    return _plain_rate(inputs, inputs.d * inputs.sigma**2)
+
+
+def _robust_rate(inputs: BoundInputs, noise_energy: float) -> float:
+    """Worst-case-loss descent rate with budget c and noise energy
+    d sigma^2, in the inputs' form."""
+    _require_regime(inputs, robust=True)
     t, eta, gamma, c = inputs.t, inputs.eta, inputs.gamma, inputs.c
     if inputs.form == "appendix":
+        s = curvature_budget(c, eta, gamma)
         lead = (2.0 - s * eta) / (2.0 * t * eta)
         tail = 2.0 - s * eta
     else:
         lead = (8.0 - eta * (1.0 + c) ** 2) / (8.0 * t * eta) - c / (t * gamma)
         tail = (8.0 - eta * (1.0 + c) ** 2) / 4.0 - 2.0 * c / gamma
-    return lead, tail
+    bracket = ((1.0 + c) ** 2 + noise_energy) + (math.log(t) / (gamma - c)) ** 2
+    return lead * bracket + tail * math.log1p(1.0 / t) + eta * noise_energy
 
 
 def bound_robust(inputs: BoundInputs) -> float:
     """Worst-case-loss descent rate with budget c (no noise)."""
-    _require_regime(inputs, robust=True)
-    t, gamma, c = inputs.t, inputs.gamma, inputs.c
-    s = curvature_budget(c, inputs.eta, gamma)
-    lead, tail = _robust_coefficients(inputs, s)
-    bracket = (math.log(t) / (gamma - c)) ** 2 + (1.0 + c) ** 2
-    return lead * bracket + tail * math.log1p(1.0 / t)
+    return _robust_rate(inputs, 0.0)
 
 
 def bound_robust_private(inputs: BoundInputs) -> float:
     """Worst-case-loss noisy-descent rate: bracket gains d sigma^2, rate
     gains the noise floor eta d sigma^2."""
-    _require_regime(inputs, robust=True)
-    t, eta, gamma, c = inputs.t, inputs.eta, inputs.gamma, inputs.c
-    s = curvature_budget(c, eta, gamma)
-    noise_energy = inputs.d * inputs.sigma**2
-    lead, tail = _robust_coefficients(inputs, s)
-    bracket = ((1.0 + c) ** 2 + noise_energy) + (math.log(t) / (gamma - c)) ** 2
-    return lead * bracket + tail * math.log1p(1.0 / t) + eta * noise_energy
+    return _robust_rate(inputs, inputs.d * inputs.sigma**2)
 
 
 def bound_robust_under_standard(inputs: BoundInputs) -> float:
@@ -183,23 +176,15 @@ def gap_curve(inputs: BoundInputs, setting: str, ts=None) -> np.ndarray:
 
     ``nonprivate`` compares the noiseless worst-case bound against the plain
     bound; ``private`` compares the noisy worst-case bound against the same
-    plain baseline.  Rows are (t, gap).
+    plain baseline.  Rows are (t, gap); ``ts`` defaults to ``[inputs.t]``.
     """
-    if setting not in ("nonprivate", "private"):
+    robust = {"nonprivate": "robust", "private": "robust-private"}.get(setting)
+    if robust is None:
         raise ValueError("setting must be 'nonprivate' or 'private'")
-    if ts is None:
-        ts = [inputs.t]
-    plain = replace(inputs, c=0.0, sigma=0.0, d=0)
-    rows = []
-    for t in ts:
-        t = int(t)
-        base = bound_nominal(replace(plain, t=t))
-        if setting == "nonprivate":
-            value = bound_robust(replace(inputs, t=t, sigma=0.0, d=0)) - base
-        else:
-            value = bound_robust_private(replace(inputs, t=t)) - base
-        rows.append((t, value))
-    return np.asarray(rows)
+    ts = [inputs.t] if ts is None else ts
+    rows = evaluate_series(robust, inputs, ts)
+    rows[:, 1] -= evaluate_series("nominal", inputs, ts)[:, 1]
+    return rows
 
 
 def log_spaced_steps(t_max: int, points: int = 200) -> np.ndarray:

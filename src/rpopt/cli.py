@@ -19,7 +19,7 @@ from dataclasses import replace
 from . import bounds as bounds_mod
 from ._version import __version__
 from .data import (
-    generate_equal_margin, generate_separable, load_csv, load_idx, save_csv, write_table
+    generate_equal_margin, generate_separable, load_dataset, save_csv, write_table
 )
 from .errors import RpoptError
 from .experiments import (
@@ -71,19 +71,15 @@ def _cmd_gen_data(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_dataset(args):
-    if args.images:
-        return load_idx(args.images, args.labels, limit=args.limit)
-    if args.data:
-        return load_csv(args.data)
-    raise ValueError("provide --data CSV or --images/--labels IDX files")
-
-
 def _cmd_train(args) -> int:
     config = load_train_config(args.config)
     if args.env_seed is not None:
         config = replace(config, seed=args.env_seed)
-    dataset = _load_dataset(args)
+    dataset = load_dataset(
+        args.images, args.labels, args.data, args.limit, ("--images", "--labels", "--data")
+    )
+    if dataset is None:
+        raise ValueError("provide --data CSV or --images/--labels IDX files")
     gamma = dataset.margin if dataset.is_binary else None
     warnings = validate_config(config, gamma=gamma)
     if dataset.is_binary and gamma is None and config.spec.c > 0:
@@ -271,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--config", required=True, help="INI file with a [train] section")
     tr.add_argument("--data", help="dataset CSV")
     tr.add_argument("--images", help="IDX image file (with --labels)")
-    tr.add_argument("--labels", help="IDX label file")
+    tr.add_argument("--labels", help="IDX label file (with --images)")
     tr.add_argument("--limit", type=non_negative_int, default=0, help="0: every example")
     tr.add_argument("--out", required=True)
     tr.set_defaults(func=_cmd_train)

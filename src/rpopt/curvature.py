@@ -181,15 +181,6 @@ def optimum_curvature(c: float, theta_norm: float) -> float:
     return c / (2.0 * theta_norm)
 
 
-def optimum_spectrum(c: float, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    """Full eigenstructure at the optimum: eigenvalue 0 along theta and
-    optimum_curvature(c, ||theta||) on the orthogonal complement.  Returns
-    (top eigenvalue, unit zero-eigenvalue direction)."""
-    theta = np.asarray(theta, dtype=np.float64)
-    norm = float(np.linalg.norm(theta))
-    return optimum_curvature(c, norm), theta / norm
-
-
 # ---------------------------------------------------------------------------
 # Hyperparameter sweeps: one trained model per grid cell, each scored by its
 # top Hessian eigenvalue and test accuracy.
@@ -299,7 +290,7 @@ def _evaluate_row(train_ds, test_ds, base_config, settings, columns, job) -> lis
     and seed and train together; divergence is recorded, not raised.
     """
     row, c = job
-    spec = LossSpec.for_budget(c, settings.p)
+    spec = LossSpec(c, settings.p)
     configs = [
         replace(
             base_config,

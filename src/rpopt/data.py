@@ -232,20 +232,6 @@ def generate_equal_margin(
     )
 
 
-def margin_wrt(dataset: Dataset, direction: np.ndarray) -> float:
-    """Minimum of y_i * <x_i, w> over the data for unit w along ``direction``."""
-    if not dataset.is_binary:
-        raise ValueError("margin is only defined for binary {-1,+1} labels")
-    direction = np.asarray(direction, dtype=np.float64).reshape(-1)
-    if direction.shape[0] != dataset.dim:
-        raise ValueError("direction dimension mismatch")
-    norm = np.linalg.norm(direction)
-    if norm <= 0 or not np.isfinite(norm):
-        raise ValueError("direction must be a nonzero finite vector")
-    w = direction / norm
-    return float(np.min(dataset.labels * (dataset.features @ w)))
-
-
 def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic train/test split; both parts must be nonempty."""
     if not 0.0 < test_fraction < 1.0:
@@ -417,6 +403,22 @@ def load_idx(images_path: str, labels_path: str, limit: int = 0) -> Dataset:
         box=(0.0, 1.0),
         num_classes=int(labels.max(initial=0)) + 1,
     )
+
+
+def load_dataset(images, labels, csv_path, limit: int, names: tuple) -> Dataset | None:
+    """The dataset of an IDX pair (at most ``limit`` examples, 0: all) or of
+    a CSV, or None when no path is given.  Half a pair, or a pair and a CSV,
+    raises ValueError naming the inputs by ``names`` (flags or config keys).
+    """
+    images_name, labels_name, csv_name = names
+    if bool(images) != bool(labels):
+        given, missing = (images_name, labels_name) if images else (labels_name, images_name)
+        raise ValueError(f"{given} needs {missing}: an IDX pair is read together")
+    if images and csv_path:
+        raise ValueError(f"{images_name} and {csv_name} both name a dataset; give one")
+    if images:
+        return load_idx(images, labels, limit=limit)
+    return load_csv(csv_path) if csv_path else None
 
 
 def write_idx(images: np.ndarray, labels: np.ndarray, images_path: str, labels_path: str) -> None:

@@ -39,7 +39,7 @@ from ._version import __version__
 from .attacks import AttackConfig, exact_linear_robust_accuracy, robust_accuracy
 from .bounds import BoundInputs, log_spaced_steps
 from .curvature import SweepSettings, clipping_smoothness_curve, privacy_smoothness_curve
-from .data import Dataset, check_margin, generate_separable, load_csv, load_idx, split, write_table
+from .data import Dataset, check_margin, generate_separable, load_dataset, split, write_table
 from .errors import DivergenceError, ExperimentError, InvalidRegimeError
 from .losses import LossSpec, adversarial_logistic_loss, gradient
 from .optimizer import OptimizerConfig, train, train_stack, validate_config
@@ -245,6 +245,13 @@ _open_unit = _float_in(lambda x: 0 < x < 1, "lie strictly between 0 and 1")
 _positive = _float_in(lambda x: x > 0, "be positive")
 
 
+def _parse_form(value) -> str:
+    """The printed form of the worst-case rates: one of bounds.FORMS."""
+    if value not in bounds_mod.FORMS:
+        raise ValueError(f"must be one of {', '.join(bounds_mod.FORMS)}, got {value!r}")
+    return value
+
+
 def _float_or_none(value):
     return None if str(value).strip().lower() == "none" else float(value)
 
@@ -282,6 +289,7 @@ _PARAMS_PARSERS = {
     "eps_grid": _kept_as_text(partial(parse_grid, check=_finite_positive)),
     "budgets": _kept_as_text(partial(parse_grid, check=_finite_non_negative)),
     "d_list": _kept_as_text(_parse_dims),
+    "form": _parse_form,
     "clip_k": _finite_positive,  # fig9 only: the privacy sweep needs a finite clip
     "eta": _finite_positive,
     "curvature_tol": _finite_positive,
@@ -371,7 +379,7 @@ def load_train_config(path) -> OptimizerConfig:
     """OptimizerConfig from the [train] section of an INI file."""
     values = read_section("train", read_ini(path, ("train",))["train"], _TRAIN, _TRAIN_PARSERS)
     c, p = values.pop("c"), values.pop("p")
-    values["spec"] = LossSpec.for_budget(c, p)
+    values["spec"] = LossSpec(c, p)
     return parse_named("[train]", lambda fields: OptimizerConfig(**fields), values)
 
 
@@ -456,6 +464,13 @@ def run_experiment(config: ExperimentConfig) -> list:
         shutil.rmtree(staging_dir)
 
 
+def _separable(params) -> Dataset:
+    """The kind's generated separable data, from its d, n, gamma and data_seed."""
+    return generate_separable(
+        d=params["d"], n=params["n"], gamma=params["gamma"], seed=params["data_seed"]
+    )
+
+
 # ---------------------------------------------------------------------------
 # fig1: four training curves against their four rate bounds
 # ---------------------------------------------------------------------------
@@ -492,9 +507,7 @@ def _solo_and_averaged_losses(dataset, solo, base, seeds, column: str):
 
 def _run_fig1(config, params, stage):
     stage.name = "generate-data"
-    dataset = generate_separable(
-        d=params["d"], n=params["n"], gamma=params["gamma"], seed=params["data_seed"]
-    )
+    dataset = _separable(params)
     eta, c, sigma, steps = params["eta"], params["c"], params["sigma"], params["steps"]
     gamma = params["gamma"]
     first = params["first_step_eta"]
@@ -503,7 +516,7 @@ def _run_fig1(config, params, stage):
         return OptimizerConfig(
             eta=eta,
             steps=steps,
-            spec=LossSpec.for_budget(spec_c),
+            spec=LossSpec(spec_c),
             sigma=noise,
             first_step_eta=first,
             seed=config.seeds[0],
@@ -563,9 +576,7 @@ def _run_fig2(config, params, stage):
 
 def _run_fig3(config, params, stage):
     stage.name = "generate-data"
-    dataset = generate_separable(
-        d=params["d"], n=params["n"], gamma=params["gamma"], seed=params["data_seed"]
-    )
+    dataset = _separable(params)
     eta, c, steps = params["eta"], params["c"], params["steps"]
     spec = LossSpec.adversarial(c)
 
@@ -606,20 +617,15 @@ def _run_fig3(config, params, stage):
 # ---------------------------------------------------------------------------
 
 
-def _sweep_dataset(params) -> Dataset:
-    if params["images"]:
-        return load_idx(params["images"], params["labels"], limit=params["limit"])
-    if params["data_csv"]:
-        return load_csv(params["data_csv"])
-    return generate_separable(
-        d=params["d"], n=params["n"], gamma=params["gamma"], seed=params["data_seed"]
-    )
-
-
 def _run_sweep_kind(mode, config, params, stage):
     """fig8 (mode "clip") or fig9 (mode "dp"): one curvature sweep."""
     stage.name = "load-data"
-    dataset = _sweep_dataset(params)
+    dataset = load_dataset(
+        params["images"], params["labels"], params["data_csv"], params["limit"],
+        ("[params] images", "[params] labels", "[params] data_csv"),
+    )
+    if dataset is None:
+        dataset = _separable(params)
     train_ds, test_ds = split(dataset, params["test_fraction"], seed=config.seeds[0])
     base = OptimizerConfig(
         eta=params["eta"],
@@ -685,9 +691,7 @@ def _run_bounds_only(config, params, stage):
 
 def _run_attack_eval(config, params, stage):
     stage.name = "generate-data"
-    dataset = generate_separable(
-        d=params["d"], n=params["n"], gamma=params["gamma"], seed=params["data_seed"]
-    )
+    dataset = _separable(params)
     train_ds, test_ds = split(dataset, params["test_fraction"], seed=config.seeds[0])
     p = parse_p(params["p"])
     eta, steps, c_train = params["eta"], params["steps"], params["c_train"]

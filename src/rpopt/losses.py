@@ -21,7 +21,7 @@ the weighted sum of the r_i from the identities
     sum_i w_i r_i = -(w * y)^T X + c (sum_i w_i) g,
 
 so its work is the squared input norms and one product X g per cell (see
-:func:`step_terms`).
+:func:`step_terms_stack`).
 """
 
 from __future__ import annotations
@@ -55,34 +55,25 @@ def model_weights(model) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Which loss to evaluate: nominal, or worst-case with budget c under l_p."""
+    """Which loss to evaluate: worst-case with budget c under l_p when
+    c > 0, else nominal (p is then unused)."""
 
-    kind: str = "nominal"
     c: float = 0.0
     p: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in ("nominal", "adversarial"):
-            raise ValueError(f"unknown loss kind {self.kind!r}")
         if not (math.isfinite(self.c) and self.c >= 0.0):
             raise ValueError("budget c must be finite and non-negative")
-        if self.kind == "nominal" and self.c != 0.0:
-            raise ValueError("nominal loss requires c = 0")
         if self.p not in (2.0, math.inf):
             raise ValueError("perturbation norm p must be 2 or inf")
 
     @classmethod
     def nominal(cls) -> "LossSpec":
-        return cls(kind="nominal", c=0.0)
+        return cls()
 
     @classmethod
     def adversarial(cls, c: float, p: float = 2.0) -> "LossSpec":
-        return cls(kind="adversarial", c=float(c), p=float(p))
-
-    @classmethod
-    def for_budget(cls, c: float, p: float = 2.0) -> "LossSpec":
-        """The loss of budget c: worst-case when c > 0, else nominal."""
-        return cls.adversarial(c, p) if c > 0 else cls.nominal()
+        return cls(float(c), float(p))
 
     @property
     def dual_q(self) -> float:
@@ -150,11 +141,8 @@ def _binary_margins(theta, x, y, spec: LossSpec) -> np.ndarray:
 
 
 def logistic_loss(theta, x, y, per_example: bool = False):
-    """Mean (or per-example) log(1 + exp(-y <x, theta>))."""
-    theta = np.asarray(theta, dtype=np.float64)
-    x, y = _as_batch(x, y)
-    values = _softplus(_binary_margins(theta, x, y, LossSpec.nominal()))
-    return values if per_example else float(values.mean())
+    """Mean (or per-example) log(1 + exp(-y <x, theta>)): the loss at c = 0."""
+    return adversarial_logistic_loss(theta, x, y, LossSpec.nominal(), per_example)
 
 
 def adversarial_logistic_loss(theta, x, y, spec: LossSpec, per_example: bool = False):
@@ -210,11 +198,19 @@ def _clip_factors(norms: np.ndarray, k) -> np.ndarray:
     return np.minimum(1.0, k / np.maximum(norms, 1e-300))
 
 
-def step_terms(theta, x, y, spec: LossSpec, clip_k: float = math.inf, x_adv=None):
-    """Nominal loss, worst-case loss and mean clipped gradient of one step.
+def step_terms_stack(theta, x, y, spec: LossSpec, clip_k, x_adv=None):
+    """Nominal loss, worst-case loss and mean clipped gradient of one step,
+    for each of a stack of K independent cells.
+
+    ``theta`` is (K, d) or (K, C, d).  The batch is shared, x (n, d) and
+    y (n,), or one per cell, x (K, n, d) and y (K, n); labels are float
+    {-1, +1} for binary and integer classes for multi-class cells.
+    ``clip_k`` holds each cell's threshold, shape (K,), and ``x_adv`` each
+    cell's attacked batch, (K, n, d).  Returns the nominal and worst-case
+    losses, shape (K,), and the mean gradients, shaped like theta.
 
     Each input batch costs one margin (binary) or logit (multi-class) pass.
-    With ``clip_k`` finite, every per-example gradient is scaled to norm at
+    With a finite threshold, every per-example gradient is scaled to norm at
     most clip_k before averaging.  A linear model's per-example gradient is
     rank one, and no per-example tensor is built:
 
@@ -229,33 +225,11 @@ def step_terms(theta, x, y, spec: LossSpec, clip_k: float = math.inf, x_adv=None
       rounding of the size of eps c ||g|| / n to the mean, not of its own
       (tiny) gradient.
 
-    With clip_k = inf the gradient is exactly :func:`gradient`.
+    With clip_k = inf a cell's gradient is exactly :func:`gradient`.
 
     The multi-class worst-case loss has no closed form: with spec.c > 0 pass
-    the attacked batch as ``x_adv``; the worst-case loss and the gradient
+    the attacked batches as ``x_adv``; the worst-case loss and the gradient
     are then taken there and the nominal loss on ``x``.
-
-    This is the one-cell case of :func:`step_terms_stack`.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    x, y = _class_batch(theta, x, y) if theta.ndim == 2 else _as_batch(x, y)
-    if x_adv is not None:
-        x_adv = np.atleast_2d(np.asarray(x_adv, dtype=np.float64))[None]
-    nominal, adversarial, grad = step_terms_stack(
-        theta[None], x, y, spec, np.array([clip_k], dtype=np.float64), x_adv
-    )
-    return float(nominal[0]), float(adversarial[0]), grad[0]
-
-
-def step_terms_stack(theta, x, y, spec: LossSpec, clip_k, x_adv=None):
-    """:func:`step_terms` for a stack of K independent cells.
-
-    ``theta`` is (K, d) or (K, C, d).  The batch is shared, x (n, d) and
-    y (n,), or one per cell, x (K, n, d) and y (K, n); labels are float
-    {-1, +1} for binary and integer classes for multi-class cells.
-    ``clip_k`` holds each cell's threshold, shape (K,), and ``x_adv`` each
-    cell's attacked batch, (K, n, d).  Returns the nominal and worst-case
-    losses, shape (K,), and the mean gradients, shaped like theta.
 
     Every operation acts on one cell at a time: one BLAS call per cell
     (a stacked matmul) and reductions along a cell's own axes, never one

@@ -9,7 +9,7 @@ sigma * k / n is added to that mean (std sigma * k on the sum, for batch
 size n).  A linear model's per-example gradient is rank one, so its norm
 and the clipped mean come from products of the inputs with the residuals
 (softmax) or with the dual-norm subgradient (binary); see
-:func:`rpopt.losses.step_terms`.  No per-example gradient, and for the
+:func:`rpopt.losses.step_terms_stack`.  No per-example gradient, and for the
 binary loss no per-example residual, is built.
 
 Independent runs on one dataset that differ only in clip_k, sigma and seed
@@ -87,8 +87,9 @@ class OptimizerConfig:
             raise ValueError("clip_k must be positive (inf disables clipping)")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be finite and non-negative")
-        if self.first_step_eta is not None and not self.first_step_eta / 2 > self.eta:
-            raise ValueError("first_step_eta must exceed 2 * eta")
+        first = self.first_step_eta
+        if first is not None and not (math.isfinite(first) and first / 2 > self.eta):
+            raise ValueError("first_step_eta must be finite and exceed 2 * eta")
         if self.batch < 0:
             raise ValueError("batch must be >= 0 (0: full batch)")
         if self.attack_steps < 1:
@@ -153,21 +154,6 @@ def clip_rows(grads: np.ndarray, k: float) -> np.ndarray:
     flat = grads.reshape(grads.shape[0], -1)
     factors = losses_mod._clip_factors(np.linalg.norm(flat, axis=1), k)
     return grads * factors.reshape((-1,) + (1,) * (grads.ndim - 1))
-
-
-def expected_norm_bound(theta, grad, eta: float, d: int | None, sigma: float) -> float:
-    """Upper bound on E||theta - eta (grad + noise)|| for Gaussian noise.
-
-    Exact second moment plus Jensen: the expected norm is at most
-    sqrt(||theta - eta grad||^2 + d eta^2 sigma^2).  d = None means the
-    full parameter dimension.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
-    if d is None:
-        d = theta.size
-    drift = float(np.linalg.norm(theta - eta * grad))
-    return math.sqrt(drift**2 + d * eta**2 * sigma**2)
 
 
 def train(dataset: Dataset, config: OptimizerConfig) -> TrainTrace:

@@ -5,7 +5,6 @@ import pytest
 
 from rpopt.attacks import (
     AttackConfig,
-    attack_dataset,
     exact_linear_robust_accuracy,
     pgd,
     pgd_batch,
@@ -17,12 +16,6 @@ from rpopt.optimizer import OptimizerConfig, train
 
 
 class TestAttackConfig:
-    def test_default_step_size(self):
-        cfg = AttackConfig(budget=0.2, steps=50)
-        assert cfg.effective_step_size == pytest.approx(2.5 * 0.2 / 50)
-        assert AttackConfig(budget=0.2, steps=0).effective_step_size == 0.0
-        assert AttackConfig(budget=0.2, step_size=0.01).effective_step_size == 0.01
-
     def test_zero_budget_allowed(self):
         cfg = AttackConfig(budget=0.0, steps=0)
         assert cfg.budget == 0.0
@@ -34,7 +27,6 @@ class TestAttackConfig:
             dict(budget=math.inf),
             dict(budget=0.1, p=3.0),
             dict(budget=0.1, steps=-1),
-            dict(budget=0.1, step_size=0.0),
             dict(budget=0.1, restarts=0),
         ],
     )
@@ -169,12 +161,9 @@ class TestAccuracies:
         with pytest.raises(ValueError):
             exact_linear_robust_accuracy(np.zeros((3, 3)), ds, 0.1)
 
-    def test_attack_dataset_respects_dataset_box(self):
-        ds = Dataset(
-            features=np.array([[0.05, 0.0], [0.6, 0.3]]),
-            labels=np.array([1, -1]),
-            box=(0.0, 1.0),
-        )
-        deltas = attack_dataset(np.array([1.0, -0.5]), ds, AttackConfig(budget=0.3, steps=5))
-        adv = ds.features + deltas
-        assert adv.min() >= -1e-12
+    def test_robust_accuracy_respects_dataset_box(self):
+        # the box keeps x0 >= 0, which leaves the attacked margin positive
+        x, y = np.array([[0.05, 0.3]]), np.array([1])
+        theta, attack = np.array([1.0, 1.0]), AttackConfig(budget=0.2, steps=5)
+        assert robust_accuracy(theta, Dataset(x, y, box=(0.0, 1.0)), attack) == 1.0
+        assert robust_accuracy(theta, Dataset(x, y), attack) == 0.0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rpopt.bounds import (
     BOUND_FUNCTIONS,
+    FORMS,
     BoundInputs,
     EpsilonReport,
     ExcessRiskInputs,
@@ -146,16 +147,19 @@ class TestSeriesAndGaps:
             "robust-under-standard",
         ]
 
-    def test_gap_curve_subtracts_plain_baseline(self):
-        inputs = BoundInputs(t=1, eta=0.1, gamma=1.0, c=0.1, d=10, sigma=0.4)
-        ts = [1, 10, 100]
-        rows = gap_curve(inputs, "private", ts)
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize(
+        "setting, robust", [("nonprivate", bound_robust), ("private", bound_robust_private)]
+    )
+    def test_gap_curve_subtracts_plain_baseline(self, setting, robust, form):
+        inputs = BoundInputs(t=1, eta=0.1, gamma=1.0, c=0.1, d=10, sigma=0.4, form=form)
+        rows = gap_curve(inputs, setting, [1, 10, 100])
         for (t, gap) in rows:
             t = int(t)
-            expected = bound_robust_private(replace(inputs, t=t)) - bound_nominal(
+            expected = robust(replace(inputs, t=t)) - bound_nominal(
                 BoundInputs(t=t, eta=0.1, gamma=1.0)
             )
-            assert gap == pytest.approx(expected, rel=1e-15)
+            assert gap == expected
 
     def test_nonprivate_gap_ignores_noise_fields(self):
         noisy = BoundInputs(t=1, eta=0.1, gamma=1.0, c=0.1, d=10, sigma=0.4)

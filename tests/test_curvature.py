@@ -22,7 +22,6 @@ from rpopt.curvature import (
     clipping_smoothness_curve,
     max_eigenvalue,
     optimum_curvature,
-    optimum_spectrum,
     power_iteration,
     privacy_smoothness_curve,
 )
@@ -172,13 +171,6 @@ class TestOptimumCurvature:
             optimum_curvature(-0.1, 1.0)
         with pytest.raises(ValueError):
             optimum_curvature(math.inf, 1.0)
-
-    def test_spectrum_returns_kernel_direction(self):
-        theta = np.array([3.0, 0.0, 4.0])
-        top, direction = optimum_spectrum(0.5, theta)
-        assert top == pytest.approx(0.5 / 10.0)
-        np.testing.assert_allclose(direction, theta / 5.0)
-        assert np.linalg.norm(direction) == pytest.approx(1.0)
 
 
 class TestSweepPlumbing:

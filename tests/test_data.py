@@ -9,7 +9,6 @@ from rpopt.data import (
     generate_separable,
     load_csv,
     load_idx,
-    margin_wrt,
     read_table,
     save_csv,
     split,
@@ -140,31 +139,6 @@ class TestGenerateEqualMargin:
             generate_equal_margin(**kwargs)
 
 
-class TestMarginWrt:
-    def test_matches_recorded_margin_along_separator(self, small_binary):
-        assert margin_wrt(small_binary, small_binary.separator) == pytest.approx(
-            small_binary.margin
-        )
-
-    def test_scale_invariant(self, small_binary):
-        assert margin_wrt(small_binary, 7.5 * small_binary.separator) == pytest.approx(
-            margin_wrt(small_binary, small_binary.separator)
-        )
-
-    def test_rejects_zero_direction(self, small_binary):
-        with pytest.raises(ValueError, match="nonzero"):
-            margin_wrt(small_binary, np.zeros(small_binary.dim))
-
-    def test_rejects_dimension_mismatch(self, small_binary):
-        with pytest.raises(ValueError, match="dimension"):
-            margin_wrt(small_binary, np.ones(small_binary.dim + 1))
-
-    def test_rejects_multiclass(self):
-        ds = Dataset(features=np.eye(3) * 0.5, labels=np.array([0, 1, 2]))
-        with pytest.raises(ValueError, match="binary"):
-            margin_wrt(ds, np.ones(3))
-
-
 class TestSplit:
     def test_partition(self, small_binary):
         train, test = split(small_binary, test_fraction=0.25, seed=0)
@@ -180,8 +154,8 @@ class TestSplit:
 
     def test_margin_recomputed_per_part(self, small_binary):
         train, test = split(small_binary, 0.25, seed=0)
-        assert train.margin == pytest.approx(margin_wrt(train, train.separator))
-        assert test.margin == pytest.approx(margin_wrt(test, test.separator))
+        for part in (train, test):
+            assert part.margin == np.min(part.labels * (part.features @ part.separator))
 
     def test_parts_keep_the_label_kind(self):
         # put every class-1 example in the test part, whose labels are then all 1

@@ -1014,6 +1014,7 @@ def _as_text(value) -> str:
 
 _FIG3 = "[experiment]\nkind = fig3-robust-compare\noutput_dir = {out}\n"
 _FIG3_PARAMS = "[params]\nn = 40\nsteps = 5\n"
+_FIG8 = _FIG3.replace("fig3-robust-compare", "fig8-sweep")
 
 # (kind, key, value): one out-of-range value of each [params] key whose range
 # is checked when the config is read
@@ -1037,6 +1038,9 @@ _RANGE_FAULTS = [
     ("fig1-convergence", "gamma", "0"),
     ("fig3-robust-compare", "first_step_eta", "0.1"),
     ("fig1-convergence", "first_step_eta", "0.2"),
+    ("fig1-convergence", "first_step_eta", "inf"),
+    ("fig3-robust-compare", "first_step_eta", "1e400"),
+    ("bounds-only", "form", "tabel"),
     ("fig8-sweep", "c_grid", "-0.05,0"),
     ("fig8-sweep", "c_grid", "nan"),
     ("fig8-sweep", "c_grid", "inf"),
@@ -1074,6 +1078,17 @@ class TestConfigReader:
         assert {key: type(v) for key, v in back.items()} == {
             key: type(v) for key, v in defaults.items()
         }
+
+    def test_every_text_key_has_a_parser(self):
+        # a str default reads any text; only the data paths may take any
+        text_keys = {
+            key
+            for defaults in experiments._DEFAULTS.values()
+            for key, value in defaults.items()
+            if isinstance(value, str)
+        }
+        paths = {"images", "labels", "data_csv"}
+        assert text_keys - paths - set(experiments._PARAMS_PARSERS) == set()
 
     @pytest.fixture()
     def data(self, run_cli, tmp_path):
@@ -1147,6 +1162,19 @@ class TestConfigReader:
              + _FIG3_PARAMS + "c = -0.1\n", None, "[params] c"),
             ("experiment", _FIG3.replace("fig3-robust-compare", "attack-eval")
              + "[params]\nn = 40\nc_train = -0.2\n", None, "[params] c_train"),
+            ("train", "[train]\nsteps = 5\nfirst_step_eta = inf\n", None,
+             "[train]: first_step_eta must be finite"),
+            ("train", ("--config", "{ini}", "--images", "{data}", "--out", "{out}"), None,
+             "--images needs --labels"),
+            ("train", ("--config", "{ini}", "--images", "{data}", "--labels", "{data}",
+                       "--data", "{data}", "--out", "{out}"), None,
+             "--images and --data both name a dataset"),
+            ("experiment", _FIG8 + "[params]\nlabels = {data}\n", None,
+             "[params] labels needs [params] images"),
+            ("experiment", _FIG8 + "[params]\nimages = {data}\n", None,
+             "[params] images needs [params] labels"),
+            ("experiment", _FIG8 + "[params]\nimages = {data}\nlabels = {data}\n"
+             "data_csv = {data}\n", None, "[params] images and [params] data_csv"),
         ]
         + [
             ("experiment", _FIG3.replace("fig3-robust-compare", kind)
@@ -1162,19 +1190,21 @@ class TestConfigReader:
             "experiment-negative-env-seed", "experiment-non-integer-env-seed",
             "experiment-regime-violation", "attack-eval-negative-seeds", "gen-data-negative-seed",
             "train-negative-c", "train-noise_mode-is-unknown", "params-negative-eta",
-            "params-negative-c", "params-negative-c_train",
+            "params-negative-c", "params-negative-c_train", "train-infinite-first_step_eta",
+            "train-images-without-labels", "train-pair-and-data", "params-labels-without-images",
+            "params-images-without-labels", "params-pair-and-data_csv",
         ]
         + [f"params-{key}-{value}" for _, key, value in _RANGE_FAULTS],
     )
     def test_config_faults_exit_one_naming_their_source(
         self, run_cli, tmp_path, data, verb, text, env_seed, source
     ):
-        out = tmp_path / "out"
+        out, ini = tmp_path / "out", tmp_path / "run.ini"
         if isinstance(text, tuple):
-            argv = (verb, *(arg.format(out=out) for arg in text))
+            ini.write_text("[train]\nsteps = 5\n")
+            argv = (verb, *(arg.format(out=out, ini=ini, data=data) for arg in text))
         else:
-            ini = tmp_path / "run.ini"
-            ini.write_text(text.format(out=out))
+            ini.write_text(text.format(out=out, data=data))
             argv = (verb, "--config", ini)
             if verb == "train":
                 argv += ("--data", data, "--out", out)

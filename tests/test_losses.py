@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -56,14 +57,12 @@ class TestLossSpec:
         with pytest.raises(ValueError):
             LossSpec.adversarial(0.1, p=3.0)
         with pytest.raises(ValueError):
-            LossSpec(kind="nominal", c=0.5)
-        with pytest.raises(ValueError):
-            LossSpec(kind="extreme")
+            LossSpec(math.inf)
 
-    def test_for_budget(self):
-        assert LossSpec.for_budget(0.0) == LossSpec.nominal()
-        assert LossSpec.for_budget(0.1, math.inf) == LossSpec.adversarial(0.1, math.inf)
-        assert LossSpec.for_budget(0.1) == LossSpec.adversarial(0.1, 2.0)
+    def test_the_budget_alone_selects_the_worst_case(self):
+        assert [f.name for f in dataclasses.fields(LossSpec)] == ["c", "p"]
+        assert LossSpec.adversarial(0.0) == LossSpec.nominal() == LossSpec(0.0, 2.0)
+        assert LossSpec.adversarial(0.1, math.inf) == LossSpec(0.1, math.inf)
 
     def test_weight_norm_subgradient_zero_at_origin(self):
         spec = LossSpec.adversarial(0.2, p=2.0)
@@ -116,7 +115,7 @@ class TestLossValues:
 
     def test_zero_budget_collapses_exactly(self, rng):
         theta, x, y = _random_case(rng, 5, None)
-        spec = LossSpec(kind="adversarial", c=0.0, p=2.0)
+        spec = LossSpec(0.0, 2.0)
         assert adversarial_logistic_loss(theta, x, y, spec) == logistic_loss(theta, x, y)
 
     def test_worst_case_dominates_and_grows_with_budget(self, rng):

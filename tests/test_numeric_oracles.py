@@ -167,7 +167,7 @@ def _pgd_reference(theta, x, y, attack, box):
     n, d = x.shape
     loss_and_grad = _loss_and_grad(theta, y)
     c, p = attack.budget, attack.p
-    alpha = attack.effective_step_size
+    alpha = 2.5 * c / attack.steps
     constrain = _constraint(x, c, p, box)
     best_delta = np.zeros((n, d))
     best_values, clean_grads = loss_and_grad(x)

@@ -1,4 +1,5 @@
-"""The fused step kernel ``losses.step_terms`` against the per-example path.
+"""The fused step kernel ``losses.step_terms_stack``, one cell at a time,
+against the per-example path.
 
 The reference for the clipped mean gradient is the tensor path it replaced:
 ``clip_rows(per_example_gradients(...), k).sum(0) / n``.
@@ -13,7 +14,7 @@ import pytest
 from rpopt import losses, optimizer
 from rpopt.attacks import AttackConfig, pgd_batch
 from rpopt.data import Dataset
-from rpopt.losses import LossSpec, step_terms
+from rpopt.losses import LossSpec
 from rpopt.optimizer import OptimizerConfig, TrainTrace, clip_rows, train
 
 CLIP_KS = [1e-6, 0.3, 1e6, math.inf]  # tiny, moderate, large, none
@@ -22,6 +23,13 @@ BINARY_SPECS = [
     LossSpec.adversarial(0.2, 2.0),
     LossSpec.adversarial(0.2, math.inf),
 ]
+
+
+def step_terms(theta, x, y, spec, clip_k=math.inf, x_adv=None):
+    """The losses and gradient of the one-cell stack of theta."""
+    x_adv = None if x_adv is None else x_adv[None]
+    nominal, adversarial, grad = losses.step_terms_stack(theta[None], x, y, spec, [clip_k], x_adv)
+    return nominal[0], adversarial[0], grad[0]
 
 
 def _reference_gradient(theta, x, y, spec, k):

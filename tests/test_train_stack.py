@@ -1,8 +1,9 @@
 """The stacked trainer ``optimizer.train_stack`` against one-cell training.
 
 The reference is the one-cell training loop, kept here as it stood before
-training was stacked: one ``losses.step_terms`` call per step, with the
-cell's own Generator for batch choice and noise and its own PGD seeds.
+training was stacked: one call of ``losses.step_terms_stack`` on a stack of
+this one cell per step, with the cell's own Generator for batch choice and
+noise and its own PGD seeds.
 Every comparison is bit for bit.
 
 Multi-class attacks run on lanes (threads); the lane tests fix the lane
@@ -23,7 +24,7 @@ from rpopt.attacks import AttackConfig, pgd_batch
 from rpopt.curvature import clipping_smoothness_curve
 from rpopt.data import Dataset, generate_separable, split
 from rpopt.errors import DivergenceError
-from rpopt.losses import LossSpec, step_terms
+from rpopt.losses import LossSpec, step_terms_stack
 from rpopt.optimizer import (
     STACKED_FIELDS,
     OptimizerConfig,
@@ -59,7 +60,11 @@ def _train_one(dataset, config):
                 budget=spec.c, p=spec.p, steps=config.attack_steps, seed=config.seed + 7919 * (t + 1)
             )
             x_adv = xb + pgd_batch(theta, xb, yb, attack, box=dataset.box)
-        return step_terms(theta, xb, yb, spec, config.clip_k, x_adv)
+        x_adv = None if x_adv is None else x_adv[None]
+        nominal, adversarial, grad = step_terms_stack(
+            theta[None], xb, yb, spec, [config.clip_k], x_adv
+        )
+        return nominal[0], adversarial[0], grad[0]
 
     for t in range(config.steps + 1):
         if config.batch == 0 or t == config.steps:
