@@ -13,6 +13,14 @@ arrays are allocated once per run instead of several times per call.  A
 call without one uses a fresh workspace.  Results are always new arrays,
 never views of the workspace, so a later call cannot change an earlier
 result.
+
+The attack already evaluates the loss at the clean input and at every
+candidate, so the workspace also keeps, until its next call, what a
+training step needs of them: the per-example loss at the clean input
+(``clean_loss``), the loss at the returned perturbation (``loss``) and,
+for multi-class weights, the softmax residual p - e_y there
+(``residual``).  A training step takes its terms from these and never
+evaluates the attacked batch again.
 """
 
 from __future__ import annotations
@@ -57,10 +65,17 @@ class PGDWorkspace:
     A call writes each array before reading it, so nothing carries over
     from one call to the next, and nothing a call returns is a view of the
     workspace.
+
+    After a call, ``clean_loss`` (n,) and ``loss`` (n,) hold the loss of
+    each example at x and at x + delta for the returned delta, and
+    ``residual`` (n, C) holds p - e_y at x + delta for multi-class weights
+    (None for binary).  They are bit for bit what a fresh evaluation at
+    those inputs gives, and the next call replaces them.
     """
 
     def __init__(self):
         self._arrays: dict = {}
+        self.clean_loss = self.loss = self.residual = None
 
     def array(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
         """The uninitialised scratch array ``name`` of this shape and dtype."""
@@ -71,8 +86,9 @@ class PGDWorkspace:
 
 
 def _pointwise_objective(theta: np.ndarray, y: np.ndarray, grads: np.ndarray, ws: PGDWorkspace):
-    """Build f(x) -> per-example loss, writing the per-example gradients
-    wrt x to ``grads``.  x may be ``grads`` itself: it is read in full first."""
+    """Build f(x) -> (per-example loss, softmax residual or None), both new
+    arrays, writing the per-example gradients wrt x to ``grads``.  x may be
+    ``grads`` itself: it is read in full first."""
     if theta.ndim == 1:
         yf = y.astype(np.float64)
         y_theta = np.multiply(-yf[:, None], theta[None, :], out=ws.array("y_theta", grads.shape))
@@ -80,7 +96,7 @@ def _pointwise_objective(theta: np.ndarray, y: np.ndarray, grads: np.ndarray, ws
         def binary(x):
             z = -yf * (x @ theta)
             np.multiply(sigmoid(z)[:, None], y_theta, out=grads)
-            return _softplus(z)
+            return _softplus(z), None
 
         return binary
 
@@ -90,7 +106,7 @@ def _pointwise_objective(theta: np.ndarray, y: np.ndarray, grads: np.ndarray, ws
     def softmax_xent(x):
         log_p, residual = _softmax_terms(np.matmul(x, theta.T, out=logits), yi)
         np.matmul(residual, theta, out=grads)
-        return -log_p
+        return -log_p, residual
 
     return softmax_xent
 
@@ -114,9 +130,11 @@ def _project_l2(delta: np.ndarray, budget: float, ws: PGDWorkspace) -> np.ndarra
 
 
 def _ascent_direction(grads: np.ndarray, p: float, ws: PGDWorkspace) -> np.ndarray:
-    """Overwrite grads with the steepest ascent direction of unit l_p length."""
+    """The steepest ascent direction of unit l_p length: grads overwritten
+    (l2), or its signs in a workspace array (l_inf; numpy's in-place sign
+    is several times slower than one into another array)."""
     if p == math.inf:
-        return np.sign(grads, out=grads)
+        return np.sign(grads, out=ws.array("signs", grads.shape))
     norms = _row_norms(grads, ws)
     np.divide(grads, np.maximum(norms, 1e-300), out=grads)
     np.copyto(grads, 0.0, where=~(norms > 0))
@@ -178,35 +196,44 @@ def pgd_batch(
     :class:`PGDWorkspace` to every call of a run to allocate them once; it
     may be reused with new weights, seeds, inputs and shapes.  None uses a
     fresh one for this call.  The result is a new array in either case,
-    never a view of the workspace.
+    never a view of the workspace.  The workspace keeps the losses (and
+    residuals) at x and at x + delta until its next call; see
+    :class:`PGDWorkspace`.
     """
     theta = model_weights(model)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y))
     n, d = x.shape
+    ws = PGDWorkspace() if workspace is None else workspace
+    grads = ws.array("grads", (n, d))
+    objective = _pointwise_objective(theta, y, grads, ws)
+    # the clean input is the first candidate: its rows stay where no
+    # perturbation beats them
+    ws.clean_loss, ws.residual = objective(x)
+    best_values = ws.loss = ws.array("best_values", (n,))
+    np.copyto(best_values, ws.clean_loss)
     if attack.budget == 0.0 or attack.steps == 0 or d == 0:  # nothing to perturb
         return np.zeros((n, d))
-    ws = PGDWorkspace() if workspace is None else workspace
     c, p = attack.budget, attack.p
     alpha = 2.5 * c / attack.steps
     constrain = _constraint(x, c, p, box, ws)
     delta = ws.array("delta", (n, d))
-    grads = ws.array("grads", (n, d))
-    objective = _pointwise_objective(theta, y, grads, ws)
     better = ws.array("better", (n,), np.bool_)
     best_delta = ws.array("best_delta", (n, d))
     best_delta.fill(0.0)
-    best_values = ws.array("best_values", (n,))
-    np.copyto(best_values, objective(x))
     best_rows, delta_rows = _row_elements(best_delta), _row_elements(delta)
+    best_residual_rows = None if ws.residual is None else _row_elements(ws.residual)
 
     def consider():
-        """Keep delta where it beats the best loss so far; return its gradients."""
+        """Keep delta, its loss and residual where it beats the best loss so
+        far; return its gradients."""
         # the attacked inputs are overwritten by their gradients
-        values = objective(np.add(x, delta, out=grads))
+        values, residual = objective(np.add(x, delta, out=grads))
         np.greater(values, best_values, out=better)
         np.copyto(best_values, values, where=better)
         np.copyto(best_rows, delta_rows, where=better)
+        if residual is not None:
+            np.copyto(best_residual_rows, _row_elements(residual), where=better)
         return grads
 
     # one-shot maximal step from the clean input, whose gradients grads

@@ -261,16 +261,23 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
     return take(train_idx, "train"), take(test_idx, "test")
 
 
-def load_csv(path: str) -> Dataset:
+def load_csv(path: str, limit: int = 0) -> Dataset:
     """Load a dataset from CSV (header row, a ``label`` column as written by
     :func:`save_csv`, float features), read by :func:`read_table`.
 
-    If any row norm exceeds 1, all rows are rescaled by the global maximum
-    row norm; the factor is reported through the module logger.
+    ``limit`` keeps the first that many data rows, and 0 keeps every one;
+    every row is still parsed, and the result is that of loading a file of
+    only the kept rows.  If any kept row norm exceeds 1, all kept rows are
+    rescaled by their maximum row norm; the factor is reported through the
+    module logger.
     """
+    if limit < 0:
+        raise DataFormatError("limit must be >= 0 (0: every example)")
     table = read_table(path)
     if "label" not in table:
         raise DataFormatError(f"{path}: header has no 'label' column")
+    if limit:
+        table = {name: column[:limit] for name, column in table.items()}
     labels = table.pop("label")
     if not table:
         raise DataFormatError(f"{path}: no feature columns")
@@ -406,8 +413,8 @@ def load_idx(images_path: str, labels_path: str, limit: int = 0) -> Dataset:
 
 
 def load_dataset(images, labels, csv_path, limit: int, names: tuple) -> Dataset | None:
-    """The dataset of an IDX pair (at most ``limit`` examples, 0: all) or of
-    a CSV, or None when no path is given.  Half a pair, or a pair and a CSV,
+    """The dataset of an IDX pair or of a CSV, at most ``limit`` examples
+    (0: all), or None when no path is given.  Half a pair, or a pair and a CSV,
     raises ValueError naming the inputs by ``names`` (flags or config keys).
     """
     images_name, labels_name, csv_name = names
@@ -418,7 +425,7 @@ def load_dataset(images, labels, csv_path, limit: int, names: tuple) -> Dataset 
         raise ValueError(f"{images_name} and {csv_name} both name a dataset; give one")
     if images:
         return load_idx(images, labels, limit=limit)
-    return load_csv(csv_path) if csv_path else None
+    return load_csv(csv_path, limit=limit) if csv_path else None
 
 
 def write_idx(images: np.ndarray, labels: np.ndarray, images_path: str, labels_path: str) -> None:

@@ -198,16 +198,28 @@ def _clip_factors(norms: np.ndarray, k) -> np.ndarray:
     return np.minimum(1.0, k / np.maximum(norms, 1e-300))
 
 
-def step_terms_stack(theta, x, y, spec: LossSpec, clip_k, x_adv=None):
+def _residual_gradient(r, x, clip_k):
+    """Mean softmax gradient r^T x / n of the per-example gradients r_i x_i^T,
+    each first scaled to norm ||r_i|| ||x_i|| <= clip_k when clip_k is
+    finite.  One cell, r (n, C) and x (n, d) with a float clip_k, or a
+    stack, r (K, n, C) and x (K, n, d) with clip_k (K, 1), all finite or
+    all inf.  r is not changed.
+    """
+    if not np.isinf(clip_k).all():
+        r = r * _clip_factors(_row_norms(r) * _row_norms(x), clip_k)[..., None]
+    return np.swapaxes(r, -1, -2) @ x / x.shape[-2]
+
+
+def step_terms_stack(theta, x, y, spec: LossSpec, clip_k):
     """Nominal loss, worst-case loss and mean clipped gradient of one step,
     for each of a stack of K independent cells.
 
     ``theta`` is (K, d) or (K, C, d).  The batch is shared, x (n, d) and
     y (n,), or one per cell, x (K, n, d) and y (K, n); labels are float
     {-1, +1} for binary and integer classes for multi-class cells.
-    ``clip_k`` holds each cell's threshold, shape (K,), and ``x_adv`` each
-    cell's attacked batch, (K, n, d).  Returns the nominal and worst-case
-    losses, shape (K,), and the mean gradients, shaped like theta.
+    ``clip_k`` holds each cell's threshold, shape (K,).  Returns the nominal
+    and worst-case losses, shape (K,), and the mean gradients, shaped like
+    theta.
 
     Each input batch costs one margin (binary) or logit (multi-class) pass.
     With a finite threshold, every per-example gradient is scaled to norm at
@@ -227,9 +239,12 @@ def step_terms_stack(theta, x, y, spec: LossSpec, clip_k, x_adv=None):
 
     With clip_k = inf a cell's gradient is exactly :func:`gradient`.
 
-    The multi-class worst-case loss has no closed form: with spec.c > 0 pass
-    the attacked batches as ``x_adv``; the worst-case loss and the gradient
-    are then taken there and the nominal loss on ``x``.
+    The multi-class worst-case loss has no closed form, and its terms are
+    not taken here: the attack that finds the worst case has already
+    evaluated the loss and residuals at the clean and at the attacked batch
+    (see :class:`rpopt.attacks.PGDWorkspace`), and
+    :func:`rpopt.optimizer.train_stack` takes a multi-class cell's terms
+    with c > 0 from them.  Such a spec raises ValueError here.
 
     Every operation acts on one cell at a time: one BLAS call per cell
     (a stacked matmul) and reductions along a cell's own axes, never one
@@ -249,25 +264,15 @@ def step_terms_stack(theta, x, y, spec: LossSpec, clip_k, x_adv=None):
                 y[cells] if y.ndim == 2 else y,
                 spec,
                 clip_k[cells],
-                None if x_adv is None else x_adv[cells],
             )
         return nominal, adversarial, grad
     n = x.shape[-2]
     if theta.ndim == 3:
-        if (spec.c > 0.0) != (x_adv is not None):
-            raise ValueError("multi-class worst-case terms need the attacked batch x_adv")
+        _require_nominal(spec)
         x, y = _class_batch(theta, x, y)
         log_p, r = _softmax_terms(x @ theta.transpose(0, 2, 1), y)
-        nominal = adversarial = -log_p.mean(axis=-1)
-        if x_adv is not None:
-            x = x_adv
-            log_p, r = _softmax_terms(x @ theta.transpose(0, 2, 1), y)
-            adversarial = -log_p.mean(axis=-1)
-        if not unclipped.all():
-            r *= _clip_factors(_row_norms(r) * _row_norms(x), clip_k[:, None])[..., None]
-        return nominal, adversarial, r.transpose(0, 2, 1) @ x / n
-    if x_adv is not None:
-        raise ValueError("the binary worst-case loss is closed-form; x_adv is not used")
+        nominal = -log_p.mean(axis=-1)
+        return nominal, nominal, _residual_gradient(r, x, clip_k[:, None])
     z = -y * (x @ theta[:, :, None])[..., 0]
     nominal = adversarial = _softplus(z).mean(axis=-1)
     if spec.c > 0.0:
@@ -351,7 +356,12 @@ def hessian_vector_product(theta, v, x, y, spec: LossSpec) -> np.ndarray:
 def _softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Max-shifted logits, their exp-sum and the probabilities, along the
     last axis; large logits do not overflow."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    # the class max one column at a time: a max is exact in any order, and
+    # numpy's reduction over a short last axis is several times slower
+    top = logits[..., :1]
+    for j in range(1, logits.shape[-1]):
+        top = np.maximum(top, logits[..., j : j + 1], out=None if j == 1 else top)
+    shifted = logits - top
     e = np.exp(shifted)
     total = e.sum(axis=-1, keepdims=True)
     return shifted, total, e / total

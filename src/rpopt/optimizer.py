@@ -16,23 +16,29 @@ Independent runs on one dataset that differ only in clip_k, sigma and seed
 (a sweep row, the seeds of a curve, cells of either regime) train as one
 stack: :func:`train_stack` keeps their iterates as one (K, d) or (K, C, d)
 array and takes each step with one call of
-:func:`rpopt.losses.step_terms_stack`.  Each cell keeps its own random
+:func:`rpopt.losses.step_terms_stack` (multi-class worst-case cells take
+theirs on the attack lanes below).  Each cell keeps its own random
 streams and divergence, and its numbers are bit-identical to training it
 alone; :func:`train` is the one-cell case.
 
 Multi-class worst-case training attacks every live cell of a step with
 PGD, and those attacks run concurrently on lanes.  A lane is one thread
 with its own :class:`rpopt.attacks.PGDWorkspace`; lane j of L attacks live
-cells j, j + L, ... and writes their attacked batches into its own rows of
-the stack.  The calling thread is lane 0, the others share one thread pool
-per run, and numpy releases the interpreter lock inside the attack's array
-operations.  L is the number of attacked cells, capped by the CPUs this
-process may run on; nothing sets it, and a binary or unattacked run, or a
-process with one CPU, starts no thread.  The numbers cannot depend on L: a
-cell's attack reads only its own weights, batch and seed (its Generator is
-made inside the call), the lanes write disjoint rows, and the Generators
-for batch choice and noise are only drawn from on the calling thread,
-before and after the attacks.
+cells j, j + L, ... and also finishes their step: the attack has already
+evaluated each example's loss at the clean and at the attacked input and
+its softmax residual there, which the workspace keeps, so the lane writes
+the cell's two mean losses and its clipped mean gradient (one product of
+the residuals with the attacked batch) into the cell's own rows, and no
+logit of the step is computed twice.  The calling thread is lane 0, the
+others share one thread pool per run, and numpy releases the interpreter
+lock inside the array operations.  L is the number of attacked cells,
+capped by the CPUs this process may run on; nothing sets it, and a binary
+or unattacked run, or a process with one CPU, starts no thread.  The
+numbers cannot depend on L: a cell's attack and terms read only its own
+weights, batch, threshold and seed (its Generator is made inside the
+call), the lanes write disjoint rows, and the Generators for batch choice
+and noise are only drawn from on the calling thread, before and after the
+attacks.
 """
 
 from __future__ import annotations
@@ -180,7 +186,9 @@ def train_stack(dataset: Dataset, configs) -> list:
     The configs may differ only in ``clip_k``, ``sigma`` and ``seed``, so
     one stack may mix clipped and unclipped cells.  The iterates are
     stacked as (K, d) or (K, C, d) and every step is one call of
-    :func:`rpopt.losses.step_terms_stack`; each cell keeps its own Generator
+    :func:`rpopt.losses.step_terms_stack`, or for multi-class cells with
+    c > 0 one attack per cell whose kept losses and residuals give the
+    cell's terms; each cell keeps its own Generator
     (batch choice and noise) and its own PGD seeds.  Entry i of
     the result is what ``train(dataset, configs[i])`` returns, bit for bit,
     or the DivergenceError it raises: a cell that diverges stops updating
@@ -190,7 +198,7 @@ def train_stack(dataset: Dataset, configs) -> list:
     min(K, usable CPUs) lanes at once (see the module docstring); the lane
     count is not a parameter and does not change a single bit of the
     result.  The lanes' pool is shut down before this returns or raises,
-    and an error raised by one cell's attack is raised here.
+    and an error raised by one cell's attack or terms is raised here.
     """
     configs = list(configs)
     if not configs:
@@ -234,8 +242,11 @@ def train_stack(dataset: Dataset, configs) -> list:
     lanes = _lane_count(len(configs)) if attacked else 1
     workspaces = [PGDWorkspace() for _ in range(lanes)]  # one lane's attack buffers each
 
-    def attack_lane(lane, xb, yb, t, x_adv):
-        """Attack live cells lane, lane + lanes, ...; write x + delta to their rows."""
+    def attack_lane(lane, xb, yb, t, terms):
+        """Attack live cells lane, lane + lanes, ...; write their step terms
+        (nominal loss, worst-case loss, clipped mean gradient) to their rows."""
+        nominal, adversarial, grad = terms
+        ws = workspaces[lane]
         for i in range(lane, len(live), lanes):
             xk, yk = (xb, yb) if xb.ndim == 2 else (xb[i], yb[i])
             attack = AttackConfig(
@@ -244,26 +255,28 @@ def train_stack(dataset: Dataset, configs) -> list:
                 steps=first.attack_steps,
                 seed=configs[live[i]].seed + 7919 * (t + 1),
             )
-            deltas = pgd_batch(
-                theta[i], xk, yk, attack, box=dataset.box, workspace=workspaces[lane]
-            )
-            np.add(xk, deltas, out=x_adv[i])
+            # a new array: delta, then x + delta
+            x_adv = pgd_batch(theta[i], xk, yk, attack, box=dataset.box, workspace=ws)
+            x_adv += xk
+            nominal[i] = ws.clean_loss.mean()
+            adversarial[i] = ws.loss.mean()
+            grad[i] = losses_mod._residual_gradient(ws.residual, x_adv, clip_k[i])
 
     def eval_at(xb, yb, t, pool):
         """Losses and mean clipped gradients of the live cells."""
-        x_adv = None
-        if attacked:
-            x_adv = np.empty((len(live),) + xb.shape[-2:])
-            # lanes 1, 2, ... run in the pool, under the caller's numpy error
-            # state (a context variable, which a pool thread does not inherit)
-            futures = [
-                pool.submit(contextvars.copy_context().run, attack_lane, lane, xb, yb, t, x_adv)
-                for lane in range(1, min(lanes, len(live)))
-            ]
-            attack_lane(0, xb, yb, t, x_adv)
-            for future in futures:
-                future.result()
-        return losses_mod.step_terms_stack(theta, xb, yb, spec, clip_k, x_adv)
+        if not attacked:
+            return losses_mod.step_terms_stack(theta, xb, yb, spec, clip_k)
+        terms = (np.empty(len(live)), np.empty(len(live)), np.empty_like(theta))
+        # lanes 1, 2, ... run in the pool, under the caller's numpy error
+        # state (a context variable, which a pool thread does not inherit)
+        futures = [
+            pool.submit(contextvars.copy_context().run, attack_lane, lane, xb, yb, t, terms)
+            for lane in range(1, min(lanes, len(live)))
+        ]
+        attack_lane(0, xb, yb, t, terms)
+        for future in futures:
+            future.result()
+        return terms
 
     def record(t, terms):
         """Keep the cells whose losses are finite and write their row t."""

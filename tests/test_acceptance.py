@@ -281,6 +281,7 @@ def test_optimum_curvature_formula():
     assert worst <= 0.05, f"worst relative curvature error {worst:.4f}"
 
 
+@pytest.mark.slow
 def test_sweep_trend_signs(tmp_path, digits_idx):
     # trends only (the full 2500-model sweeps are not desk-reproducible):
     # 10x10 grids on a small handwritten-digit set, scored by Spearman sign
@@ -326,6 +327,7 @@ def test_sweep_trend_signs(tmp_path, digits_idx):
     assert elapsed < 900.0, f"sweeps took {elapsed:.0f}s"
 
 
+@pytest.mark.slow
 def test_sweep_trend_signs_offline(tmp_path):
     # the sweeps and claims of test_sweep_trend_signs, on the benchmark's
     # offline digits-like set (seed 0), so that they run without sklearn

@@ -220,6 +220,16 @@ class TestCsvRoundTrip:
         assert np.linalg.norm(ds.features, axis=1).max() == pytest.approx(1.0)
         np.testing.assert_allclose(ds.features[0], [0.6, 0.8])
 
+    def test_limit_keeps_the_first_rows_before_the_rescale(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("label,f0,f1\n1,0.3,0.4\n-1,0,2\n1,3,4\n")
+        ds = load_csv(str(path), limit=2)
+        np.testing.assert_array_equal(ds.labels, [1, -1])
+        np.testing.assert_array_equal(ds.features, [[0.15, 0.2], [0.0, 1.0]])
+        assert load_csv(str(path), limit=0).n == load_csv(str(path), limit=5).n == 3
+        with pytest.raises(DataFormatError, match="limit"):
+            load_csv(str(path), limit=-1)
+
 
 class TestTableFormat:
     def test_roundtrip_is_exact(self, tmp_path):

@@ -633,6 +633,33 @@ class TestCliInProcess:
                                "--labels", labels, "--limit", "-1", "--out", tmp_path / "t")
         assert code == 1 and "--limit" in err
 
+    def test_train_limit_keeps_the_first_csv_rows(self, run_cli, tmp_path):
+        # rows of norm up to 3, the largest beyond the limit: the kept rows
+        # are rescaled by their own largest norm, as a file of them alone is
+        rng = np.random.default_rng(5)
+        features = rng.uniform(-1.0, 1.0, size=(12, 3))
+        features[8] *= 3.0
+        labels = np.where(np.arange(12) % 2 == 0, 1, -1)
+        lines = ["label,x0,x1,x2"] + [
+            ",".join([str(label)] + [repr(float(v)) for v in row])
+            for label, row in zip(labels, features)
+        ]
+        full, head = tmp_path / "full.csv", tmp_path / "head.csv"
+        full.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        head.write_text("\n".join(lines[:6]) + "\n", encoding="utf-8")
+        ini = tmp_path / "train.ini"
+        ini.write_text("[train]\neta = 0.5\nsteps = 4\n", encoding="utf-8")
+        outputs = {}
+        for name, data, flags in (
+            ("full", full, ()), ("limit 0", full, ("--limit", 0)),
+            ("limit 5", full, ("--limit", 5)), ("head", head, ()),
+        ):
+            out = tmp_path / f"trace-{name}.csv"
+            code, _, err = run_cli("train", "--config", ini, "--data", data, *flags, "--out", out)
+            assert code == 0, err
+            outputs[name] = out.read_bytes()
+        assert outputs["limit 5"] == outputs["head"] != outputs["full"] == outputs["limit 0"]
+
     def test_train_rejects_a_negative_batch(self, run_cli, tmp_path):
         data = str(tmp_path / "data.csv")
         run_cli("gen-data", "--d", 4, "--n", 40, "--out", data)
@@ -858,6 +885,19 @@ class TestCliInProcess:
         assert np.array_equal(
             both["loss_private"], (outputs["0"]["loss_private"] + outputs["1"]["loss_private"]) / 2
         )
+
+    def test_sweep_limit_keeps_the_first_csv_rows(self, run_cli, tmp_path, sweep_data):
+        lines = Path(sweep_data).read_text(encoding="utf-8").splitlines()
+        head = tmp_path / "head.csv"
+        head.write_text("\n".join(lines[:31]) + "\n", encoding="utf-8")
+        tables = {}
+        for name, data, limit in (("limit 30", sweep_data, 30), ("head", head, 0)):
+            params = dict(_TINY_PARAMS["fig8-sweep"], data_csv=data, limit=limit)
+            ini = _write_ini(tmp_path / f"{name}.ini", "fig8-sweep", tmp_path / name, params)
+            code, _, err = run_cli("experiment", "--config", ini)
+            assert code == 0, err
+            tables[name] = (tmp_path / name / "fig8-sweep.csv").read_bytes()
+        assert tables["limit 30"] == tables["head"]
 
     @pytest.mark.parametrize("mode, kind", [("clip", "fig8-sweep"), ("dp", "fig9-sweep")])
     def test_sweep_kinds_take_one_seed(self, run_cli, tmp_path, sweep_data, mode, kind):

@@ -13,6 +13,13 @@ its inline keep-best update.  Every comparison is bit for bit.
 comparisons guard the in-place rewrite, and the workspace tests below check
 reuse across calls and what a warm call still allocates.
 
+``losses._softmax`` takes the class max one column at a time, and the
+l_inf ascent direction writes its signs into a workspace array; both are
+checked bit for bit, edge values included, against the numpy expressions
+they replaced (``max(axis=-1)`` and an in-place ``np.sign``).  The losses
+and residuals a workspace keeps after an attack are checked against
+``_softmax_terms`` written out at x and at x + delta.
+
 ``hessian_operator`` builds the Hessian once per theta.  Its binary
 products are checked bit for bit against the per-call expressions it
 replaced; its multi-class product, which replaced a central difference of
@@ -25,6 +32,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rpopt import attacks, losses
 from rpopt.attacks import AttackConfig, PGDWorkspace, pgd_batch
 from rpopt.curvature import max_eigenvalue
 from rpopt.data import Dataset
@@ -92,6 +100,60 @@ class TestSoftmaxOracles:
         probs = _softmax_residuals(theta, x, y)
         expected = probs[:, :, None] * x[:, None, :]
         assert np.array_equal(per_example_gradients(theta, x, y, LossSpec.nominal()), expected)
+
+
+def _softmax_by_reduction(logits):
+    """losses._softmax as it took the class max: one reduction over the last axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    return shifted, total, e / total
+
+
+def _edge_logits(num_classes, rng):
+    """Rows of C logits: ordinary ones, ties, signed zeros, infinities and NaNs."""
+    C = num_classes
+    rows = [rng.standard_normal(C) * 5.0, np.full(C, 2.5), np.full(C, 1e308), np.full(C, -1e308)]
+    top_tie = rng.standard_normal(C)
+    top_tie[0] = top_tie[-1] = top_tie.max() + 1.0
+    rows.append(top_tie)
+    for zero in (0.0, -0.0):
+        row = -np.abs(rng.standard_normal(C)) - 1.0
+        row[0], row[-1] = zero, -zero
+        rows.append(row)
+    for value in (np.inf, -np.inf, np.nan):
+        for where in (0, C - 1):
+            row = rng.standard_normal(C)
+            row[where] = value
+            rows.append(row)
+        rows.append(np.full(C, value))
+    return np.array(rows)
+
+
+class TestSoftmaxColumnMax:
+    @pytest.mark.parametrize("num_classes", [1, 2, 4, 10])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["(n, C)", "(K, n, C)"])
+    def test_matches_the_reduction_bit_for_bit(self, num_classes, stacked):
+        rng = np.random.default_rng(num_classes)
+        logits = _edge_logits(num_classes, rng)
+        if stacked:
+            logits = np.stack([logits, logits[::-1], rng.permutation(logits)])
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = losses._softmax(logits)
+            want = _softmax_by_reduction(logits)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+
+def test_linf_ascent_direction_is_numpy_sign():
+    # signed zeros, NaNs of both signs, subnormals, infinities
+    values = [0.0, -0.0, np.nan, -np.nan, 5e-324, -5e-324, 1e-310, -2.2e-308, 1.0, -3.5,
+              np.inf, -np.inf]
+    grads = np.array([values, values[::-1]])
+    expected = np.sign(grads)
+    got = attacks._ascent_direction(grads.copy(), math.inf, PGDWorkspace())
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_clip_rows_matches_its_own_scale_factor():
@@ -279,6 +341,87 @@ def test_a_reused_workspace_matches_fresh_calls():
     for got, copy in results:
         assert np.array_equal(got, copy)
     assert np.array_equal(results[0][0], results[-1][0])
+
+
+def test_the_result_is_never_a_view_of_the_workspace():
+    workspace = PGDWorkspace()
+    for theta, x, y, attack, box in _reuse_calls():
+        got = pgd_batch(theta, x, y, attack, box=box, workspace=workspace)
+        kept = [workspace.clean_loss, workspace.loss, workspace.residual]
+        for array in list(workspace._arrays.values()) + [a for a in kept if a is not None]:
+            assert not np.shares_memory(got, array)
+
+
+def _kept_terms(theta, x, y, delta):
+    """The losses at x and at x + delta and the residual at x + delta, by
+    _softmax_terms written out; the binary loss and None for binary weights."""
+    if theta.ndim == 1:
+        yf = y.astype(np.float64)
+        return (losses._softplus(-yf * (x @ theta)), losses._softplus(-yf * ((x + delta) @ theta)),
+                None)
+    clean_log_p, _ = losses._softmax_terms(x @ theta.T, y)
+    log_p, residual = losses._softmax_terms((x + delta) @ theta.T, y)
+    return -clean_log_p, -log_p, residual
+
+
+def _assert_kept(workspace, theta, x, y, delta):
+    clean, chosen, residual = _kept_terms(theta, x, y, delta)
+    assert workspace.clean_loss.tobytes() == clean.tobytes()
+    assert workspace.loss.tobytes() == chosen.tobytes()
+    if residual is None:
+        assert workspace.residual is None
+    else:
+        assert workspace.residual.tobytes() == residual.tobytes()
+
+
+def _stuck_case():
+    """Two classes in two dimensions where only x_0 moves the logits.  In
+    the box (0, 1) the rows of class 0 at x_0 = 0 and of class 1 at x_0 = 1
+    are at their worst case already: no candidate beats the clean input."""
+    rng = np.random.default_rng(13)
+    theta = np.array([[2.0, 0.0], [0.0, 0.0]])
+    x = rng.uniform(0.2, 0.8, size=(10, 2))
+    y = np.arange(10) % 2
+    x[[0, 2], 0] = 0.0
+    x[[1, 3], 0] = 1.0
+    return theta, x, y
+
+
+@pytest.mark.parametrize("restarts", [1, 3])
+@pytest.mark.parametrize("box", [None, (0.0, 1.0)])
+@pytest.mark.parametrize("p", [2.0, math.inf])
+@pytest.mark.parametrize("case", ["random", "zero weights", "stuck rows"])
+def test_the_workspace_keeps_the_terms_of_the_clean_and_the_chosen_input(case, p, box, restarts):
+    rng = np.random.default_rng(12)
+    x = rng.uniform(0.0, 1.0, size=(12, 5))
+    theta = rng.standard_normal((3, 5))
+    y = rng.integers(0, 3, size=12)
+    if case == "zero weights":  # flat loss: the clean input is every row's best
+        theta = 0.0 * theta
+    elif case == "stuck rows":
+        theta, x, y = _stuck_case()
+    attack = AttackConfig(budget=0.3, p=p, steps=6, restarts=restarts, seed=4)
+    workspace = PGDWorkspace()
+    delta = pgd_batch(theta, x, y, attack, box=box, workspace=workspace)
+    _assert_kept(workspace, theta, x, y, delta)
+    clean_rows = np.all(delta == 0.0, axis=1)
+    if case == "zero weights":
+        assert clean_rows.all()
+    elif case == "stuck rows" and box is not None:
+        assert clean_rows[:4].all() and not clean_rows[4:].any()
+    else:
+        assert not clean_rows.any()
+    # where the clean input stays, so does its residual
+    clean_residual = losses._softmax_terms(x @ theta.T, y)[1]
+    assert workspace.residual[clean_rows].tobytes() == clean_residual[clean_rows].tobytes()
+
+
+def test_a_reused_workspace_keeps_each_calls_terms():
+    # new weights, seeds, inputs, batch shapes, norms and a binary call
+    workspace = PGDWorkspace()
+    for theta, x, y, attack, box in _reuse_calls():
+        delta = pgd_batch(theta, x, y, attack, box=box, workspace=workspace)
+        _assert_kept(workspace, theta, x, y, delta)
 
 
 def test_a_warm_workspace_allocates_one_result():

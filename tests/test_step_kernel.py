@@ -3,6 +3,12 @@ against the per-example path.
 
 The reference for the clipped mean gradient is the tensor path it replaced:
 ``clip_rows(per_example_gradients(...), k).sum(0) / n``.
+
+The kernel takes no attacked batch: training takes a multi-class cell's
+worst-case terms from its attack.  The attacked cases here check the oracle
+``attacked_terms``, the nominal kernel at the attacked batch x_adv, which
+is what the kernel computed from x_adv before and what
+``tests/test_train_stack.py`` holds training to.
 """
 
 import math
@@ -25,11 +31,19 @@ BINARY_SPECS = [
 ]
 
 
-def step_terms(theta, x, y, spec, clip_k=math.inf, x_adv=None):
+def step_terms(theta, x, y, spec, clip_k=math.inf):
     """The losses and gradient of the one-cell stack of theta."""
-    x_adv = None if x_adv is None else x_adv[None]
-    nominal, adversarial, grad = losses.step_terms_stack(theta[None], x, y, spec, [clip_k], x_adv)
+    nominal, adversarial, grad = losses.step_terms_stack(theta[None], x, y, spec, [clip_k])
     return nominal[0], adversarial[0], grad[0]
+
+
+def attacked_terms(theta, x, y, clip_k, x_adv):
+    """A multi-class cell's worst-case terms from its attacked batch: the
+    nominal loss on x; the worst-case loss and clipped gradient as nominal
+    terms at x_adv."""
+    nominal = step_terms(theta, x, y, LossSpec.nominal())[0]
+    adversarial, _, grad = step_terms(theta, x_adv, y, LossSpec.nominal(), clip_k)
+    return nominal, adversarial, grad
 
 
 def _reference_gradient(theta, x, y, spec, k):
@@ -97,8 +111,8 @@ class TestBinary:
 
     def test_rejects_attacked_batch(self, binary_case):
         x, y = binary_case
-        with pytest.raises(ValueError, match="closed-form"):
-            step_terms(np.zeros(5), x, y, LossSpec.nominal(), x_adv=x)
+        with pytest.raises(TypeError):
+            losses.step_terms_stack(np.zeros((1, 5)), x, y, LossSpec.nominal(), [1.0], x[None])
 
 
 class TestBinaryRankOne:
@@ -181,8 +195,8 @@ class TestMulticlass:
     @pytest.mark.parametrize("k", CLIP_KS)
     def test_attacked_clipped_gradient_matches_tensor_path(self, multiclass_case, k):
         theta, x, y, x_adv = multiclass_case
-        spec = LossSpec.adversarial(0.1, math.inf)
-        grad = _clipped_gradient(theta, x, y, spec, k, x_adv)
+        with np.errstate(all="raise"):
+            grad = attacked_terms(theta, x, y, k, x_adv)[2]
         _assert_close(grad, _reference_gradient(theta, x_adv, y, LossSpec.nominal(), k))
 
     def test_losses_and_unclipped_gradient_are_exact(self, multiclass_case):
@@ -191,8 +205,7 @@ class TestMulticlass:
         assert nominal == adversarial == losses.multiclass_loss(theta, x, y)
         np.testing.assert_array_equal(grad, losses.gradient(theta, x, y, LossSpec.nominal()))
 
-        spec = LossSpec.adversarial(0.1, math.inf)
-        nominal, adversarial, grad = step_terms(theta, x, y, spec, x_adv=x_adv)
+        nominal, adversarial, grad = attacked_terms(theta, x, y, math.inf, x_adv)
         assert nominal == losses.multiclass_loss(theta, x, y)
         assert adversarial == losses.multiclass_loss(theta, x_adv, y)
         np.testing.assert_array_equal(
@@ -200,11 +213,12 @@ class TestMulticlass:
         )
 
     def test_budget_and_attacked_batch_go_together(self, multiclass_case):
+        # the worst-case terms come from the attack, never from the kernel
         theta, x, y, x_adv = multiclass_case
-        with pytest.raises(ValueError, match="x_adv"):
+        with pytest.raises(ValueError, match="no closed form"):
             step_terms(theta, x, y, LossSpec.adversarial(0.1, math.inf))
-        with pytest.raises(ValueError, match="x_adv"):
-            step_terms(theta, x, y, LossSpec.nominal(), x_adv=x_adv)
+        with pytest.raises(TypeError):
+            losses.step_terms_stack(theta[None], x, y, LossSpec.nominal(), [1.0], x_adv[None])
 
     def test_label_range_is_checked(self, multiclass_case):
         theta, x, y, _ = multiclass_case

@@ -3,7 +3,9 @@
 The reference is the one-cell training loop, kept here as it stood before
 training was stacked: one call of ``losses.step_terms_stack`` on a stack of
 this one cell per step, with the cell's own Generator for batch choice and
-noise and its own PGD seeds.
+noise and its own PGD seeds.  An attacked multi-class step takes its terms
+as the kernel once took them from the attacked batch x_adv (the oracle
+``_attacked_terms``); ``train_stack`` takes them from the attack instead.
 Every comparison is bit for bit.
 
 Multi-class attacks run on lanes (threads); the lane tests fix the lane
@@ -19,7 +21,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from rpopt import optimizer
+from rpopt import losses, optimizer
 from rpopt.attacks import AttackConfig, pgd_batch
 from rpopt.curvature import clipping_smoothness_curve
 from rpopt.data import Dataset, generate_separable, split
@@ -32,6 +34,14 @@ from rpopt.optimizer import (
     train,
     train_stack,
 )
+
+
+def _attacked_terms(theta, x, y, clip_k, x_adv):
+    """A multi-class cell's terms from its attacked batch: the nominal loss
+    on x; the worst-case loss and clipped gradient as nominal terms at x_adv."""
+    nominal = step_terms_stack(theta[None], x, y, LossSpec.nominal(), [clip_k])[0][0]
+    adversarial, _, grad = step_terms_stack(theta[None], x_adv, y, LossSpec.nominal(), [clip_k])
+    return nominal, adversarial[0], grad[0]
 
 
 def _train_one(dataset, config):
@@ -54,16 +64,13 @@ def _train_one(dataset, config):
     rows = np.zeros((config.steps + 1, 5))
 
     def eval_at(xb, yb, t):
-        x_adv = None
         if multiclass and spec.c > 0:
             attack = AttackConfig(
                 budget=spec.c, p=spec.p, steps=config.attack_steps, seed=config.seed + 7919 * (t + 1)
             )
             x_adv = xb + pgd_batch(theta, xb, yb, attack, box=dataset.box)
-        x_adv = None if x_adv is None else x_adv[None]
-        nominal, adversarial, grad = step_terms_stack(
-            theta[None], xb, yb, spec, [config.clip_k], x_adv
-        )
+            return _attacked_terms(theta, xb, yb, config.clip_k, x_adv)
+        nominal, adversarial, grad = step_terms_stack(theta[None], xb, yb, spec, [config.clip_k])
         return nominal[0], adversarial[0], grad[0]
 
     for t in range(config.steps + 1):
@@ -265,6 +272,32 @@ class TestAttackLanes:
         with pytest.raises(LaneFault, match=f"seed {failing_seed}$"):
             train_stack(box_data, configs)
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing_k", [0.7, 0.6], ids=["lane 0", "lane 1"])
+    def test_an_error_in_a_cells_terms_is_raised_and_no_thread_is_left(
+        self, box_data, monkeypatch, failing_k
+    ):
+        base = OptimizerConfig(
+            eta=1.0, steps=5, spec=LossSpec.adversarial(0.05), attack_steps=3,
+        )
+        configs = _cells(base, [(0.5, 0.0, 7), (0.6, 0.0, 8), (0.7, 0.0, 9)])
+        real = losses._residual_gradient
+        calls = {}
+
+        def failing_terms(r, x, clip_k):
+            calls[clip_k] = calls.get(clip_k, 0) + 1
+            if clip_k == failing_k and calls[clip_k] == 3:  # the terms of step 2
+                raise LaneFault(f"k {failing_k}")
+            return real(r, x, clip_k)
+
+        # two lanes: the cells with k 0.5 and 0.7 on lane 0, k 0.6 on lane 1
+        monkeypatch.setattr(optimizer, "_lane_count", lambda cells: 2)
+        monkeypatch.setattr(losses, "_residual_gradient", failing_terms)
+        before = threading.active_count()
+        with pytest.raises(LaneFault, match=f"k {failing_k}$"):
+            train_stack(box_data, configs)
+        assert threading.active_count() == before
+        assert calls[failing_k] == 3
 
     @pytest.mark.parametrize(
         "data, c, cpus",
