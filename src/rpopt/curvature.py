@@ -5,11 +5,13 @@ products, the closed-form curvature c/(2 ||theta*||) at a worst-case-trained
 optimum, and hyperparameter sweeps relating the clipping threshold and the
 privacy level to the curvature of the solution.
 
-A sweep runs its c-rows on one process per CPU this process may use (its
-affinity mask), at most one per row; with one CPU or one row they run in
-this process and none is started.  While a row runs, the loaded OpenBLAS
-runs one thread, so that its threads do not compete with the row's attack
-lanes (see :mod:`rpopt.optimizer`) or with the other rows.
+A sweep is a list of jobs: each cell of a multi-class row with c > 0 (the
+PGD attacks of its training steps dominate the sweep's time) and each
+other row, whose cells train as one stack.  The jobs run on one process
+per CPU this process may use (its affinity mask), at most one per job;
+with one CPU or one job they run in this process and none is started.
+While a job runs, the loaded OpenBLAS runs one thread, so that its threads
+do not compete with the other jobs.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .bounds import accountant_sigma
 from .data import Dataset
 from .errors import DivergenceError, SingularityError
 from .losses import LossSpec, model_weights
-from .optimizer import OptimizerConfig, train_stack, usable_cpus
+from .optimizer import OptimizerConfig, train_stack
 
 SWEEP_COLUMNS = (
     "c",
@@ -283,29 +285,31 @@ def _one_blas_thread():
 
 
 def _evaluate_row(train_ds, test_ds, base_config, settings, columns, job) -> list[SweepCell]:
-    """Train one c-row of the grid as one stack, then score each cell, with
+    """Train the cells of one job as one stack, then score each cell, with
     BLAS on one thread.
 
-    A row shares its loss spec, so its cells differ only in clip_k, sigma
-    and seed and train together; divergence is recorded, not raised.
+    A job (row, c, cols) is the cells of columns ``cols`` in c-row ``row``:
+    a whole row, or one cell of an attacked multi-class row.  The cells of
+    a row share their loss spec, so they differ only in clip_k, sigma and
+    seed and train together; divergence is recorded, not raised.
     """
-    row, c = job
+    row, c, cols = job
     spec = LossSpec(c, settings.p)
     configs = [
         replace(
             base_config,
             spec=spec,
-            clip_k=clip_k,
-            sigma=sigma,
+            clip_k=columns[col][1],
+            sigma=columns[col][2],
             seed=cell_seed(base_config.seed, row, col),
         )
-        for col, (_, clip_k, sigma) in enumerate(columns)
+        for col in cols
     ]
     with _one_blas_thread():
         outcomes = train_stack(train_ds, configs)
         return [
-            _score_cell(train_ds, test_ds, settings, row, col, c, knob, config, outcome)
-            for col, ((knob, _, _), config, outcome) in enumerate(zip(columns, configs, outcomes))
+            _score_cell(train_ds, test_ds, settings, row, col, c, columns[col][0], config, outcome)
+            for col, config, outcome in zip(cols, configs, outcomes)
         ]
 
 
@@ -348,29 +352,45 @@ def _score_cell(train_ds, test_ds, settings, row, col, c, knob, config, outcome)
     )
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, or the machine's
+    CPU count where the platform has no mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _sweep(train_ds, test_ds, c_grid, columns, base_config, settings) -> SweepTable:
     """The body of both sweeps: one model per (c, column) cell, where each
     column (knob, clip_k, sigma) is the value the cell is reported under and
-    the clip and noise it trains with.  The c-rows run on min(rows, usable
-    CPUs) processes, or in this one when that is 1; rows are independent, so
-    the cells, and their order, are the same either way.  An error in a row
-    is raised here, once the rows already running have ended and the others
+    the clip and noise it trains with.  Each cell of an attacked multi-class
+    row is one job and each other row is one job; the jobs run on min(jobs,
+    usable CPUs) processes, or in this one when that is 1.  Jobs are
+    independent and a cell trains bit for bit as in any stack, so the
+    cells, and their order, are the same either way.  An error in a job is
+    raised here, once the jobs already running have ended and the others
     are cancelled, so no process outlives the call."""
     c_grid = [float(c) for c in c_grid]
     if not c_grid or not columns:
         raise ValueError("grids must be nonempty")
+    jobs = []
+    for row, c in enumerate(c_grid):
+        if c > 0 and not train_ds.is_binary:  # attacked multi-class: a job per cell
+            jobs += [(row, c, (col,)) for col in range(len(columns))]
+        else:
+            jobs.append((row, c, range(len(columns))))
     evaluate = partial(_evaluate_row, train_ds, test_ds, base_config, settings, columns)
-    processes = min(len(c_grid), usable_cpus())
+    processes = min(len(jobs), usable_cpus())
     if processes == 1:
-        rows = list(map(evaluate, enumerate(c_grid)))
+        per_job = list(map(evaluate, jobs))
     else:
         with ProcessPoolExecutor(processes) as pool:
             try:
-                rows = list(pool.map(evaluate, enumerate(c_grid)))
+                per_job = list(pool.map(evaluate, jobs))
             except BaseException:
                 pool.shutdown(cancel_futures=True)
                 raise
-    return SweepTable(tuple(cell for row in rows for cell in row))
+    return SweepTable(tuple(cell for cells in per_job for cell in cells))
 
 
 def clipping_smoothness_curve(

@@ -98,7 +98,7 @@ class Dataset:
                     )
         elif self.margin is not None:
             raise ValueError("margin requires a separator")
-        # freeze the arrays so shared use across threads stays race-free
+        # freeze the arrays: every cell trained on this dataset reads the same ones
         self.features.flags.writeable = False
         self.labels.flags.writeable = False
 

@@ -16,38 +16,24 @@ Independent runs on one dataset that differ only in clip_k, sigma and seed
 (a sweep row, the seeds of a curve, cells of either regime) train as one
 stack: :func:`train_stack` keeps their iterates as one (K, d) or (K, C, d)
 array and takes each step with one call of
-:func:`rpopt.losses.step_terms_stack` (multi-class worst-case cells take
-theirs on the attack lanes below).  Each cell keeps its own random
+:func:`rpopt.losses.step_terms_stack`.  Each cell keeps its own random
 streams and divergence, and its numbers are bit-identical to training it
 alone; :func:`train` is the one-cell case.
 
 Multi-class worst-case training attacks every live cell of a step with
-PGD, and those attacks run concurrently on lanes.  A lane is one thread
-with its own :class:`rpopt.attacks.PGDWorkspace`; lane j of L attacks live
-cells j, j + L, ... and also finishes their step: the attack has already
-evaluated each example's loss at the clean and at the attacked input and
-its softmax residual there, which the workspace keeps, so the lane writes
-the cell's two mean losses and its clipped mean gradient (one product of
-the residuals with the attacked batch) into the cell's own rows, and no
-logit of the step is computed twice.  The calling thread is lane 0, the
-others share one thread pool per run, and numpy releases the interpreter
-lock inside the array operations.  L is the number of attacked cells,
-capped by the CPUs this process may run on; nothing sets it, and a binary
-or unattacked run, or a process with one CPU, starts no thread.  The
-numbers cannot depend on L: a cell's attack and terms read only its own
-weights, batch, threshold and seed (its Generator is made inside the
-call), the lanes write disjoint rows, and the Generators for batch choice
-and noise are only drawn from on the calling thread, before and after the
-attacks.
+PGD, one cell after another, through one :class:`rpopt.attacks.PGDWorkspace`
+per run.  The attack has already evaluated each example's loss at the
+clean and at the attacked input and its softmax residual there, which the
+workspace keeps, so the cell's two mean losses and its clipped mean
+gradient (one product of the residuals with the attacked batch) come from
+them, and no logit of the step is computed twice.  Training starts no
+thread; the sweeps spread attacked cells over processes instead (see
+:mod:`rpopt.curvature`).
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -194,11 +180,9 @@ def train_stack(dataset: Dataset, configs) -> list:
     or the DivergenceError it raises: a cell that diverges stops updating
     and never changes another cell's numbers.
 
-    Multi-class cells with a budget c > 0 are attacked on up to
-    min(K, usable CPUs) lanes at once (see the module docstring); the lane
-    count is not a parameter and does not change a single bit of the
-    result.  The lanes' pool is shut down before this returns or raises,
-    and an error raised by one cell's attack or terms is raised here.
+    Multi-class cells with a budget c > 0 are attacked one after another
+    (see the module docstring); an error raised by one cell's attack or
+    terms is raised here.
     """
     configs = list(configs)
     if not configs:
@@ -239,44 +223,29 @@ def train_stack(dataset: Dataset, configs) -> list:
     live = np.arange(len(configs))  # the cell of each row of the stack
     theta = np.zeros((len(configs),) + shape)
     attacked = multiclass and spec.c > 0
-    lanes = _lane_count(len(configs)) if attacked else 1
-    workspaces = [PGDWorkspace() for _ in range(lanes)]  # one lane's attack buffers each
+    workspace = PGDWorkspace()  # the attack buffers of every cell and step
 
-    def attack_lane(lane, xb, yb, t, terms):
-        """Attack live cells lane, lane + lanes, ...; write their step terms
-        (nominal loss, worst-case loss, clipped mean gradient) to their rows."""
-        nominal, adversarial, grad = terms
-        ws = workspaces[lane]
-        for i in range(lane, len(live), lanes):
+    def eval_at(xb, yb, t):
+        """Losses and mean clipped gradients of the live cells; an attacked
+        cell's come from the terms its attack kept."""
+        if not attacked:
+            return losses_mod.step_terms_stack(theta, xb, yb, spec, clip_k)
+        nominal, adversarial, grad = np.empty(len(live)), np.empty(len(live)), np.empty_like(theta)
+        for i, k in enumerate(live):
             xk, yk = (xb, yb) if xb.ndim == 2 else (xb[i], yb[i])
             attack = AttackConfig(
                 budget=spec.c,
                 p=spec.p,
                 steps=first.attack_steps,
-                seed=configs[live[i]].seed + 7919 * (t + 1),
+                seed=configs[k].seed + 7919 * (t + 1),
             )
             # a new array: delta, then x + delta
-            x_adv = pgd_batch(theta[i], xk, yk, attack, box=dataset.box, workspace=ws)
+            x_adv = pgd_batch(theta[i], xk, yk, attack, box=dataset.box, workspace=workspace)
             x_adv += xk
-            nominal[i] = ws.clean_loss.mean()
-            adversarial[i] = ws.loss.mean()
-            grad[i] = losses_mod._residual_gradient(ws.residual, x_adv, clip_k[i])
-
-    def eval_at(xb, yb, t, pool):
-        """Losses and mean clipped gradients of the live cells."""
-        if not attacked:
-            return losses_mod.step_terms_stack(theta, xb, yb, spec, clip_k)
-        terms = (np.empty(len(live)), np.empty(len(live)), np.empty_like(theta))
-        # lanes 1, 2, ... run in the pool, under the caller's numpy error
-        # state (a context variable, which a pool thread does not inherit)
-        futures = [
-            pool.submit(contextvars.copy_context().run, attack_lane, lane, xb, yb, t, terms)
-            for lane in range(1, min(lanes, len(live)))
-        ]
-        attack_lane(0, xb, yb, t, terms)
-        for future in futures:
-            future.result()
-        return terms
+            nominal[i] = workspace.clean_loss.mean()
+            adversarial[i] = workspace.loss.mean()
+            grad[i] = losses_mod._residual_gradient(workspace.residual, x_adv, clip_k[i])
+        return nominal, adversarial, grad
 
     def record(t, terms):
         """Keep the cells whose losses are finite and write their row t."""
@@ -297,25 +266,24 @@ def train_stack(dataset: Dataset, configs) -> list:
             outcomes[k] = DivergenceError(step)
         theta, live, clip_k = theta[keep], live[keep], clip_k[keep]
 
-    with ThreadPoolExecutor(lanes - 1) if lanes > 1 else contextlib.nullcontext() as pool:
-        for t in range(steps + 1):
-            if not len(live):
-                break
-            if batch == 0 or t == steps:  # the final row is on the full set
-                xb, yb = x_all, y_all
-            else:
-                idx = np.array([rngs[k].choice(n_all, size=batch, replace=False) for k in live])
-                xb, yb = x_all[idx], y_all[idx]
-            update = record(t, eval_at(xb, yb, t, pool))
-            if t == steps:
-                break
-            for i, k in enumerate(live):
-                if configs[k].sigma > 0:
-                    update[i] += rngs[k].normal(0.0, noise_std[k], size=shape)
-            eta_t = first.resolved_first_step_eta if t == 0 else first.eta
-            theta = theta - eta_t * update
-            if not np.isfinite(theta).all():
-                drop(np.isfinite(theta).reshape(len(live), math.prod(shape)).all(axis=1), t + 1)
+    for t in range(steps + 1):
+        if not len(live):
+            break
+        if batch == 0 or t == steps:  # the final row is on the full set
+            xb, yb = x_all, y_all
+        else:
+            idx = np.array([rngs[k].choice(n_all, size=batch, replace=False) for k in live])
+            xb, yb = x_all[idx], y_all[idx]
+        update = record(t, eval_at(xb, yb, t))
+        if t == steps:
+            break
+        for i, k in enumerate(live):
+            if configs[k].sigma > 0:
+                update[i] += rngs[k].normal(0.0, noise_std[k], size=shape)
+        eta_t = first.resolved_first_step_eta if t == 0 else first.eta
+        theta = theta - eta_t * update
+        if not np.isfinite(theta).all():
+            drop(np.isfinite(theta).reshape(len(live), math.prod(shape)).all(axis=1), t + 1)
 
     for i, k in enumerate(live):
         outcomes[k] = TrainTrace(
@@ -328,20 +296,6 @@ def train_stack(dataset: Dataset, configs) -> list:
             config=configs[k],
         )
     return outcomes
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask, or the machine's
-    CPU count where the platform has no mask."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _lane_count(cells: int) -> int:
-    """Attack lanes for a stack of ``cells`` attacked cells: one per cell, at
-    most one per CPU this process may run on."""
-    return min(cells, usable_cpus())
 
 
 def _cell_norms(stack: np.ndarray) -> np.ndarray:

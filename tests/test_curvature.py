@@ -221,6 +221,16 @@ def sweep_split():
     return split(generate_separable(d=4, n=90, gamma=0.3, seed=6), 1.0 / 6.0, seed=3)
 
 
+@pytest.fixture(scope="module")
+def box_split():
+    """A boxed 3-class (train, test) pair: c > 0 makes PGD part of training."""
+    rng = np.random.default_rng(4)
+    centers = np.eye(3, 8) * 0.3 + 0.05
+    labels = np.repeat(np.arange(3), 24)
+    features = np.clip(centers[labels] + 0.05 * rng.standard_normal((72, 8)), 0.0, 1.0)
+    return split(Dataset(features=features, labels=labels, box=(0.0, 1.0)), 1.0 / 6.0, seed=3)
+
+
 class TestSweeps:
     def test_clipping_sweep_shape_and_determinism(self, sweep_split, sweep_settings):
         base = OptimizerConfig(eta=1.0, steps=20, seed=3)
@@ -242,34 +252,56 @@ class TestSweeps:
         again = clipping_smoothness_curve(*args)
         assert again.columns() == table.columns()
 
-    def test_parallel_matches_serial(self, sweep_split, sweep_settings, monkeypatch):
-        base = OptimizerConfig(eta=1.0, steps=10, seed=3)
-        settings = replace(sweep_settings, curvature_examples=32, curvature_iters=100)
-        pools = []
+    @pytest.mark.parametrize(
+        "data, jobs",
+        [
+            ("binary", [(0, [0, 1]), (1, [0, 1])]),
+            # each cell of the attacked row is a job of its own
+            ("attacked multiclass", [(0, [0, 1]), (1, [0]), (1, [1])]),
+        ],
+        ids=["binary", "attacked multiclass"],
+    )
+    def test_parallel_matches_serial(self, sweep_split, box_split, sweep_settings, monkeypatch,
+                                     data, jobs):
+        base = OptimizerConfig(eta=1.0, steps=10, seed=3, attack_steps=2)
+        settings = replace(sweep_settings, curvature_examples=32, curvature_iters=100,
+                           eval_attack_steps=2)
+        pools, sent = [], []
 
         class CountedPool(ProcessPoolExecutor):
             def __init__(self, processes):
                 pools.append(processes)
                 super().__init__(processes)
 
+            def map(self, fn, jobs):
+                jobs = list(jobs)
+                sent.append([(row, list(cols)) for row, _, cols in jobs])
+                return super().map(fn, jobs)
+
         monkeypatch.setattr(curvature, "ProcessPoolExecutor", CountedPool)
+        split_data = sweep_split if data == "binary" else box_split
         tables = []
-        for cpus in (1, 2):  # one CPU runs the rows here, two on two processes
+        for cpus in (1, 2):  # one CPU runs the jobs here, two on two processes
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                                 raising=False)
             tables.append(
-                clipping_smoothness_curve(*sweep_split, [0.0, 0.05], [0.5, 2.0], base, settings)
+                clipping_smoothness_curve(*split_data, [0.0, 0.05], [0.5, 2.0], base, settings)
             )
         serial, parallel = tables
         assert pools == [2]
+        assert sent == [jobs]
         assert [(cell.row, cell.col) for cell in serial.cells] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert not any(cell.diverged for cell in serial.cells)
         assert serial.cells == parallel.cells
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("cpus, c_grid", [(1, [0.0, 0.05]), (4, [0.05])],
-                             ids=["one cpu", "one row"])
-    def test_one_process_starts_none(self, sweep_split, sweep_settings, monkeypatch, cpus,
-                                     c_grid):
+    @pytest.mark.parametrize(
+        "cpus, c_grid, data",
+        [(1, [0.0, 0.05], "binary"), (4, [0.05], "binary"), (1, [0.0, 0.05], "attacked")],
+        ids=["one cpu", "one row", "one cpu, attacked"],
+    )
+    def test_one_process_starts_none(self, sweep_split, box_split, sweep_settings, monkeypatch,
+                                     cpus, c_grid, data):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
 
@@ -277,10 +309,22 @@ class TestSweeps:
             raise AssertionError("the sweep started a process pool")
 
         monkeypatch.setattr(curvature, "ProcessPoolExecutor", no_pool)
-        base = OptimizerConfig(eta=1.0, steps=5, seed=3)
-        settings = replace(sweep_settings, curvature_examples=16, curvature_iters=20)
-        table = clipping_smoothness_curve(*sweep_split, c_grid, [0.5, 2.0], base, settings)
+        base = OptimizerConfig(eta=1.0, steps=5, seed=3, attack_steps=2)
+        settings = replace(sweep_settings, curvature_examples=16, curvature_iters=20,
+                           eval_attack_steps=2)
+        split_data = sweep_split if data == "binary" else box_split
+        table = clipping_smoothness_curve(*split_data, c_grid, [0.5, 2.0], base, settings)
         assert len(table.cells) == 2 * len(c_grid)
+
+    def test_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        # the CPUs this process may run on, not the machine's
+        assert curvature.usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert curvature.usable_cpus() == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert curvature.usable_cpus() == 1
 
     def test_privacy_sweep_calibrates_noise(self, sweep_split, sweep_settings):
         base = OptimizerConfig(eta=0.5, steps=10, clip_k=1.0, seed=3)

@@ -919,28 +919,40 @@ class TestCliInProcess:
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
-        reason="the fault is planted by patching this process, which only a forked row "
+        reason="the fault is planted by patching this process, which only a forked job "
         "process inherits",
     )
+    @pytest.mark.parametrize("data", ["binary csv", "attacked multiclass idx"])
     def test_a_fault_in_a_row_process_fails_the_sweep_stage(
-        self, run_cli, tmp_path, sweep_data, monkeypatch
+        self, run_cli, tmp_path, sweep_data, monkeypatch, data
     ):
         parent = os.getpid()
         real = curvature.train_stack
 
-        def fault_in_a_row_process(dataset, configs):
-            if os.getpid() != parent:
-                raise RuntimeError("planted fault in a row process")
+        def fault_in_a_job_process(dataset, configs):
+            if os.getpid() != parent and configs[0].spec.c > 0:
+                raise RuntimeError(f"planted fault in a job of size {len(configs)}")
             return real(dataset, configs)
 
-        monkeypatch.setattr(curvature, "train_stack", fault_in_a_row_process)
+        monkeypatch.setattr(curvature, "train_stack", fault_in_a_job_process)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         out = tmp_path / "kind"
-        params = dict(_TINY_PARAMS["fig8-sweep"], data_csv=sweep_data)
+        if data == "binary csv":
+            params = dict(_TINY_PARAMS["fig8-sweep"], data_csv=sweep_data, k_grid="0.5,2")
+            size = 2  # the whole c = 0.05 row
+        else:
+            images, labels = str(tmp_path / "images.idx"), str(tmp_path / "labels.idx")
+            rng = np.random.default_rng(4)
+            write_idx(rng.uniform(size=(48, 3, 3)), rng.integers(0, 3, size=48), images, labels)
+            params = {"images": images, "labels": labels, "c_grid": "0,0.05",
+                      "k_grid": "0.5,2", "steps": "3", "attack_steps": "2",
+                      "eval_attack_steps": "2", "curvature_examples": "16",
+                      "curvature_iters": "20"}
+            size = 1  # one cell of the attacked row
         code, _, err = run_cli("experiment", "--config",
                                _write_ini(tmp_path / "exp.ini", "fig8-sweep", out, params))
         assert code == 2, err
-        assert "stage 'sweep' failed: planted fault in a row process" in err
+        assert f"stage 'sweep' failed: planted fault in a job of size {size}" in err
         assert not out.exists()
         assert multiprocessing.active_children() == []
 

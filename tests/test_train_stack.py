@@ -8,8 +8,11 @@ as the kernel once took them from the attacked batch x_adv (the oracle
 ``_attacked_terms``); ``train_stack`` takes them from the attack instead.
 Every comparison is bit for bit.
 
-Multi-class attacks run on lanes (threads); the lane tests fix the lane
-count and require the same bits from every count.
+An attacked stack attacks its cells one after another in the calling
+thread.  ``TestAttackedCells`` checks such a stack against one-cell
+training while cells diverge mid-run, that an error in one cell is raised,
+and that no thread starts; ``TestTwoClassOracle`` checks attacked
+two-class training against the binary closed form.
 """
 
 import math
@@ -24,7 +27,7 @@ import pytest
 from rpopt import losses, optimizer
 from rpopt.attacks import AttackConfig, pgd_batch
 from rpopt.curvature import clipping_smoothness_curve
-from rpopt.data import Dataset, generate_separable, split
+from rpopt.data import Dataset, generate_separable, load_csv, save_csv, split
 from rpopt.errors import DivergenceError
 from rpopt.losses import LossSpec, step_terms_stack
 from rpopt.optimizer import (
@@ -197,118 +200,74 @@ class TestMulticlass:
         _check_stack(box_data, configs)
 
 
-def _train_on_lanes(monkeypatch, lanes, dataset, configs):
-    """train_stack with the lane count fixed, and the threads that attacked."""
-    threads = set()
-
-    def recording_pgd_batch(*args, **kwargs):
-        threads.add(threading.get_ident())
-        return pgd_batch(*args, **kwargs)
-
-    monkeypatch.setattr(optimizer, "_lane_count", lambda cells: lanes)
-    monkeypatch.setattr(optimizer, "pgd_batch", recording_pgd_batch)
-    return train_stack(dataset, configs), threads
-
-
-class LaneFault(Exception):
+class CellFault(Exception):
     pass
 
 
-class TestAttackLanes:
+class TestAttackedCells:
     @pytest.mark.parametrize("p", [2.0, math.inf], ids=["l2", "linf"])
     @pytest.mark.parametrize("batch", [0, 24], ids=["full", "minibatch"])
-    def test_the_lane_count_changes_no_bit(self, box_data, monkeypatch, batch, p):
+    def test_diverging_cells_keep_the_one_cell_bits_and_the_callers_errstate(
+        self, box_data, batch, p
+    ):
         base = OptimizerConfig(
             eta=1.0, steps=10, spec=LossSpec.adversarial(0.05, p), batch=batch,
             attack_steps=3,
         )
         # finite and infinite thresholds; a finite iterate so large that its
-        # l2 attack overflows; three cells that overflow at different steps,
-        # so the live cells fall to 2, below 3 lanes
+        # l2 attack overflows; three cells that overflow, not all at one step,
+        # so the live cells shrink in stages
         configs = _cells(
             base,
             [(math.inf, 0.0, 8), (0.5, 1e200, 7), (15.0, 5e306, 4), (15.0, 1e307, 0),
              (1e3, 1e305, 6)],
         )
-        # every lane keeps the caller's numpy error state: no warning escapes
+        # the attacks run under the caller's numpy error state: no warning escapes
         with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            runs = {lanes: _train_on_lanes(monkeypatch, lanes, box_data, configs)
-                    for lanes in (1, 2, 3)}
-            _check_stack(box_data, configs)  # 3 lanes against one-cell training
-        reference = runs[1][0]
-        steps = [outcome.step for outcome in reference if isinstance(outcome, DivergenceError)]
-        assert len(steps) == 3 and max(steps) > 1
-        assert all(isinstance(outcome, TrainTrace) for outcome in reference[:2])
-        for lanes, (outcomes, threads) in runs.items():
-            assert len(threads) == lanes and threading.get_ident() in threads
-            for outcome, expected in zip(outcomes, reference):
-                if isinstance(expected, DivergenceError):
-                    assert isinstance(outcome, DivergenceError)
-                    assert outcome.step == expected.step
-                    continue
-                for name in TrainTrace.COLUMNS:
-                    assert np.array_equal(getattr(outcome, name), getattr(expected, name))
-                assert np.array_equal(outcome.final_params.weights, expected.final_params.weights)
+            outcomes = _check_stack(box_data, configs)
+        steps = [outcome.step for outcome in outcomes if isinstance(outcome, DivergenceError)]
+        assert len(steps) == 3 and len(set(steps)) > 1
+        assert all(isinstance(outcome, TrainTrace) for outcome in outcomes[:2])
 
-    @pytest.mark.parametrize("failing_seed", [9, 8], ids=["lane 0", "lane 1"])
-    def test_an_attack_error_is_raised_and_no_thread_is_left(
-        self, box_data, monkeypatch, failing_seed
-    ):
+    @pytest.mark.parametrize("failing_seed", [7, 8, 9])
+    @pytest.mark.parametrize("where", ["attack", "terms"])
+    def test_an_error_in_one_cell_is_raised(self, box_data, monkeypatch, where, failing_seed):
         base = OptimizerConfig(
             eta=1.0, steps=5, spec=LossSpec.adversarial(0.05), attack_steps=3,
         )
-        configs = _cells(base, [(0.5, 0.0, 7), (0.5, 0.0, 8), (0.5, 0.0, 9)])
+        # seeds 7, 8 and 9 at thresholds 0.5, 0.6 and 0.7
+        configs = _cells(base, [(0.5, 0.0, 7), (0.6, 0.0, 8), (0.7, 0.0, 9)])
+        failing_k = configs[failing_seed - 7].clip_k
+        real_terms = losses._residual_gradient
+        calls = []
 
         def failing_pgd_batch(model, x, y, attack, **kwargs):
             if attack.seed == failing_seed + 7919 * 3:  # the attack of step 2
-                raise LaneFault(f"seed {failing_seed}")
+                raise CellFault(f"seed {failing_seed}")
             return pgd_batch(model, x, y, attack, **kwargs)
 
-        # two lanes: the cells with seeds 7 and 9 on lane 0, seed 8 on lane 1
-        monkeypatch.setattr(optimizer, "_lane_count", lambda cells: 2)
-        monkeypatch.setattr(optimizer, "pgd_batch", failing_pgd_batch)
-        before = threading.active_count()
-        with pytest.raises(LaneFault, match=f"seed {failing_seed}$"):
-            train_stack(box_data, configs)
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("failing_k", [0.7, 0.6], ids=["lane 0", "lane 1"])
-    def test_an_error_in_a_cells_terms_is_raised_and_no_thread_is_left(
-        self, box_data, monkeypatch, failing_k
-    ):
-        base = OptimizerConfig(
-            eta=1.0, steps=5, spec=LossSpec.adversarial(0.05), attack_steps=3,
-        )
-        configs = _cells(base, [(0.5, 0.0, 7), (0.6, 0.0, 8), (0.7, 0.0, 9)])
-        real = losses._residual_gradient
-        calls = {}
-
         def failing_terms(r, x, clip_k):
-            calls[clip_k] = calls.get(clip_k, 0) + 1
-            if clip_k == failing_k and calls[clip_k] == 3:  # the terms of step 2
-                raise LaneFault(f"k {failing_k}")
-            return real(r, x, clip_k)
+            calls.append(clip_k)
+            if clip_k == failing_k and calls.count(clip_k) == 3:  # the terms of step 2
+                raise CellFault(f"seed {failing_seed}")
+            return real_terms(r, x, clip_k)
 
-        # two lanes: the cells with k 0.5 and 0.7 on lane 0, k 0.6 on lane 1
-        monkeypatch.setattr(optimizer, "_lane_count", lambda cells: 2)
-        monkeypatch.setattr(losses, "_residual_gradient", failing_terms)
-        before = threading.active_count()
-        with pytest.raises(LaneFault, match=f"k {failing_k}$"):
+        if where == "attack":
+            monkeypatch.setattr(optimizer, "pgd_batch", failing_pgd_batch)
+        else:
+            monkeypatch.setattr(losses, "_residual_gradient", failing_terms)
+        with pytest.raises(CellFault, match=f"seed {failing_seed}$"):
             train_stack(box_data, configs)
-        assert threading.active_count() == before
-        assert calls[failing_k] == 3
 
     @pytest.mark.parametrize(
-        "data, c, cpus",
-        [("box", 0.05, 1), ("box", 0.0, 4), ("binary", 0.05, 4)],
-        ids=["attacked, one cpu", "clean multiclass", "binary"],
+        "data, c",
+        [("box", 0.05), ("box", 0.0), ("binary", 0.05)],
+        ids=["attacked", "clean multiclass", "binary"],
     )
-    def test_one_lane_starts_no_thread(
-        self, box_data, binary_data, monkeypatch, data, c, cpus
-    ):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    def test_no_thread_starts_on_four_cpus(self, box_data, binary_data, monkeypatch, data, c):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
 
         def no_thread(thread):
             raise AssertionError("train_stack started a thread")
@@ -320,15 +279,47 @@ class TestAttackLanes:
         outcomes = train_stack(dataset, [replace(base, seed=seed) for seed in range(3)])
         assert all(isinstance(outcome, TrainTrace) for outcome in outcomes)
 
-    def test_lane_count(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        # the CPUs this process may run on, not the machine's
-        assert [optimizer._lane_count(cells) for cells in (1, 2, 3, 10)] == [1, 2, 3, 3]
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert [optimizer._lane_count(cells) for cells in (1, 5, 10)] == [1, 5, 8]
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert optimizer._lane_count(10) == 1
+
+class TestTwoClassOracle:
+    """A two-class softmax model is the binary model w = theta_1 - theta_0:
+    its loss is the logistic loss of w, a step at eta moves w as a binary
+    step at 2 eta, and with no box PGD's one-shot step is the exact worst
+    case.  So attacked two-class training must follow the binary closed
+    form.
+
+    The two runs reach the same numbers through different expressions (a
+    softmax over two logits against a sigmoid of the margin; w formed from
+    two rows), so they agree to rounding, about 1e-15 relative here.  The
+    tolerance of 1e-12 leaves room for that rounding to grow over the run;
+    a wrong attack, step factor or residual moves the numbers far more (a
+    gradient taken at the clean inputs in place of the attacked ones fails
+    here)."""
+
+    RTOL = 1e-12
+
+    @pytest.mark.parametrize("p", [2.0, math.inf], ids=["l2", "linf"])
+    @pytest.mark.parametrize("eta, c", [(0.1, 0.05), (0.5, 0.1)])
+    def test_two_class_training_follows_the_binary_run_at_twice_eta(self, tmp_path, p, eta, c):
+        separable = generate_separable(d=8, n=60, gamma=0.2, seed=5)
+        signs, classes = str(tmp_path / "signs.csv"), str(tmp_path / "classes.csv")
+        save_csv(separable, signs)
+        save_csv(Dataset(separable.features, (separable.labels + 1) // 2), classes)
+        binary, two_class = load_csv(signs), load_csv(classes)
+        assert binary.is_binary and two_class.num_classes == 2 and two_class.box is None
+        spec = LossSpec(c, p)
+        for steps in (1, 5, 40):
+            two = train(two_class, OptimizerConfig(eta=eta, steps=steps, spec=spec))
+            reference = train(binary, OptimizerConfig(eta=2 * eta, steps=steps, spec=spec))
+            theta = two.final_params.weights
+            np.testing.assert_allclose(
+                theta[1] - theta[0], reference.final_params.weights, rtol=self.RTOL, atol=0
+            )
+            for name in ("adversarial_loss", "nominal_loss"):
+                np.testing.assert_allclose(
+                    getattr(two, name), getattr(reference, name), rtol=self.RTOL, atol=0
+                )
+        # the worst case is harder than the clean loss once w is not zero
+        assert np.all(reference.adversarial_loss[1:] > reference.nominal_loss[1:])
 
 
 class TestDivergence:
