@@ -96,61 +96,89 @@ def _require_regime(inputs: BoundInputs, robust: bool = False) -> None:
         raise InvalidRegimeError(violated[0])
 
 
-def _plain_rate(inputs: BoundInputs, noise_energy: float) -> float:
+# Each rate is built from its inputs but t, once the regime is checked, as a
+# function of t alone; a series checks once and calls it at every step.
+
+
+def _plain_rate(inputs: BoundInputs, noise_energy: float):
     """Plain-descent rate with noise energy d sigma^2:
     (8-eta)/(8 t eta) (1 + d sigma^2 + (log t / gamma)^2)
     + (8-eta)/4 * log((t+1)/t) + eta d sigma^2."""
     _require_regime(inputs)
-    t, eta, gamma = inputs.t, inputs.eta, inputs.gamma
-    lead = (8.0 - eta) / (8.0 * t * eta)
-    bracket = (1.0 + noise_energy) + (math.log(t) / gamma) ** 2
-    tail = (8.0 - eta) / 4.0 * math.log1p(1.0 / t)
-    return lead * bracket + tail + eta * noise_energy
+    eta, gamma = inputs.eta, inputs.gamma
+
+    def rate(t):
+        lead = (8.0 - eta) / (8.0 * t * eta)
+        bracket = (1.0 + noise_energy) + (math.log(t) / gamma) ** 2
+        tail = (8.0 - eta) / 4.0 * math.log1p(1.0 / t)
+        return lead * bracket + tail + eta * noise_energy
+
+    return rate
+
+
+def _robust_rate(inputs: BoundInputs, noise_energy: float):
+    """Worst-case-loss descent rate with budget c and noise energy
+    d sigma^2, in the inputs' form."""
+    _require_regime(inputs, robust=True)
+    eta, gamma, c = inputs.eta, inputs.gamma, inputs.c
+    appendix = inputs.form == "appendix"
+    s = curvature_budget(c, eta, gamma)
+
+    def rate(t):
+        if appendix:
+            lead = (2.0 - s * eta) / (2.0 * t * eta)
+            tail = 2.0 - s * eta
+        else:
+            lead = (8.0 - eta * (1.0 + c) ** 2) / (8.0 * t * eta) - c / (t * gamma)
+            tail = (8.0 - eta * (1.0 + c) ** 2) / 4.0 - 2.0 * c / gamma
+        bracket = ((1.0 + c) ** 2 + noise_energy) + (math.log(t) / (gamma - c)) ** 2
+        return lead * bracket + tail * math.log1p(1.0 / t) + eta * noise_energy
+
+    return rate
+
+
+def _robust_under_standard_rate(inputs: BoundInputs):
+    """The plain rate plus c * (1 + eta (t - 1))."""
+    base = _plain_rate(inputs, 0.0)
+    c, eta = inputs.c, inputs.eta
+    return lambda t: base(t) + c * (1.0 + eta * (t - 1))
+
+
+_RATES = {
+    "nominal": lambda inputs: _plain_rate(inputs, 0.0),
+    "private": lambda inputs: _plain_rate(inputs, inputs.d * inputs.sigma**2),
+    "robust": lambda inputs: _robust_rate(inputs, 0.0),
+    "robust-private": lambda inputs: _robust_rate(inputs, inputs.d * inputs.sigma**2),
+    "robust-under-standard": _robust_under_standard_rate,
+}
 
 
 def bound_nominal(inputs: BoundInputs) -> float:
     """Plain-descent rate, without noise."""
-    return _plain_rate(inputs, 0.0)
+    return _RATES["nominal"](inputs)(inputs.t)
 
 
 def bound_private(inputs: BoundInputs) -> float:
     """Noisy-descent rate: the plain bracket gains d sigma^2 and the rate
     gains the noise floor eta d sigma^2."""
-    return _plain_rate(inputs, inputs.d * inputs.sigma**2)
-
-
-def _robust_rate(inputs: BoundInputs, noise_energy: float) -> float:
-    """Worst-case-loss descent rate with budget c and noise energy
-    d sigma^2, in the inputs' form."""
-    _require_regime(inputs, robust=True)
-    t, eta, gamma, c = inputs.t, inputs.eta, inputs.gamma, inputs.c
-    if inputs.form == "appendix":
-        s = curvature_budget(c, eta, gamma)
-        lead = (2.0 - s * eta) / (2.0 * t * eta)
-        tail = 2.0 - s * eta
-    else:
-        lead = (8.0 - eta * (1.0 + c) ** 2) / (8.0 * t * eta) - c / (t * gamma)
-        tail = (8.0 - eta * (1.0 + c) ** 2) / 4.0 - 2.0 * c / gamma
-    bracket = ((1.0 + c) ** 2 + noise_energy) + (math.log(t) / (gamma - c)) ** 2
-    return lead * bracket + tail * math.log1p(1.0 / t) + eta * noise_energy
+    return _RATES["private"](inputs)(inputs.t)
 
 
 def bound_robust(inputs: BoundInputs) -> float:
     """Worst-case-loss descent rate with budget c (no noise)."""
-    return _robust_rate(inputs, 0.0)
+    return _RATES["robust"](inputs)(inputs.t)
 
 
 def bound_robust_private(inputs: BoundInputs) -> float:
     """Worst-case-loss noisy-descent rate: bracket gains d sigma^2, rate
     gains the noise floor eta d sigma^2."""
-    return _robust_rate(inputs, inputs.d * inputs.sigma**2)
+    return _RATES["robust-private"](inputs)(inputs.t)
 
 
 def bound_robust_under_standard(inputs: BoundInputs) -> float:
     """Worst-case loss of a plainly trained model: the plain rate plus
     c * (1 + eta (t - 1)), since the iterate norm grows at most linearly."""
-    base = bound_nominal(inputs)
-    return base + inputs.c * (1.0 + inputs.eta * (inputs.t - 1))
+    return _RATES["robust-under-standard"](inputs)(inputs.t)
 
 
 BOUND_FUNCTIONS = {
@@ -163,12 +191,15 @@ BOUND_FUNCTIONS = {
 
 
 def evaluate_series(setting: str, inputs: BoundInputs, ts) -> np.ndarray:
-    """Evaluate one bound over a grid of steps; rows are (t, value)."""
+    """Evaluate one bound over a grid of steps; rows are (t, value).  The
+    steps and the regime are checked once, before any value."""
     if setting not in BOUND_FUNCTIONS:
         raise ValueError(f"setting must be one of {sorted(BOUND_FUNCTIONS)}")
-    fn = BOUND_FUNCTIONS[setting]
-    rows = [(int(t), fn(replace(inputs, t=int(t)))) for t in ts]
-    return np.asarray(rows)
+    steps = [int(t) for t in ts]
+    if steps:
+        replace(inputs, t=min(steps))  # raises if the smallest step is not a valid t
+    rate = _RATES[setting](inputs)
+    return np.asarray([(t, rate(t)) for t in steps])
 
 
 def gap_curve(inputs: BoundInputs, setting: str, ts=None) -> np.ndarray:

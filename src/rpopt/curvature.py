@@ -7,22 +7,16 @@ privacy level to the curvature of the solution.
 
 A sweep is a list of jobs: each cell of a multi-class row with c > 0 (the
 PGD attacks of its training steps dominate the sweep's time) and each
-other row, whose cells train as one stack.  The jobs run on one process
-per CPU this process may use (its affinity mask), at most one per job;
-with one CPU or one job they run in this process and none is started.
-While a job runs, the loaded OpenBLAS runs one thread, so that its threads
-do not compete with the other jobs.
+other row, whose cells train as one stack.  The jobs run on the process
+pool of :func:`rpopt.jobs.run_jobs`: one process per usable CPU, at most
+one per job, and none with one CPU or one job.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -31,6 +25,7 @@ from .attacks import AttackConfig, _correct, pgd_batch
 from .bounds import accountant_sigma
 from .data import Dataset
 from .errors import DivergenceError, SingularityError
+from .jobs import run_jobs
 from .losses import LossSpec, model_weights
 from .optimizer import OptimizerConfig, train_stack
 
@@ -237,56 +232,8 @@ def accuracy(model, dataset: Dataset) -> float:
     return float(np.mean(_correct(model_weights(model), dataset.features, dataset.labels)))
 
 
-@cache
-def _openblas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS this process has
-    loaded, or None where none is loaded or it exports neither; looked up
-    once per process."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = sorted({
-                line.split(None, 5)[-1].strip()
-                for line in maps
-                if "openblas" in line.rsplit("/", 1)[-1].lower()
-            })
-    except OSError:  # no such file where the platform is not Linux
-        return None
-    for path in paths:
-        try:
-            library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)  # loads nothing new
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                get = getattr(library, f"{prefix}_get_num_threads{suffix}", None)
-                set_ = getattr(library, f"{prefix}_set_num_threads{suffix}", None)
-                if get and set_:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body with the loaded OpenBLAS on one thread, then give it back
-    the count it had, also on error; nothing changes where none is loaded."""
-    control = _openblas_threads()
-    if control is None:
-        yield
-        return
-    get, set_ = control
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
 def _evaluate_row(train_ds, test_ds, base_config, settings, columns, job) -> list[SweepCell]:
-    """Train the cells of one job as one stack, then score each cell, with
-    BLAS on one thread.
+    """Train the cells of one job as one stack, then score each cell.
 
     A job (row, c, cols) is the cells of columns ``cols`` in c-row ``row``:
     a whole row, or one cell of an attacked multi-class row.  The cells of
@@ -305,12 +252,11 @@ def _evaluate_row(train_ds, test_ds, base_config, settings, columns, job) -> lis
         )
         for col in cols
     ]
-    with _one_blas_thread():
-        outcomes = train_stack(train_ds, configs)
-        return [
-            _score_cell(train_ds, test_ds, settings, row, col, c, columns[col][0], config, outcome)
-            for col, config, outcome in zip(cols, configs, outcomes)
-        ]
+    outcomes = train_stack(train_ds, configs)
+    return [
+        _score_cell(train_ds, test_ds, settings, row, col, c, columns[col][0], config, outcome)
+        for col, config, outcome in zip(cols, configs, outcomes)
+    ]
 
 
 def _score_cell(train_ds, test_ds, settings, row, col, c, knob, config, outcome) -> SweepCell:
@@ -352,24 +298,15 @@ def _score_cell(train_ds, test_ds, settings, row, col, c, knob, config, outcome)
     )
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask, or the machine's
-    CPU count where the platform has no mask."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _sweep(train_ds, test_ds, c_grid, columns, base_config, settings) -> SweepTable:
     """The body of both sweeps: one model per (c, column) cell, where each
     column (knob, clip_k, sigma) is the value the cell is reported under and
     the clip and noise it trains with.  Each cell of an attacked multi-class
-    row is one job and each other row is one job; the jobs run on min(jobs,
-    usable CPUs) processes, or in this one when that is 1.  Jobs are
-    independent and a cell trains bit for bit as in any stack, so the
-    cells, and their order, are the same either way.  An error in a job is
-    raised here, once the jobs already running have ended and the others
-    are cancelled, so no process outlives the call."""
+    row is one job and each other row is one job, run by
+    :func:`rpopt.jobs.run_jobs`.  Jobs are independent and a cell trains bit
+    for bit as in any stack, so the cells, and their order, are the same on
+    any number of processes.  An error in a job is raised here, and no
+    process outlives the call."""
     c_grid = [float(c) for c in c_grid]
     if not c_grid or not columns:
         raise ValueError("grids must be nonempty")
@@ -380,16 +317,7 @@ def _sweep(train_ds, test_ds, c_grid, columns, base_config, settings) -> SweepTa
         else:
             jobs.append((row, c, range(len(columns))))
     evaluate = partial(_evaluate_row, train_ds, test_ds, base_config, settings, columns)
-    processes = min(len(jobs), usable_cpus())
-    if processes == 1:
-        per_job = list(map(evaluate, jobs))
-    else:
-        with ProcessPoolExecutor(processes) as pool:
-            try:
-                per_job = list(pool.map(evaluate, jobs))
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
+    per_job = run_jobs(evaluate, jobs)
     return SweepTable(tuple(cell for cells in per_job for cell in cells))
 
 

@@ -27,6 +27,10 @@ class DivergenceError(RpoptError, RuntimeError):
         self.step = step
         super().__init__(message or f"training diverged at step {step}")
 
+    def __reduce__(self):
+        # pickled (say, out of a job process) as its step and its message
+        return type(self), (self.step, str(self))
+
 
 class SingularityError(RpoptError, ValueError):
     """An operation was requested at a point where it is undefined

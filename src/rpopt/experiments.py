@@ -41,6 +41,7 @@ from .bounds import BoundInputs, log_spaced_steps
 from .curvature import SweepSettings, clipping_smoothness_curve, privacy_smoothness_curve
 from .data import Dataset, check_margin, generate_separable, load_dataset, split, write_table
 from .errors import DivergenceError, ExperimentError, InvalidRegimeError
+from .jobs import run_jobs
 from .losses import LossSpec, adversarial_logistic_loss, gradient
 from .optimizer import OptimizerConfig, train, train_stack, validate_config
 
@@ -492,10 +493,11 @@ def _bound_columns(base: BoundInputs, ts, names) -> dict:
     }
 
 
-def _solo_and_averaged_losses(dataset, solo, base, seeds, column: str):
-    """The solo run's curve, and the mean and standard error of the curves
-    of ``base`` over the seeds, trained as one stack (the configs may differ
-    only in sigma and seed)."""
+def _solo_and_averaged_losses(dataset, seeds, job):
+    """For the job (solo, base, column): the solo run's curve, and the mean
+    and standard error of the curves of ``base`` over the seeds, trained as
+    one stack (the configs may differ only in sigma and seed)."""
+    solo, base, column = job
     configs = [solo] + [replace(base, seed=seed) for seed in seeds]
     traces = train_stack(dataset, configs)
     for trace in traces:
@@ -524,13 +526,12 @@ def _run_fig1(config, params, stage):
 
     notes = {"warnings": validate_config(cfg(c, sigma), gamma=gamma)}
 
-    stage.name = "train-nominal-private"
-    nominal, private, private_se = _solo_and_averaged_losses(
-        dataset, cfg(0.0, 0.0), cfg(0.0, sigma), config.seeds, "nominal_loss"
-    )
-    stage.name = "train-robust-private"
-    robust, robust_private, robust_private_se = _solo_and_averaged_losses(
-        dataset, cfg(c, 0.0), cfg(c, sigma), config.seeds, "adversarial_loss"
+    stage.name = "train"
+    # two independent seed stacks, as two jobs
+    (nominal, private, private_se), (robust, robust_private, robust_private_se) = run_jobs(
+        partial(_solo_and_averaged_losses, dataset, config.seeds),
+        [(cfg(0.0, 0.0), cfg(0.0, sigma), "nominal_loss"),
+         (cfg(c, 0.0), cfg(c, sigma), "adversarial_loss")],
     )
 
     stage.name = "evaluate-bounds"

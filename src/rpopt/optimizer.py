@@ -20,6 +20,15 @@ array and takes each step with one call of
 streams and divergence, and its numbers are bit-identical to training it
 alone; :func:`train` is the one-cell case.
 
+A noisy cell draws its Gaussian noise for a block of steps in one call of
+its Generator, and each step adds its row of the block to every noisy live
+cell at once.  ``Generator.normal`` fills an array in order, so a block is
+the same numbers as its steps' draws one by one.  Under minibatches a
+block is one step, since each step's batch choice comes between two
+steps' noise in the cell's stream; under full batches it is as many steps
+as fit ``NOISE_BUFFER_BYTES`` (163 steps for fig1's 20 noisy seeds at
+d = 10).  A cell that diverges mid-block leaves draws that nothing reads.
+
 Multi-class worst-case training attacks every live cell of a step with
 PGD, one cell after another, through one :class:`rpopt.attacks.PGDWorkspace`
 per run.  The attack has already evaluated each example's loss at the
@@ -28,7 +37,7 @@ workspace keeps, so the cell's two mean losses and its clipped mean
 gradient (one product of the residuals with the attacked batch) come from
 them, and no logit of the step is computed twice.  Training starts no
 thread; the sweeps spread attacked cells over processes instead (see
-:mod:`rpopt.curvature`).
+:mod:`rpopt.curvature` and :mod:`rpopt.jobs`).
 """
 
 from __future__ import annotations
@@ -165,6 +174,9 @@ def train(dataset: Dataset, config: OptimizerConfig) -> TrainTrace:
 # the only fields in which the configs of one stack may differ
 STACKED_FIELDS = ("clip_k", "sigma", "seed")
 
+# the size of the noise a stack draws at a time, when it may draw ahead
+NOISE_BUFFER_BYTES = 256 * 1024
+
 
 def train_stack(dataset: Dataset, configs) -> list:
     """Train one independent cell per config, as one stacked program.
@@ -175,7 +187,8 @@ def train_stack(dataset: Dataset, configs) -> list:
     :func:`rpopt.losses.step_terms_stack`, or for multi-class cells with
     c > 0 one attack per cell whose kept losses and residuals give the
     cell's terms; each cell keeps its own Generator
-    (batch choice and noise) and its own PGD seeds.  Entry i of
+    (batch choice and noise, drawn a block of steps at a time, see the
+    module docstring) and its own PGD seeds.  Entry i of
     the result is what ``train(dataset, configs[i])`` returns, bit for bit,
     or the DivergenceError it raises: a cell that diverges stops updating
     and never changes another cell's numbers.
@@ -215,6 +228,12 @@ def train_stack(dataset: Dataset, configs) -> list:
         noise_calibration(config, batch or n_all) if config.sigma > 0 else 0.0
         for config in configs
     ]
+    noisy = np.array([config.sigma > 0 for config in configs])
+    noisy_cells = int(noisy.sum())
+    # steps of noise per draw: one when each step's batch draw comes between
+    # two steps' noise, else as many as fit the buffer
+    step_bytes = 8 * max(1, noisy_cells) * math.prod(shape)
+    block = 1 if batch else max(1, NOISE_BUFFER_BYTES // step_bytes)
     clip_k = np.array([config.clip_k for config in configs])
     rngs = [np.random.default_rng(config.seed) for config in configs]
     # per cell and iterate: nominal loss, worst-case loss, ||theta||, ||grad||
@@ -222,6 +241,8 @@ def train_stack(dataset: Dataset, configs) -> list:
     outcomes: list = [None] * len(configs)
     live = np.arange(len(configs))  # the cell of each row of the stack
     theta = np.zeros((len(configs),) + shape)
+    noise = np.empty((0, noisy_cells) + shape)  # the current block's noise
+    drawn = noisy  # per row of the stack: whether its cell draws noise
     attacked = multiclass and spec.c > 0
     workspace = PGDWorkspace()  # the attack buffers of every cell and step
 
@@ -261,10 +282,12 @@ def train_stack(dataset: Dataset, configs) -> list:
         return grad
 
     def drop(keep, step):
-        nonlocal theta, live, clip_k
+        nonlocal theta, live, clip_k, noise, drawn
         for k in live[~keep]:
             outcomes[k] = DivergenceError(step)
+        noise = noise[:, keep[drawn]]  # the rest of the block of the kept cells
         theta, live, clip_k = theta[keep], live[keep], clip_k[keep]
+        drawn = noisy[live]
 
     for t in range(steps + 1):
         if not len(live):
@@ -277,9 +300,13 @@ def train_stack(dataset: Dataset, configs) -> list:
         update = record(t, eval_at(xb, yb, t))
         if t == steps:
             break
-        for i, k in enumerate(live):
-            if configs[k].sigma > 0:
-                update[i] += rngs[k].normal(0.0, noise_std[k], size=shape)
+        if noise.shape[1]:  # a live cell draws noise
+            if t % block == 0:  # the next block: a row per step, a column per drawing cell
+                size = (min(block, steps - t),) + shape
+                noise = np.stack(
+                    [rngs[k].normal(0.0, noise_std[k], size=size) for k in live[drawn]], axis=1
+                )
+            update[drawn] += noise[t % block]
         eta_t = first.resolved_first_step_eta if t == 0 else first.eta
         theta = theta - eta_t * update
         if not np.isfinite(theta).all():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpopt import bounds
 from rpopt.bounds import (
     BOUND_FUNCTIONS,
     FORMS,
@@ -146,6 +147,54 @@ class TestSeriesAndGaps:
             "robust-private",
             "robust-under-standard",
         ]
+
+    # the kinds' default inputs and steps: fig1's 1..steps, fig2's log grid
+    # with its decades (at its largest d), bounds-only's log grid
+    GRIDS = {
+        "fig1": (dict(d=10, sigma=0.25), np.arange(1, 1001)),
+        "fig2": (
+            dict(d=1000, sigma=0.25),
+            np.unique(np.concatenate([log_spaced_steps(100000, 200), [10**k for k in range(6)]])),
+        ),
+        "bounds-only": (dict(d=10, sigma=0.25), log_spaced_steps(10000, 200)),
+    }
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=GRIDS.keys())
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("setting", sorted(BOUND_FUNCTIONS))
+    def test_series_is_each_steps_bound_bit_for_bit(self, setting, form, grid):
+        fields, ts = self.GRIDS[grid]
+        inputs = BoundInputs(t=1, eta=0.1, gamma=1.0, c=0.1, form=form, **fields)
+        rows = evaluate_series(setting, inputs, ts)
+        expected = [(int(t), BOUND_FUNCTIONS[setting](replace(inputs, t=int(t)))) for t in ts]
+        assert rows.tobytes() == np.asarray(expected).tobytes()
+
+    @pytest.mark.parametrize("setting", sorted(BOUND_FUNCTIONS))
+    def test_series_checks_its_regime_once(self, setting, monkeypatch):
+        checks = []
+        real = bounds.regime_violations
+
+        def counted(*args):
+            checks.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(bounds, "regime_violations", counted)
+        inputs = BoundInputs(t=1, eta=0.1, gamma=1.0, c=0.1, d=10, sigma=0.25)
+        assert evaluate_series(setting, inputs, np.arange(1, 50)).shape == (49, 2)
+        assert len(checks) == 1
+
+    @pytest.mark.parametrize("setting", sorted(BOUND_FUNCTIONS))
+    def test_series_checks_its_regime_before_any_step(self, setting, monkeypatch):
+        def no_value(*args):
+            raise AssertionError("a step was evaluated")
+
+        monkeypatch.setattr(math, "log", no_value)
+        monkeypatch.setattr(math, "log1p", no_value)
+        inputs = BoundInputs(t=1, eta=4.0, gamma=1.0, c=0.1)
+        with pytest.raises(InvalidRegimeError, match="eta < 4"):
+            evaluate_series(setting, inputs, np.arange(1, 50))
+        with pytest.raises(ValueError, match="t must be"):
+            evaluate_series(setting, replace(inputs, eta=0.1), [3, 0, 5])
 
     @pytest.mark.parametrize("form", FORMS)
     @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rpopt import curvature, experiments
+from rpopt import curvature, experiments, jobs
 from rpopt.attacks import AttackConfig
 from rpopt.curvature import (
     SWEEP_COLUMNS,
@@ -253,7 +253,7 @@ class TestSweeps:
         assert again.columns() == table.columns()
 
     @pytest.mark.parametrize(
-        "data, jobs",
+        "data, expected_jobs",
         [
             ("binary", [(0, [0, 1]), (1, [0, 1])]),
             # each cell of the attacked row is a job of its own
@@ -262,7 +262,7 @@ class TestSweeps:
         ids=["binary", "attacked multiclass"],
     )
     def test_parallel_matches_serial(self, sweep_split, box_split, sweep_settings, monkeypatch,
-                                     data, jobs):
+                                     data, expected_jobs):
         base = OptimizerConfig(eta=1.0, steps=10, seed=3, attack_steps=2)
         settings = replace(sweep_settings, curvature_examples=32, curvature_iters=100,
                            eval_attack_steps=2)
@@ -273,12 +273,12 @@ class TestSweeps:
                 pools.append(processes)
                 super().__init__(processes)
 
-            def map(self, fn, jobs):
-                jobs = list(jobs)
-                sent.append([(row, list(cols)) for row, _, cols in jobs])
-                return super().map(fn, jobs)
+            def map(self, fn, items):
+                items = list(items)
+                sent.append([(row, list(cols)) for row, _, cols in items])
+                return super().map(fn, items)
 
-        monkeypatch.setattr(curvature, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr(jobs, "ProcessPoolExecutor", CountedPool)
         split_data = sweep_split if data == "binary" else box_split
         tables = []
         for cpus in (1, 2):  # one CPU runs the jobs here, two on two processes
@@ -289,7 +289,7 @@ class TestSweeps:
             )
         serial, parallel = tables
         assert pools == [2]
-        assert sent == [jobs]
+        assert sent == [expected_jobs]
         assert [(cell.row, cell.col) for cell in serial.cells] == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert not any(cell.diverged for cell in serial.cells)
         assert serial.cells == parallel.cells
@@ -308,23 +308,13 @@ class TestSweeps:
         def no_pool(*args, **kwargs):
             raise AssertionError("the sweep started a process pool")
 
-        monkeypatch.setattr(curvature, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(jobs, "ProcessPoolExecutor", no_pool)
         base = OptimizerConfig(eta=1.0, steps=5, seed=3, attack_steps=2)
         settings = replace(sweep_settings, curvature_examples=16, curvature_iters=20,
                            eval_attack_steps=2)
         split_data = sweep_split if data == "binary" else box_split
         table = clipping_smoothness_curve(*split_data, c_grid, [0.5, 2.0], base, settings)
         assert len(table.cells) == 2 * len(c_grid)
-
-    def test_usable_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        # the CPUs this process may run on, not the machine's
-        assert curvature.usable_cpus() == 3
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert curvature.usable_cpus() == 8
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert curvature.usable_cpus() == 1
 
     def test_privacy_sweep_calibrates_noise(self, sweep_split, sweep_settings):
         base = OptimizerConfig(eta=0.5, steps=10, clip_k=1.0, seed=3)
@@ -359,7 +349,7 @@ class TestSweeps:
             )
 
 
-_BLAS = curvature._openblas_threads()
+_BLAS = jobs._openblas_threads()
 
 
 @pytest.fixture()

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -953,6 +954,39 @@ class TestCliInProcess:
                                _write_ini(tmp_path / "exp.ini", "fig8-sweep", out, params))
         assert code == 2, err
         assert f"stage 'sweep' failed: planted fault in a job of size {size}" in err
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_fig1_stacks_run_as_jobs_with_the_same_csv(self, run_cli, tmp_path, monkeypatch):
+        params = {"d": "5", "n": "40", "steps": "30"}
+        tables = []
+        for cpus in (1, 2):  # one CPU trains both stacks here, two in two processes
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            out = tmp_path / f"cpus{cpus}"
+            ini = _write_ini(tmp_path / f"exp{cpus}.ini", "fig1-convergence", out, params,
+                             seeds="0:3")
+            code, _, err = run_cli("experiment", "--config", ini)
+            assert code == 0, err
+            tables.append((out / artifact_name("fig1-convergence")).read_bytes())
+            assert multiprocessing.active_children() == []
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_diverging_fig1_stack_fails_the_train_stage(
+        self, run_cli, tmp_path, monkeypatch, cpus
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        out = tmp_path / "fig1"
+        params = {"d": "5", "n": "40", "steps": "20", "sigma": "1e308"}
+        ini = _write_ini(tmp_path / "exp.ini", "fig1-convergence", out, params, seeds="0,1")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, err = run_cli("experiment", "--config", ini)
+        assert code == 2, err
+        # the step comes back from a job process once, with fig1's training stage
+        assert re.search(r"stage 'train' failed: training diverged at step \d+$", err,
+                         re.MULTILINE), err
+        assert err.count("diverged at step") == 1, err
         assert not out.exists()
         assert multiprocessing.active_children() == []
 

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -172,6 +173,14 @@ class TestClippingAndNoise:
         with np.errstate(over="ignore"), pytest.raises(DivergenceError) as info:
             train(small_binary, cfg)
         assert info.value.step >= 1
+
+    @pytest.mark.parametrize("message", [None, "custom message"])
+    def test_divergence_error_round_trips_through_pickle(self, message):
+        # a job process sends its error back pickled
+        error = pickle.loads(pickle.dumps(DivergenceError(7, message)))
+        assert isinstance(error, DivergenceError)
+        assert error.step == 7
+        assert str(error) == (message or "training diverged at step 7")
 
 
 @pytest.fixture(scope="module")

@@ -363,6 +363,115 @@ class TestDivergence:
         assert all(isinstance(outcome, DivergenceError) for outcome in outcomes)
 
 
+class _RecordingRng:
+    """A Generator that records the size of each of its normal draws."""
+
+    def __init__(self, seed, sizes):
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+        self.sizes = sizes
+
+    def normal(self, loc, scale, size):
+        self.sizes.append(size)
+        return self.rng.normal(loc, scale, size=size)
+
+    def choice(self, *args, **kwargs):
+        return self.rng.choice(*args, **kwargs)
+
+
+def _noise_draws(monkeypatch, dataset, configs):
+    """The size of every normal draw of ``train_stack(dataset, configs)``,
+    per cell in draw order, and its outcomes."""
+    sizes = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            np.random, "default_rng", lambda seed: _RecordingRng(seed, sizes.setdefault(seed, []))
+        )
+        outcomes = train_stack(dataset, configs)
+    return [sizes.get(config.seed, []) for config in configs], outcomes
+
+
+class TestNoiseBlocks:
+    """A noisy cell draws its noise for a block of steps at once: one step
+    at a time under minibatches, whose batch draws come between two steps'
+    noise, and else as many steps as fit ``optimizer.NOISE_BUFFER_BYTES``.
+    The reference loop draws per step; the streams must agree bit for bit."""
+
+    @staticmethod
+    def _block(monkeypatch, steps_per_block, noisy_cells, shape):
+        """Shrink the buffer so that a block holds ``steps_per_block`` steps."""
+        step_bytes = 8 * noisy_cells * math.prod(shape)
+        monkeypatch.setattr(optimizer, "NOISE_BUFFER_BYTES", steps_per_block * step_bytes + 7)
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 8)], ids=["d", "C, d"])
+    @pytest.mark.parametrize("size", [(), (1,), (4,), (163,)])
+    def test_one_block_draw_is_successive_step_draws(self, shape, size):
+        # the numpy property the blocks rest on: Generator.normal fills in order
+        for std in (0.25, 3e-3, 1e300):
+            whole = np.random.default_rng(5).normal(0.0, std, size=size + shape)
+            rng = np.random.default_rng(5)
+            steps = [rng.normal(0.0, std, size=shape) for _ in range(math.prod(size))]
+            assert whole.tobytes() == np.stack(steps).reshape(whole.shape).tobytes()
+
+    def test_fig1_stack_draws_163_steps_at_a_time(self, monkeypatch):
+        # fig1's shape: a noise-free solo cell beside 20 noisy seeds, d = 10
+        dataset = generate_separable(d=10, n=100, gamma=1.0, seed=0)
+        solo = OptimizerConfig(eta=0.1, steps=400, seed=100)
+        configs = [solo] + [replace(solo, sigma=0.25, seed=seed) for seed in range(20)]
+        draws, outcomes = _noise_draws(monkeypatch, dataset, configs)
+        assert draws[0] == []
+        assert all(sizes == [(163, 10), (163, 10), (74, 10)] for sizes in draws[1:])
+        for config, outcome in zip(configs[::7], outcomes[::7]):
+            _assert_same(outcome, _train_one(dataset, config))
+
+    @pytest.mark.parametrize("solo_at", [0, 2], ids=["solo first", "solo between"])
+    def test_full_batch_steps_not_a_multiple_of_the_block(
+        self, binary_data, monkeypatch, solo_at
+    ):
+        base = OptimizerConfig(eta=0.5, steps=22, spec=BINARY_SPECS["c>0,p=2"])
+        configs = _cells(base, [(math.inf, 0.3, 1), (0.5, 0.7, 2), (math.inf, 0.1, 3),
+                                (2.0, 3.0, 4)])
+        # a noise-free cell among the noisy ones, first as in fig1 or between them
+        configs.insert(solo_at, replace(base, seed=9))
+        self._block(monkeypatch, 4, 4, (binary_data.dim,))
+        draws, _ = _noise_draws(monkeypatch, binary_data, configs)
+        assert draws[solo_at] == []
+        noisy = draws[:solo_at] + draws[solo_at + 1:]
+        assert all(sizes == [(4, 5)] * 5 + [(2, 5)] for sizes in noisy)
+        _check_stack(binary_data, configs)
+
+    def test_a_cell_diverging_mid_block_leaves_the_rest_of_the_block(
+        self, binary_data, monkeypatch
+    ):
+        base = OptimizerConfig(eta=0.5, steps=30, clip_k=15.0)
+        # the two diverging cells stop at steps 17 and 10, inside blocks of 4
+        configs = [replace(base, sigma=0.2, seed=5), replace(base, sigma=1e307, seed=1),
+                   replace(base, seed=3), replace(base, sigma=1e307, seed=2),
+                   replace(base, sigma=0.5, seed=4)]
+        self._block(monkeypatch, 4, 4, (binary_data.dim,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcomes = _check_stack(binary_data, configs)
+        assert [outcomes[1].step, outcomes[3].step] == [17, 10]
+        assert all(isinstance(outcomes[i], TrainTrace) for i in (0, 2, 4))
+
+    def test_minibatch_cells_draw_one_step_at_a_time(self, binary_data, monkeypatch):
+        base = OptimizerConfig(eta=0.5, steps=9, spec=BINARY_SPECS["c>0,p=inf"], batch=17)
+        configs = _cells(base, [(math.inf, 0.3, 1), (0.5, 0.7, 2), (0.1, 0.0, 3),
+                                (math.inf, 0.1, 4), (2.0, 3.0, 5)])
+        draws, _ = _noise_draws(monkeypatch, binary_data, configs)
+        assert draws[2] == []
+        assert all(sizes == [(1, 5)] * 9 for i, sizes in enumerate(draws) if i != 2)
+        _check_stack(binary_data, configs)
+
+    def test_multiclass_cells_draw_blocks_of_matrices(self, box_data, monkeypatch):
+        base = OptimizerConfig(eta=1.0, steps=10)
+        configs = _cells(base, [(math.inf, 0.4, 7), (0.05, 0.5, 8), (0.5, 0.0, 9),
+                                (math.inf, 0.1, 10)])
+        self._block(monkeypatch, 3, 3, (3, 8))
+        draws, _ = _noise_draws(monkeypatch, box_data, configs)
+        assert all(sizes == [(3, 3, 8)] * 3 + [(1, 3, 8)] for sizes in draws[:2] + draws[3:])
+        _check_stack(box_data, configs)
+
+
 class TestValidation:
     def test_stacked_fields(self):
         shared = {f.name for f in fields(OptimizerConfig)} - set(STACKED_FIELDS)
