@@ -21,6 +21,11 @@ training step needs of them: the per-example loss at the clean input
 for multi-class weights, the softmax residual p - e_y there
 (``residual``).  A training step takes its terms from these and never
 evaluates the attacked batch again.
+
+A call builds the softmax label index once, and takes the input gradient
+only where a step reads it: not at the one-shot candidate, the last
+iterate of a restart, or the clean input of a call that returns at once.
+The l_inf box bounds of a frozen input carry over (see :class:`PGDWorkspace`).
 """
 
 from __future__ import annotations
@@ -31,7 +36,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .losses import LossSpec, _clip_factors, _softmax_terms, _softplus, model_weights, sigmoid
+from .losses import (
+    LossSpec,
+    _clip_factors,
+    _label_index,
+    _softmax_terms,
+    _softplus,
+    model_weights,
+    sigmoid,
+)
 
 
 @dataclass(frozen=True)
@@ -62,9 +75,15 @@ class PGDWorkspace:
     its batch at every step) passes one workspace to every call, so the
     attack's (n, d), (n, C) and (n,) intermediates are allocated once, not
     once per call.  An array is reallocated when a call needs another shape.
-    A call writes each array before reading it, so nothing carries over
-    from one call to the next, and nothing a call returns is a view of the
-    workspace.
+    Nothing a call returns is a view of the workspace.
+
+    One thing carries over between calls: the l_inf box bounds
+    [max(-c, lo - x), min(c, hi - x)].  A call reuses them only for the
+    same x object, budget and box, and only if x is frozen: it and every
+    array it views are read-only, as a Dataset's features are.  So a
+    full-batch training run builds them once; a writeable array or a new
+    minibatch gets new ones.  Every other array is written before it is
+    read in each call.
 
     After a call, ``clean_loss`` (n,) and ``loss`` (n,) hold the loss of
     each example at x and at x + delta for the returned delta, and
@@ -75,6 +94,7 @@ class PGDWorkspace:
 
     def __init__(self):
         self._arrays: dict = {}
+        self._box_bounds = None  # (x, budget, box, lower, upper) for a frozen x
         self.clean_loss = self.loss = self.residual = None
 
     def array(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
@@ -86,27 +106,31 @@ class PGDWorkspace:
 
 
 def _pointwise_objective(theta: np.ndarray, y: np.ndarray, grads: np.ndarray, ws: PGDWorkspace):
-    """Build f(x) -> (per-example loss, softmax residual or None), both new
-    arrays, writing the per-example gradients wrt x to ``grads``.  x may be
-    ``grads`` itself: it is read in full first."""
+    """Build f(x, gradient) -> (per-example loss, softmax residual or None),
+    both new arrays, writing the per-example gradients wrt x to ``grads``
+    only when ``gradient`` is true.  x may be ``grads`` itself: it is read
+    in full first."""
     if theta.ndim == 1:
         yf = y.astype(np.float64)
         y_theta = np.multiply(-yf[:, None], theta[None, :], out=ws.array("y_theta", grads.shape))
 
-        def binary(x):
+        def binary(x, gradient):
             z = -yf * (x @ theta)
-            np.multiply(sigmoid(z)[:, None], y_theta, out=grads)
+            if gradient:
+                np.multiply(sigmoid(z)[:, None], y_theta, out=grads)
             return _softplus(z), None
 
         return binary
 
     yi = y.astype(np.int64)
     logits = ws.array("logits", (len(y), len(theta)))
+    index = _label_index(yi, logits.shape)  # the same labels at every candidate
 
-    def softmax_xent(x):
-        log_p, residual = _softmax_terms(np.matmul(x, theta.T, out=logits), yi)
-        np.matmul(residual, theta, out=grads)
-        return -log_p, residual
+    def softmax_xent(x, gradient):
+        log_p, residual = _softmax_terms(np.matmul(x, theta.T, out=logits), yi, index)
+        if gradient:
+            np.matmul(residual, theta, out=grads)
+        return np.negative(log_p, out=log_p), residual
 
     return softmax_xent
 
@@ -141,6 +165,31 @@ def _ascent_direction(grads: np.ndarray, p: float, ws: PGDWorkspace) -> np.ndarr
     return grads
 
 
+def _frozen(x: np.ndarray) -> bool:
+    """Whether no write can reach x's values: x and every array it is a
+    view of are read-only, down to one that owns its data."""
+    while isinstance(x, np.ndarray) and not x.flags.writeable:
+        if x.base is None:
+            return True
+        x = x.base
+    return False
+
+
+def _box_bounds(x, budget, box, ws: PGDWorkspace) -> tuple[np.ndarray, np.ndarray]:
+    """The l_inf interval [max(-c, lo - x), min(c, hi - x)] of each
+    coordinate, in workspace arrays, kept for the next call with the same
+    frozen x, budget and box."""
+    kept = ws._box_bounds
+    if kept is not None and kept[0] is x and kept[1:3] == (budget, box) and _frozen(x):
+        return kept[3:]
+    lower = np.subtract(box[0], x, out=ws.array("lower", x.shape))
+    np.maximum(-budget, lower, out=lower)
+    upper = np.subtract(box[1], x, out=ws.array("upper", x.shape))
+    np.minimum(budget, upper, out=upper)
+    ws._box_bounds = (x, budget, box, lower, upper) if _frozen(x) else None
+    return lower, upper
+
+
 def _constraint(x, budget, p, box, ws: PGDWorkspace):
     """Map a perturbation, in place, into the budget ball and, if given, the
     input box.
@@ -149,12 +198,7 @@ def _constraint(x, budget, p, box, ws: PGDWorkspace):
     [max(-c, lo - x), min(c, hi - x)] is one clip.
     """
     if p == math.inf:
-        lower, upper = -budget, budget
-        if box is not None:
-            lower = np.subtract(box[0], x, out=ws.array("lower", x.shape))
-            np.maximum(-budget, lower, out=lower)
-            upper = np.subtract(box[1], x, out=ws.array("upper", x.shape))
-            np.minimum(budget, upper, out=upper)
+        lower, upper = (-budget, budget) if box is None else _box_bounds(x, budget, box, ws)
         return lambda delta: np.minimum(np.maximum(delta, lower, out=delta), upper, out=delta)
     if box is None:
         return lambda delta: _project_l2(delta, budget, ws)
@@ -207,48 +251,49 @@ def pgd_batch(
     ws = PGDWorkspace() if workspace is None else workspace
     grads = ws.array("grads", (n, d))
     objective = _pointwise_objective(theta, y, grads, ws)
+    unperturbed = attack.budget == 0.0 or attack.steps == 0 or d == 0
     # the clean input is the first candidate: its rows stay where no
     # perturbation beats them
-    ws.clean_loss, ws.residual = objective(x)
+    ws.clean_loss, ws.residual = objective(x, not unperturbed)
     best_values = ws.loss = ws.array("best_values", (n,))
     np.copyto(best_values, ws.clean_loss)
-    if attack.budget == 0.0 or attack.steps == 0 or d == 0:  # nothing to perturb
+    if unperturbed:  # nothing to perturb
         return np.zeros((n, d))
     c, p = attack.budget, attack.p
     alpha = 2.5 * c / attack.steps
     constrain = _constraint(x, c, p, box, ws)
     delta = ws.array("delta", (n, d))
     better = ws.array("better", (n,), np.bool_)
-    best_delta = ws.array("best_delta", (n, d))
-    best_delta.fill(0.0)
+    best_delta = np.zeros((n, d))  # the result, so never a view of the workspace
     best_rows, delta_rows = _row_elements(best_delta), _row_elements(delta)
     best_residual_rows = None if ws.residual is None else _row_elements(ws.residual)
 
-    def consider():
+    def consider(gradient):
         """Keep delta, its loss and residual where it beats the best loss so
-        far; return its gradients."""
-        # the attacked inputs are overwritten by their gradients
-        values, residual = objective(np.add(x, delta, out=grads))
+        far; write its gradients to grads if asked for."""
+        # the attacked inputs, in grads, are overwritten by their gradients if asked for
+        values, residual = objective(np.add(x, delta, out=grads), gradient)
         np.greater(values, best_values, out=better)
         np.copyto(best_values, values, where=better)
         np.copyto(best_rows, delta_rows, where=better)
         if residual is not None:
             np.copyto(best_residual_rows, _row_elements(residual), where=better)
-        return grads
 
     # one-shot maximal step from the clean input, whose gradients grads
-    # holds: exact for linear logits
+    # holds: exact for linear logits.  Only the iterates of the loop step
+    # along their gradients.
     constrain(np.multiply(c, _ascent_direction(grads, p, ws), out=delta))
-    consider()
+    consider(gradient=False)
 
     for restart in range(attack.restarts):
         rng = np.random.default_rng([attack.seed, restart])
         constrain(_random_start(rng, c, p, delta, ws))
         for _ in range(attack.steps):
-            step = np.multiply(alpha, _ascent_direction(consider(), p, ws), out=grads)
+            consider(gradient=True)
+            step = np.multiply(alpha, _ascent_direction(grads, p, ws), out=grads)
             constrain(np.add(delta, step, out=delta))
-        consider()
-    return best_delta.copy()
+        consider(gradient=False)
+    return best_delta
 
 
 def pgd(

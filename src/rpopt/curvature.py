@@ -5,11 +5,13 @@ products, the closed-form curvature c/(2 ||theta*||) at a worst-case-trained
 optimum, and hyperparameter sweeps relating the clipping threshold and the
 privacy level to the curvature of the solution.
 
-A sweep is a list of jobs: each cell of a multi-class row with c > 0 (the
-PGD attacks of its training steps dominate the sweep's time) and each
-other row, whose cells train as one stack.  The jobs run on the process
-pool of :func:`rpopt.jobs.run_jobs`: one process per usable CPU, at most
-one per job, and none with one CPU or one job.
+A sweep is a list of jobs: each cell of a multi-class sweep, and each row
+of a binary sweep, whose cells train as one stack.  The jobs with c > 0
+come first (in a multi-class sweep the PGD attacks of their training
+steps dominate the sweep's time), so that the pool starts the longest
+jobs first and the clean ones fill in after them.  The jobs run on the
+process pool of :func:`rpopt.jobs.run_jobs`: one process per usable CPU,
+at most one per job, and none with one CPU or one job.
 """
 
 from __future__ import annotations
@@ -236,7 +238,7 @@ def _evaluate_row(train_ds, test_ds, base_config, settings, columns, job) -> lis
     """Train the cells of one job as one stack, then score each cell.
 
     A job (row, c, cols) is the cells of columns ``cols`` in c-row ``row``:
-    a whole row, or one cell of an attacked multi-class row.  The cells of
+    a whole binary row, or one cell of a multi-class row.  The cells of
     a row share their loss spec, so they differ only in clip_k, sigma and
     seed and train together; divergence is recorded, not raised.
     """
@@ -301,24 +303,26 @@ def _score_cell(train_ds, test_ds, settings, row, col, c, knob, config, outcome)
 def _sweep(train_ds, test_ds, c_grid, columns, base_config, settings) -> SweepTable:
     """The body of both sweeps: one model per (c, column) cell, where each
     column (knob, clip_k, sigma) is the value the cell is reported under and
-    the clip and noise it trains with.  Each cell of an attacked multi-class
-    row is one job and each other row is one job, run by
-    :func:`rpopt.jobs.run_jobs`.  Jobs are independent and a cell trains bit
-    for bit as in any stack, so the cells, and their order, are the same on
-    any number of processes.  An error in a job is raised here, and no
-    process outlives the call."""
+    the clip and noise it trains with.  Each cell of a multi-class sweep is
+    one job and each row of a binary sweep is one job; the jobs with c > 0
+    go to :func:`rpopt.jobs.run_jobs` first, and the cells are put back in
+    grid order.  Jobs are independent and a cell trains bit for bit as in
+    any stack, so the cells, and their order, are the same on any number of
+    processes.  An error in a job is raised here, and no process outlives
+    the call."""
     c_grid = [float(c) for c in c_grid]
     if not c_grid or not columns:
         raise ValueError("grids must be nonempty")
     jobs = []
     for row, c in enumerate(c_grid):
-        if c > 0 and not train_ds.is_binary:  # attacked multi-class: a job per cell
-            jobs += [(row, c, (col,)) for col in range(len(columns))]
-        else:
+        if train_ds.is_binary:
             jobs.append((row, c, range(len(columns))))
+        else:  # multi-class: a job per cell
+            jobs += [(row, c, (col,)) for col in range(len(columns))]
+    jobs.sort(key=lambda job: job[1] == 0.0)  # c > 0 first; sort is stable
     evaluate = partial(_evaluate_row, train_ds, test_ds, base_config, settings, columns)
-    per_job = run_jobs(evaluate, jobs)
-    return SweepTable(tuple(cell for cells in per_job for cell in cells))
+    cells = [cell for cells in run_jobs(evaluate, jobs) for cell in cells]
+    return SweepTable(tuple(sorted(cells, key=lambda cell: (cell.row, cell.col))))
 
 
 def clipping_smoothness_curve(

@@ -4,8 +4,8 @@
 may use (its affinity mask), at most one per job; with one CPU or one job
 they run in this process and none is started.  While a job runs, the
 loaded OpenBLAS runs one thread, so that its threads do not compete with
-the other jobs.  The jobs are the rows and attacked cells of a sweep (see
-:mod:`rpopt.curvature`) and fig1's two seed stacks (see
+the other jobs.  The jobs are the binary rows and multi-class cells of a
+sweep (see :mod:`rpopt.curvature`) and fig1's two seed stacks (see
 :mod:`rpopt.experiments`).
 """
 

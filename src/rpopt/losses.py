@@ -353,33 +353,47 @@ def hessian_vector_product(theta, v, x, y, spec: LossSpec) -> np.ndarray:
     return hessian_operator(theta, x, y, spec)(v)
 
 
-def _softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _softmax(
+    logits: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Max-shifted logits, their exp-sum and the probabilities, along the
-    last axis; large logits do not overflow."""
+    last axis; large logits do not overflow.  The shifted logits are
+    written to ``out`` when given (it may be ``logits`` itself), and the
+    probabilities over their exp."""
     # the class max one column at a time: a max is exact in any order, and
     # numpy's reduction over a short last axis is several times slower
     top = logits[..., :1]
     for j in range(1, logits.shape[-1]):
         top = np.maximum(top, logits[..., j : j + 1], out=None if j == 1 else top)
-    shifted = logits - top
+    shifted = np.subtract(logits, top, out=out)
     e = np.exp(shifted)
     total = e.sum(axis=-1, keepdims=True)
-    return shifted, total, e / total
+    return shifted, total, np.divide(e, total, out=e)
 
 
-def _softmax_terms(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _label_index(y: np.ndarray, shape: tuple) -> np.ndarray:
+    """The flat position of each (row, label) entry in logits of shape
+    (..., n, C), for labels (n,) shared by the leading axes or (..., n)."""
+    labels = np.broadcast_to(y, shape[:-1]).ravel()
+    return np.arange(labels.shape[0]) * shape[-1] + labels
+
+
+def _softmax_terms(
+    logits: np.ndarray, y: np.ndarray, index: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Label log-probabilities and residuals softmax - e_y from one exp pass.
 
     ``logits`` may carry leading cell axes, (..., n, C), with labels (n,)
-    shared or (..., n) per cell.
+    shared or (..., n) per cell.  It is overwritten with its max-shifted
+    values, and the residuals are written over their exp.  ``index`` is
+    ``_label_index(y, logits.shape)``: a caller that evaluates logits of
+    one shape and labels many times (the attack) builds it once.
     """
-    shifted, total, r = _softmax(logits)
-    # index (row, label) pairs of the flattened leading axes
-    num_classes = logits.shape[-1]
-    labels = np.broadcast_to(y, logits.shape[:-1]).ravel()
-    rows = np.arange(labels.shape[0])
-    log_p = shifted.reshape(-1, num_classes)[rows, labels] - np.log(total.ravel())
-    r.reshape(-1, num_classes)[rows, labels] -= 1.0
+    if index is None:
+        index = _label_index(y, logits.shape)
+    shifted, total, r = _softmax(logits, out=logits)
+    log_p = shifted.take(index) - np.log(total.reshape(-1))
+    r.put(index, r.take(index) - 1.0)
     return log_p.reshape(logits.shape[:-1]), r
 
 

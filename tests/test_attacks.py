@@ -167,3 +167,34 @@ class TestAccuracies:
         theta, attack = np.array([1.0, 1.0]), AttackConfig(budget=0.2, steps=5)
         assert robust_accuracy(theta, Dataset(x, y, box=(0.0, 1.0)), attack) == 1.0
         assert robust_accuracy(theta, Dataset(x, y), attack) == 0.0
+
+
+class TestTwoClassAttackOracle:
+    """A two-class softmax model theta is the binary model w = theta_1 - theta_0
+    with labels +-1: its input gradient is a multiple of w, so PGD's one-shot
+    candidate is the exact worst case, and the attacked accuracy must equal
+    the closed form's."""
+
+    @pytest.mark.parametrize("p", [2.0, math.inf], ids=["l2", "linf"])
+    def test_robust_accuracy_equals_the_binary_closed_form(self, p):
+        rng = np.random.default_rng(8)
+        n, d = 300, 6
+        x = rng.standard_normal((n, d))
+        x *= rng.uniform(0.0, 1.0, size=(n, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+        theta = 2.0 * rng.standard_normal((2, d))
+        w = theta[1] - theta[0]
+        labels = rng.integers(0, 2, size=n)
+        signs = 2 * labels - 1
+        two_class, binary = Dataset(x, labels), Dataset(x, signs)
+        assert two_class.num_classes == 2 and binary.is_binary
+        dual_norm = np.linalg.norm(w, 1.0 if p == math.inf else 2.0)
+        accuracies = []
+        for budget in (0.0, 0.05, 0.1, 0.2, 0.4):
+            # no example on the attacked boundary, where the two argmaxes
+            # break ties differently
+            assert np.abs(signs * (x @ w) - budget * dual_norm).min() > 1e-9
+            attack = AttackConfig(budget=budget, p=p, steps=10, seed=3)
+            exact = exact_linear_robust_accuracy(w, binary, budget, p)
+            assert robust_accuracy(theta, two_class, attack) == exact, budget
+            accuracies.append(exact)
+        assert len(set(accuracies)) == len(accuracies)  # each budget flips examples

@@ -255,9 +255,10 @@ class TestSweeps:
     @pytest.mark.parametrize(
         "data, expected_jobs",
         [
-            ("binary", [(0, [0, 1]), (1, [0, 1])]),
-            # each cell of the attacked row is a job of its own
-            ("attacked multiclass", [(0, [0, 1]), (1, [0]), (1, [1])]),
+            # the c > 0 row first
+            ("binary", [(1, [0, 1]), (0, [0, 1])]),
+            # each cell is a job of its own, the attacked cells first
+            ("attacked multiclass", [(1, [0]), (1, [1]), (0, [0]), (0, [1])]),
         ],
         ids=["binary", "attacked multiclass"],
     )

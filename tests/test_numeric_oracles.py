@@ -11,7 +11,10 @@ its inline keep-best update.  Every comparison is bit for bit.
 ``pgd_batch`` now writes its intermediates into a reusable
 ``PGDWorkspace``; the reference loop allocates as it goes, so the same
 comparisons guard the in-place rewrite, and the workspace tests below check
-reuse across calls and what a warm call still allocates.
+reuse across calls and what a warm call still allocates.  The one thing a
+workspace carries from call to call, the l_inf box bounds of a frozen
+input, is checked against fresh calls: kept for the same array, budget and
+box, rebuilt for any other or for an array changed in place.
 
 ``losses._softmax`` takes the class max one column at a time, and the
 l_inf ascent direction writes its signs into a workspace array; both are
@@ -422,6 +425,89 @@ def test_a_reused_workspace_keeps_each_calls_terms():
     for theta, x, y, attack, box in _reuse_calls():
         delta = pgd_batch(theta, x, y, attack, box=box, workspace=workspace)
         _assert_kept(workspace, theta, x, y, delta)
+
+
+def _box_case(seed):
+    """A small multi-class attack whose box bounds bind: many inputs sit on
+    the edges of (0, 1)."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, size=(30, 6))
+    x[rng.uniform(size=x.shape) < 0.3] = 0.0
+    x[rng.uniform(size=x.shape) > 0.8] = 1.0
+    return rng.standard_normal((4, 6)), x, rng.integers(0, 4, size=30)
+
+
+def _read_only_copy(a):
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+def _assert_fresh(theta, x, y, attack, box, workspace):
+    got = pgd_batch(theta, x, y, attack, box=box, workspace=workspace)
+    assert got.tobytes() == pgd_batch(theta, x, y, attack, box=box).tobytes()
+
+
+def test_the_box_bounds_of_a_frozen_input_carry_over():
+    theta, x, y = _box_case(31)
+    x, box = _read_only_copy(x), (0.0, 1.0)
+    workspace = PGDWorkspace()
+    _assert_fresh(theta, x, y, AttackConfig(budget=0.3, steps=5, seed=0), box, workspace)
+    kept = workspace._box_bounds
+    assert kept[0] is x
+    # new weights and seeds, and an l2 call, which has no interval bounds
+    calls = [
+        (2.0 * theta, math.inf),
+        (-theta, 2.0),
+        (0.5 * theta, math.inf),
+        (0.0 * theta, math.inf),
+    ]
+    for seed, (weights, p) in enumerate(calls, start=1):
+        _assert_fresh(weights, x, y, AttackConfig(budget=0.3, p=p, steps=5, seed=seed), box,
+                      workspace)
+        assert workspace._box_bounds is kept  # built once, then reused
+
+
+@pytest.mark.parametrize(
+    "case", ["writeable", "read-only view of a writeable array", "made writeable again"]
+)
+def test_an_input_changed_in_place_gets_new_box_bounds(case):
+    theta, x, y = _box_case(32)
+    if case == "writeable":
+        base = inputs = x
+    elif case == "read-only view of a writeable array":
+        base = x.copy()
+        inputs = base[:]
+        inputs.flags.writeable = False
+    else:
+        base = inputs = _read_only_copy(x)
+    workspace = PGDWorkspace()
+    attack, box = AttackConfig(budget=0.3, steps=5, seed=1), (0.0, 1.0)
+    _assert_fresh(theta, inputs, y, attack, box, workspace)
+    base.flags.writeable = True
+    np.subtract(1.0, base, out=base)  # the same array object, new values
+    _assert_fresh(theta, inputs, y, attack, box, workspace)
+
+
+def test_a_new_budget_box_or_array_gets_new_box_bounds():
+    theta, x, y = _box_case(33)
+    x, other = _read_only_copy(x), _read_only_copy(1.0 - x)
+    minibatch = x[::-1].copy()  # writeable, of the same shape
+    workspace = PGDWorkspace()
+    calls = [
+        (x, 0.3, (0.0, 1.0)),
+        (x, 0.1, (0.0, 1.0)),  # new budget
+        (x, 0.1, (0.0, 0.9)),  # new box
+        (other, 0.1, (0.0, 0.9)),  # new array, same shape
+        (minibatch, 0.1, (0.0, 0.9)),  # a writeable array in the same buffers
+        (x, 0.1, (0.0, 0.9)),  # back to the first array
+    ]
+    previous = None
+    for seed, (inputs, budget, box) in enumerate(calls):
+        _assert_fresh(theta, inputs, y, AttackConfig(budget=budget, steps=5, seed=seed), box,
+                      workspace)
+        assert workspace._box_bounds is None or workspace._box_bounds is not previous
+        previous = workspace._box_bounds
 
 
 def test_a_warm_workspace_allocates_one_result():
