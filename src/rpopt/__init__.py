@@ -8,7 +8,6 @@ from .attacks import (
     AttackConfig,
     PGDWorkspace,
     exact_linear_robust_accuracy,
-    pgd,
     pgd_batch,
     robust_accuracy,
 )
@@ -19,11 +18,6 @@ from .bounds import (
     SigmaReport,
     accountant_epsilon,
     accountant_sigma,
-    bound_nominal,
-    bound_private,
-    bound_robust,
-    bound_robust_private,
-    bound_robust_under_standard,
     curvature_budget,
     evaluate_series,
     excess_risk_bound,
@@ -64,7 +58,6 @@ from .errors import (
 from .experiments import ExperimentConfig, load_experiment_config, run_experiment
 from .losses import (
     LossSpec,
-    ModelParams,
     adversarial_logistic_loss,
     gradient,
     hessian_operator,

@@ -42,7 +42,6 @@ from .losses import (
     _label_index,
     _softmax_terms,
     _softplus,
-    model_weights,
     sigmoid,
 )
 
@@ -244,7 +243,7 @@ def pgd_batch(
     residuals) at x and at x + delta until its next call; see
     :class:`PGDWorkspace`.
     """
-    theta = model_weights(model)
+    theta = np.asarray(model, dtype=np.float64)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y))
     n, d = x.shape
@@ -296,19 +295,6 @@ def pgd_batch(
     return best_delta
 
 
-def pgd(
-    model,
-    x: np.ndarray,
-    y,
-    attack: AttackConfig,
-    box: tuple[float, float] | None = None,
-) -> np.ndarray:
-    """Single-example convenience wrapper around :func:`pgd_batch`."""
-    x = np.asarray(x, dtype=np.float64)
-    deltas = pgd_batch(model, np.atleast_2d(x), np.atleast_1d(y), attack, box=box)
-    return deltas[0] if x.ndim == 1 else deltas
-
-
 def _correct(theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Whether the linear model theta classifies each row of x as its label."""
     if theta.ndim == 1:
@@ -318,7 +304,7 @@ def _correct(theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def robust_accuracy(model, dataset: Dataset, attack: AttackConfig) -> float:
     """Fraction of examples still classified correctly after the attack."""
-    theta = model_weights(model)
+    theta = np.asarray(model, dtype=np.float64)
     deltas = pgd_batch(theta, dataset.features, dataset.labels, attack, box=dataset.box)
     return float(np.mean(_correct(theta, dataset.features + deltas, dataset.labels)))
 
@@ -329,7 +315,7 @@ def exact_linear_robust_accuracy(model, dataset: Dataset, budget: float, p: floa
     An l_p attacker with radius c flips an example iff the margin
     y <x, theta> does not exceed c ||theta||_q, q the dual exponent.
     """
-    theta = model_weights(model)
+    theta = np.asarray(model, dtype=np.float64)
     if theta.ndim != 1:
         raise ValueError("exact robust accuracy is only defined for binary linear models")
     if not dataset.is_binary:

@@ -15,7 +15,7 @@ identities (c = 0, sigma = 0) hold for both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,20 +24,11 @@ from .errors import InvalidRegimeError
 
 FORMS = ("appendix", "table")
 
-SETTINGS = (
-    "nominal",
-    "private",
-    "robust",
-    "robust-private",
-    "robust-under-standard",
-)
-
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Arguments shared by the rate bounds; ``t`` is the 1-indexed step."""
+    """Arguments shared by the rate bounds, all but the step t."""
 
-    t: int
     eta: float
     gamma: float
     c: float = 0.0
@@ -46,8 +37,6 @@ class BoundInputs:
     form: str = "appendix"
 
     def __post_init__(self):
-        if self.t < 1 or self.t != int(self.t):
-            raise ValueError("t must be an integer >= 1")
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError("eta must be positive and finite")
         check_margin(self.gamma)
@@ -138,12 +127,16 @@ def _robust_rate(inputs: BoundInputs, noise_energy: float):
 
 
 def _robust_under_standard_rate(inputs: BoundInputs):
-    """The plain rate plus c * (1 + eta (t - 1))."""
+    """Worst-case loss of a plainly trained model: the plain rate plus
+    c * (1 + eta (t - 1)), since the iterate norm grows at most linearly."""
     base = _plain_rate(inputs, 0.0)
     c, eta = inputs.c, inputs.eta
     return lambda t: base(t) + c * (1.0 + eta * (t - 1))
 
 
+# The one registry of the settings: plain descent, noisy descent (the
+# bracket gains d sigma^2 and the rate the floor eta d sigma^2), their
+# worst-case-loss counterparts, and the worst case of plain training.
 _RATES = {
     "nominal": lambda inputs: _plain_rate(inputs, 0.0),
     "private": lambda inputs: _plain_rate(inputs, inputs.d * inputs.sigma**2),
@@ -153,66 +146,29 @@ _RATES = {
 }
 
 
-def bound_nominal(inputs: BoundInputs) -> float:
-    """Plain-descent rate, without noise."""
-    return _RATES["nominal"](inputs)(inputs.t)
-
-
-def bound_private(inputs: BoundInputs) -> float:
-    """Noisy-descent rate: the plain bracket gains d sigma^2 and the rate
-    gains the noise floor eta d sigma^2."""
-    return _RATES["private"](inputs)(inputs.t)
-
-
-def bound_robust(inputs: BoundInputs) -> float:
-    """Worst-case-loss descent rate with budget c (no noise)."""
-    return _RATES["robust"](inputs)(inputs.t)
-
-
-def bound_robust_private(inputs: BoundInputs) -> float:
-    """Worst-case-loss noisy-descent rate: bracket gains d sigma^2, rate
-    gains the noise floor eta d sigma^2."""
-    return _RATES["robust-private"](inputs)(inputs.t)
-
-
-def bound_robust_under_standard(inputs: BoundInputs) -> float:
-    """Worst-case loss of a plainly trained model: the plain rate plus
-    c * (1 + eta (t - 1)), since the iterate norm grows at most linearly."""
-    return _RATES["robust-under-standard"](inputs)(inputs.t)
-
-
-BOUND_FUNCTIONS = {
-    "nominal": bound_nominal,
-    "private": bound_private,
-    "robust": bound_robust,
-    "robust-private": bound_robust_private,
-    "robust-under-standard": bound_robust_under_standard,
-}
-
-
 def evaluate_series(setting: str, inputs: BoundInputs, ts) -> np.ndarray:
-    """Evaluate one bound over a grid of steps; rows are (t, value).  The
-    steps and the regime are checked once, before any value."""
-    if setting not in BOUND_FUNCTIONS:
-        raise ValueError(f"setting must be one of {sorted(BOUND_FUNCTIONS)}")
+    """Evaluate one bound of ``_RATES`` over a grid of 1-indexed steps; rows
+    are (t, value).  The steps and the regime are checked once, before any
+    value."""
+    if setting not in _RATES:
+        raise ValueError(f"setting must be one of {sorted(_RATES)}")
     steps = [int(t) for t in ts]
-    if steps:
-        replace(inputs, t=min(steps))  # raises if the smallest step is not a valid t
+    if steps and min(steps) < 1:
+        raise ValueError("t must be an integer >= 1")
     rate = _RATES[setting](inputs)
     return np.asarray([(t, rate(t)) for t in steps])
 
 
-def gap_curve(inputs: BoundInputs, setting: str, ts=None) -> np.ndarray:
+def gap_curve(inputs: BoundInputs, setting: str, ts) -> np.ndarray:
     """Excess of the worst-case-trained rate over the plain-descent rate.
 
     ``nonprivate`` compares the noiseless worst-case bound against the plain
     bound; ``private`` compares the noisy worst-case bound against the same
-    plain baseline.  Rows are (t, gap); ``ts`` defaults to ``[inputs.t]``.
+    plain baseline.  Rows are (t, gap) at the steps ``ts``.
     """
     robust = {"nonprivate": "robust", "private": "robust-private"}.get(setting)
     if robust is None:
         raise ValueError("setting must be 'nonprivate' or 'private'")
-    ts = [inputs.t] if ts is None else ts
     rows = evaluate_series(robust, inputs, ts)
     rows[:, 1] -= evaluate_series("nominal", inputs, ts)[:, 1]
     return rows

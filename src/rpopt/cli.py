@@ -105,31 +105,24 @@ def _cmd_train(args) -> int:
 
 def _cmd_bounds(args) -> int:
     inputs = bounds_mod.BoundInputs(
-        t=args.t if args.t is not None else 1,
-        eta=args.eta,
-        gamma=args.gamma,
-        c=args.c,
-        d=args.d,
-        sigma=args.sigma,
-        form=args.form,
+        eta=args.eta, gamma=args.gamma, c=args.c, d=args.d, sigma=args.sigma, form=args.form
     )
-    gap_setting = _GAP_SETTINGS.get(args.setting)
     if args.t is not None:
-        if gap_setting is not None:
-            value = bounds_mod.gap_curve(inputs, gap_setting)[0, 1]
-        else:
-            value = bounds_mod.BOUND_FUNCTIONS[args.setting](inputs)
-        print(f"{value:.17g}")
-        return 0
-    if not args.out:
+        ts = [args.t]
+    elif args.out:
+        ts = bounds_mod.log_spaced_steps(args.t_max, args.points)
+    else:
         raise ValueError("provide --t for a single value or --out for a series CSV")
-    ts = bounds_mod.log_spaced_steps(args.t_max, args.points)
+    gap_setting = _GAP_SETTINGS.get(args.setting)
     if gap_setting is not None:
         rows = bounds_mod.gap_curve(inputs, gap_setting, ts)
         header = ["t", f"gap_{gap_setting}"]
     else:
         rows = bounds_mod.evaluate_series(args.setting, inputs, ts)
         header = ["t", f"bound_{args.setting.replace('-', '_')}"]
+    if args.t is not None:
+        print(f"{rows[0, 1]:.17g}")
+        return 0
     write_table(args.out, header, ((int(t), value) for t, value in rows))
     print(f"wrote {args.out}: {len(rows)} rows")
     return 0
@@ -276,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     bo.add_argument(
         "--setting",
         required=True,
-        choices=tuple(bounds_mod.BOUND_FUNCTIONS) + tuple(_GAP_SETTINGS),
+        choices=tuple(bounds_mod._RATES) + tuple(_GAP_SETTINGS),
     )
     bo.add_argument("--eta", type=float, required=True)
     bo.add_argument("--gamma", type=float, required=True)

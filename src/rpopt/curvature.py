@@ -28,7 +28,7 @@ from .bounds import accountant_sigma
 from .data import Dataset
 from .errors import DivergenceError, SingularityError
 from .jobs import run_jobs
-from .losses import LossSpec, model_weights
+from .losses import LossSpec
 from .optimizer import OptimizerConfig, train_stack
 
 SWEEP_COLUMNS = (
@@ -50,8 +50,6 @@ class SpectrumReport:
     iterations: int
     residual: float  # ||H v - lambda v|| at the reported eigenpair
     converged: bool
-    theta_norm: float | None = None
-    predicted: float | None = None  # c/(2 ||theta||) when applicable
     eigenvector: np.ndarray | None = None
 
 
@@ -138,16 +136,13 @@ def max_eigenvalue(
     max_iters: int = 1000,
     seed: int = 0,
 ) -> SpectrumReport:
-    """Top Hessian eigenvalue of the given loss at the model's parameters."""
-    theta = model_weights(model)
+    """Top Hessian eigenvalue of the given loss at the model's parameters;
+    :func:`optimum_curvature` is the closed form it approaches at a
+    worst-case-trained binary optimum."""
+    theta = np.asarray(model, dtype=np.float64)
     if not np.all(np.isfinite(theta)):
         raise ValueError("model parameters must be finite")
-    report = _top_eigenpair(theta, dataset.features, dataset.labels, spec, tol, max_iters, seed)
-    norm = float(np.linalg.norm(theta))
-    predicted = None
-    if spec.c > 0.0 and theta.ndim == 1 and norm > 0.0:
-        predicted = optimum_curvature(spec.c, norm)
-    return replace(report, theta_norm=norm, predicted=predicted)
+    return _top_eigenpair(theta, dataset.features, dataset.labels, spec, tol, max_iters, seed)
 
 
 def attacked_max_eigenvalue(
@@ -164,10 +159,9 @@ def attacked_max_eigenvalue(
     frozen.  This is the tractable stand-in for the worst-case curvature:
     the perturbations are recomputed at the given parameters and held fixed
     while the Hessian is probed."""
-    theta = model_weights(model)
+    theta = np.asarray(model, dtype=np.float64)
     x_adv = x + pgd_batch(theta, x, y, attack, box=box)
-    report = _top_eigenpair(theta, x_adv, y, LossSpec.nominal(), tol, max_iters, seed)
-    return replace(report, theta_norm=float(np.linalg.norm(theta)))
+    return _top_eigenpair(theta, x_adv, y, LossSpec(), tol, max_iters, seed)
 
 
 def optimum_curvature(c: float, theta_norm: float) -> float:
@@ -230,8 +224,8 @@ def cell_seed(seed: int, row: int, col: int) -> int:
     return int(np.random.SeedSequence([seed, row, col]).generate_state(1)[0])
 
 
-def accuracy(model, dataset: Dataset) -> float:
-    return float(np.mean(_correct(model_weights(model), dataset.features, dataset.labels)))
+def accuracy(theta: np.ndarray, dataset: Dataset) -> float:
+    return float(np.mean(_correct(theta, dataset.features, dataset.labels)))
 
 
 def _evaluate_row(train_ds, test_ds, base_config, settings, columns, job) -> list[SweepCell]:
@@ -265,7 +259,7 @@ def _score_cell(train_ds, test_ds, settings, row, col, c, knob, config, outcome)
     """Test accuracy and top Hessian eigenvalue of one trained cell."""
     if isinstance(outcome, DivergenceError):
         return SweepCell(row, col, c, knob, math.nan, math.nan, math.nan, False, True)
-    theta = outcome.final_params.weights
+    theta = outcome.final_params
     test_acc = accuracy(theta, test_ds)
     limit = min(settings.curvature_examples, train_ds.n)
     xs = train_ds.features[:limit]

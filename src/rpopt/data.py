@@ -12,7 +12,7 @@ import csv
 import logging
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 

@@ -45,16 +45,6 @@ from .jobs import run_jobs
 from .losses import LossSpec, adversarial_logistic_loss, gradient
 from .optimizer import OptimizerConfig, train, train_stack, validate_config
 
-KINDS = (
-    "fig1-convergence",
-    "fig2-gap",
-    "fig3-robust-compare",
-    "fig8-sweep",
-    "fig9-sweep",
-    "bounds-only",
-    "attack-eval",
-)
-
 MANIFEST_NAME = "manifest.json"
 
 # every knob each kind accepts, with the default used when the config omits it
@@ -536,7 +526,7 @@ def _run_fig1(config, params, stage):
 
     stage.name = "evaluate-bounds"
     ts = np.arange(1, steps + 1)
-    base = BoundInputs(t=1, eta=eta, gamma=gamma, c=c, d=params["d"], sigma=sigma)
+    base = BoundInputs(eta=eta, gamma=gamma, c=c, d=params["d"], sigma=sigma)
     return {
         "t": ts,
         "loss_nominal": nominal[1:],
@@ -561,7 +551,7 @@ def _run_fig2(config, params, stage):
     decades = [10**k for k in range(0, int(math.log10(params["t_max"])) + 1)]
     ts = np.unique(np.concatenate([ts, decades]))
     base = BoundInputs(
-        t=1, eta=params["eta"], gamma=params["gamma"], c=params["c"], sigma=params["sigma"]
+        eta=params["eta"], gamma=params["gamma"], c=params["c"], sigma=params["sigma"]
     )
     columns = {"t": ts, "gap_nonprivate": bounds_mod.gap_curve(base, "nonprivate", ts)[:, 1]}
     for d in d_list:
@@ -579,7 +569,7 @@ def _run_fig3(config, params, stage):
     stage.name = "generate-data"
     dataset = _separable(params)
     eta, c, steps = params["eta"], params["c"], params["steps"]
-    spec = LossSpec.adversarial(c)
+    spec = LossSpec(c)
 
     stage.name = "train-adversarial"
     robust_cfg = OptimizerConfig(
@@ -599,12 +589,12 @@ def _run_fig3(config, params, stage):
     plain_adv = np.zeros(steps + 1)
     plain_adv[0] = adversarial_logistic_loss(theta, x, y, spec)
     for t in range(steps):
-        theta = theta - eta * gradient(theta, x, y, LossSpec.nominal())
+        theta = theta - eta * gradient(theta, x, y, LossSpec())
         plain_adv[t + 1] = adversarial_logistic_loss(theta, x, y, spec)
 
     stage.name = "evaluate-bounds"
     ts = np.arange(1, steps + 1)
-    base = BoundInputs(t=1, eta=eta, gamma=params["gamma"], c=c)
+    base = BoundInputs(eta=eta, gamma=params["gamma"], c=c)
     return {
         "t": ts,
         "adv_loss_adversarial_training": robust.adversarial_loss[1:],
@@ -639,12 +629,18 @@ def _run_sweep_kind(mode, config, params, stage):
         raise ValueError(
             f"batch {base.batch} exceeds the {train_ds.n} examples of the training part"
         )
+    p, c_grid = parse_p(params["p"]), parse_grid(params["c_grid"])
+    if p == 2.0 and not train_ds.is_binary and any(c > 0 for c in c_grid):
+        # the frozen-attack lambda_max has no term for the l2 maximiser's
+        # dependence on theta, so it reads below the worst case's curvature
+        raise ValueError(
+            "[params] p = 2 is not supported for a multi-class sweep with c > 0; use p = inf"
+        )
     stage.name = "sweep"
     settings = SweepSettings(**{
         **{field.name: params[field.name] for field in fields(SweepSettings)},
-        "p": parse_p(params["p"]),
+        "p": p,
     })
-    c_grid = parse_grid(params["c_grid"])
     if mode == "clip":
         table = clipping_smoothness_curve(
             train_ds, test_ds, c_grid, parse_grid(params["k_grid"]), base, settings
@@ -673,7 +669,6 @@ def _run_bounds_only(config, params, stage):
     stage.name = "evaluate-bounds"
     ts = log_spaced_steps(params["t_max"], params["points"])
     base = BoundInputs(
-        t=1,
         eta=params["eta"],
         gamma=params["gamma"],
         c=params["c"],
@@ -700,14 +695,12 @@ def _run_attack_eval(config, params, stage):
     stage.name = "train-standard"
     plain = train(
         train_ds,
-        OptimizerConfig(eta=eta, steps=steps, spec=LossSpec.nominal(), seed=config.seeds[0]),
+        OptimizerConfig(eta=eta, steps=steps, spec=LossSpec(), seed=config.seeds[0]),
     ).final_params
     stage.name = "train-adversarial"
     robust = train(
         train_ds,
-        OptimizerConfig(
-            eta=eta, steps=steps, spec=LossSpec.adversarial(c_train, p), seed=config.seeds[0]
-        ),
+        OptimizerConfig(eta=eta, steps=steps, spec=LossSpec(c_train, p), seed=config.seeds[0]),
     ).final_params
 
     stage.name = "attack-eval"
@@ -746,3 +739,4 @@ _RUNNERS = {
     "bounds-only": _run_bounds_only,
     "attack-eval": _run_attack_eval,
 }
+KINDS = tuple(_RUNNERS)

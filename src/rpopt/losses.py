@@ -34,25 +34,6 @@ import numpy as np
 from .errors import SingularityError
 
 
-@dataclass
-class ModelParams:
-    """Linear model weights: shape (d,) for binary, (C, d) for multi-class."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.ndim not in (1, 2):
-            raise ValueError("weights must be a vector or a class-by-feature matrix")
-
-
-def model_weights(model) -> np.ndarray:
-    """The weight array of a ModelParams, or the model itself as an array."""
-    if isinstance(model, ModelParams):
-        return model.weights
-    return np.asarray(model, dtype=np.float64)
-
-
 @dataclass(frozen=True)
 class LossSpec:
     """Which loss to evaluate: worst-case with budget c under l_p when
@@ -66,14 +47,6 @@ class LossSpec:
             raise ValueError("budget c must be finite and non-negative")
         if self.p not in (2.0, math.inf):
             raise ValueError("perturbation norm p must be 2 or inf")
-
-    @classmethod
-    def nominal(cls) -> "LossSpec":
-        return cls()
-
-    @classmethod
-    def adversarial(cls, c: float, p: float = 2.0) -> "LossSpec":
-        return cls(float(c), float(p))
 
     @property
     def dual_q(self) -> float:
@@ -142,7 +115,7 @@ def _binary_margins(theta, x, y, spec: LossSpec) -> np.ndarray:
 
 def logistic_loss(theta, x, y, per_example: bool = False):
     """Mean (or per-example) log(1 + exp(-y <x, theta>)): the loss at c = 0."""
-    return adversarial_logistic_loss(theta, x, y, LossSpec.nominal(), per_example)
+    return adversarial_logistic_loss(theta, x, y, LossSpec(), per_example)
 
 
 def adversarial_logistic_loss(theta, x, y, spec: LossSpec, per_example: bool = False):

@@ -52,7 +52,7 @@ from .attacks import AttackConfig, PGDWorkspace, pgd_batch
 from .bounds import regime_violations
 from .data import Dataset, write_table
 from .errors import DivergenceError
-from .losses import LossSpec, ModelParams
+from .losses import LossSpec
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class OptimizerConfig:
 
     eta: float
     steps: int
-    spec: LossSpec = LossSpec.nominal()
+    spec: LossSpec = LossSpec()
     clip_k: float = math.inf
     sigma: float = 0.0
     first_step_eta: float | None = None
@@ -120,7 +120,7 @@ class TrainTrace:
     adversarial_loss: np.ndarray
     theta_norm: np.ndarray
     grad_norm: np.ndarray
-    final_params: ModelParams
+    final_params: np.ndarray  # the weights: (d,) binary, (C, d) multi-class
     config: OptimizerConfig
 
     COLUMNS = ("t", "nominal_loss", "adversarial_loss", "theta_norm", "grad_norm")
@@ -319,7 +319,7 @@ def train_stack(dataset: Dataset, configs) -> list:
             adversarial_loss=rows[k, :, 1],
             theta_norm=rows[k, :, 2],
             grad_norm=rows[k, :, 3],
-            final_params=ModelParams(theta[i].copy()),
+            final_params=theta[i].copy(),
             config=configs[k],
         )
     return outcomes

@@ -16,25 +16,20 @@ from scipy.optimize import minimize
 from scipy.stats import spearmanr
 
 import rpopt
-from rpopt.attacks import AttackConfig, pgd
+from rpopt.attacks import AttackConfig, pgd_batch
 from rpopt.bounds import (
     BoundInputs,
     ExcessRiskInputs,
     accountant_epsilon,
     accountant_sigma,
-    bound_nominal,
-    bound_private,
-    bound_robust,
-    bound_robust_private,
-    bound_robust_under_standard,
+    evaluate_series,
     excess_risk_bound,
 )
-from rpopt.curvature import max_eigenvalue
+from rpopt.curvature import max_eigenvalue, optimum_curvature
 from rpopt.data import generate_equal_margin, generate_separable, write_idx
 from rpopt.experiments import KINDS, ExperimentConfig, run_experiment
 from rpopt.losses import (
     LossSpec,
-    ModelParams,
     adversarial_logistic_loss,
     gradient,
     hessian_vector_product,
@@ -70,20 +65,17 @@ def test_reduction_identities_exact():
     gammas = [0.2, 1.0]
     checked = 0
     worst = 0.0
-    for t in ts:
-        for eta in etas:
-            for gamma in gammas:
-                nominal = bound_nominal(BoundInputs(t=t, eta=eta, gamma=gamma))
-                no_noise = bound_private(
-                    BoundInputs(t=t, eta=eta, gamma=gamma, d=50, sigma=0.0)
-                )
-                no_budget = bound_robust(BoundInputs(t=t, eta=eta, gamma=gamma, c=0.0))
-                neither = bound_robust_private(
-                    BoundInputs(t=t, eta=eta, gamma=gamma, c=0.0, d=50, sigma=0.0)
-                )
-                for value in (no_noise, no_budget, neither):
-                    worst = max(worst, abs(value - nominal) / nominal)
-                checked += 1
+    for eta in etas:
+        for gamma in gammas:
+            nominal = evaluate_series("nominal", BoundInputs(eta, gamma), ts)[:, 1]
+            no_noise = evaluate_series("private", BoundInputs(eta, gamma, d=50, sigma=0.0), ts)
+            no_budget = evaluate_series("robust", BoundInputs(eta, gamma, c=0.0), ts)
+            neither = evaluate_series(
+                "robust-private", BoundInputs(eta, gamma, c=0.0, d=50, sigma=0.0), ts
+            )
+            for rows in (no_noise, no_budget, neither):
+                worst = max(worst, float(np.max(np.abs(rows[:, 1] - nominal) / nominal)))
+            checked += len(ts)
     assert checked == 100
     assert worst <= 1e-12, f"worst relative deviation {worst:.3e}"
 
@@ -117,15 +109,8 @@ def test_crossover_then_linear_divergence():
     # same parameters as the convergence figure; pure bound evaluation
     eta, gamma, c = 0.1, 1.0, 0.1
     ts = np.arange(1, 10001)
-    robust = np.array(
-        [bound_robust(BoundInputs(t=int(t), eta=eta, gamma=gamma, c=c)) for t in ts]
-    )
-    rus = np.array(
-        [
-            bound_robust_under_standard(BoundInputs(t=int(t), eta=eta, gamma=gamma, c=c))
-            for t in ts
-        ]
-    )
+    robust = evaluate_series("robust", BoundInputs(eta, gamma, c), ts)[:, 1]
+    rus = evaluate_series("robust-under-standard", BoundInputs(eta, gamma, c), ts)[:, 1]
     above = np.nonzero(robust >= rus)[0]
     assert above.size > 0, "the worst-case-training bound should start higher"
     crossover = int(ts[above[-1]]) + 1
@@ -169,7 +154,7 @@ def test_worst_case_loss_matches_brute_force_and_pgd():
         x = rng.uniform(-0.5, 0.5, size=2)
         y = float(rng.choice([-1.0, 1.0]))
         c = float(rng.uniform(0.02, 0.5))
-        closed = adversarial_logistic_loss(theta, x, np.array([y]), LossSpec.adversarial(c, p))
+        closed = adversarial_logistic_loss(theta, x, np.array([y]), LossSpec(c, p))
         z = -y * ((x[None, :] + c * grids[p]) @ theta)
         brute = float(np.max(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))))
         assert brute <= closed + 1e-9
@@ -183,8 +168,9 @@ def test_worst_case_loss_matches_brute_force_and_pgd():
         x = rng.uniform(-0.5, 0.5, size=d)
         y = float(rng.choice([-1.0, 1.0]))
         c = float(rng.uniform(0.02, 0.5))
-        closed = adversarial_logistic_loss(theta, x, np.array([y]), LossSpec.adversarial(c, p))
-        delta = pgd(theta, x, y, AttackConfig(budget=c, p=p, steps=100, seed=case))
+        closed = adversarial_logistic_loss(theta, x, np.array([y]), LossSpec(c, p))
+        attack = AttackConfig(budget=c, p=p, steps=100, seed=case)
+        delta = pgd_batch(theta, x[None], np.array([y]), attack)[0]
         achieved = logistic_loss(theta, x + delta, np.array([y]))
         assert achieved <= closed + 1e-12
         assert closed - achieved <= 1e-5
@@ -213,7 +199,7 @@ def _binary_case(rng):
 
 def test_gradients_and_curvature_match_finite_differences():
     rng = np.random.default_rng(7)
-    specs = [LossSpec.nominal(), LossSpec.adversarial(0.2, 2.0), LossSpec.adversarial(0.2, math.inf)]
+    specs = [LossSpec(), LossSpec(0.2, 2.0), LossSpec(0.2, math.inf)]
 
     for spec in specs:
         worst = 0.0
@@ -236,7 +222,7 @@ def test_gradients_and_curvature_match_finite_differences():
         theta = rng.normal(size=(classes, d)) * 0.5
         x = rng.uniform(-0.5, 0.5, size=(n, d))
         y = rng.integers(0, classes, size=n)
-        analytic = gradient(theta, x, y, LossSpec.nominal())
+        analytic = gradient(theta, x, y, LossSpec())
         fd = _fd_gradient(lambda th: multiclass_loss(th, x, y), theta)
         worst = max(worst, float(np.linalg.norm(analytic - fd)) / max(1.0, float(np.linalg.norm(fd))))
     assert worst < 1e-5, f"multiclass: worst gradient deviation {worst:.2e}"
@@ -269,14 +255,15 @@ def test_optimum_curvature_formula():
     # equal-margin data makes the worst-case optimum land in closed form
     # after the large first step, so training reaches gradient norm ~ 0
     # and the top Hessian eigenvalue must match c / (2 ||theta||)
-    spec = LossSpec.adversarial(0.2, 2.0)
+    spec = LossSpec(0.2, 2.0)
     worst = 0.0
     for seed in range(10):
         ds = generate_equal_margin(d=8, n=200, margin=0.2, jitter=0.25, seed=seed)
         trace = train(ds, OptimizerConfig(eta=1.0, steps=400, spec=spec))
         assert trace.grad_norm[-1] < 1e-6
         report = max_eigenvalue(trace.final_params, ds, spec, seed=seed)
-        rel = abs(report.lambda_max - report.predicted) / report.predicted
+        predicted = optimum_curvature(spec.c, float(np.linalg.norm(trace.final_params)))
+        rel = abs(report.lambda_max - predicted) / predicted
         worst = max(worst, rel)
     assert worst <= 0.05, f"worst relative curvature error {worst:.4f}"
 
@@ -394,7 +381,7 @@ def test_excess_risk_bound_dominates_measured_risk():
     lipschitz = 1.0 + lam_sc * radius  # data lives in the unit ball
     ds = generate_separable(d=5, n=200, gamma=0.3, seed=11)
     x, y = ds.features, ds.labels.astype(np.float64)
-    spec = LossSpec.nominal()
+    spec = LossSpec()
 
     def objective(theta):
         value = logistic_loss(theta, x, y) + 0.5 * lam_sc * float(theta @ theta)
@@ -445,6 +432,4 @@ def test_deep_models_not_in_scope():
     for path in sorted(package_dir.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
         assert "import torch" not in text and "import tensorflow" not in text, path
-    with pytest.raises(ValueError, match="vector or a class-by-feature matrix"):
-        ModelParams(np.zeros((2, 2, 2)))
     assert not any("cnn" in kind or "deep" in kind or "network" in kind for kind in KINDS)

@@ -6,7 +6,6 @@ import pytest
 from rpopt.attacks import (
     AttackConfig,
     exact_linear_robust_accuracy,
-    pgd,
     pgd_batch,
     robust_accuracy,
 )
@@ -46,9 +45,10 @@ class TestPgdAgainstClosedForm:
             x = rng.uniform(-0.5, 0.5, size=d)
             y = float(rng.choice([-1.0, 1.0]))
             c = float(rng.uniform(0.02, 0.4))
-            spec = LossSpec.adversarial(c, p)
+            spec = LossSpec(c, p)
             closed = adversarial_logistic_loss(theta, x, np.array([y]), spec)
-            delta = pgd(theta, x, y, AttackConfig(budget=c, p=p, steps=100, seed=3))
+            attack = AttackConfig(budget=c, p=p, steps=100, seed=3)
+            delta = pgd_batch(theta, x[None], np.array([y]), attack)[0]
             achieved = logistic_loss(theta, x + delta, np.array([y]))
             assert achieved <= closed + 1e-12
             worst = max(worst, closed - achieved)
@@ -64,7 +64,8 @@ class TestPgdAgainstClosedForm:
         assert batch.shape == x.shape
         for i in range(6):
             loss_b = logistic_loss(theta, x[i] + batch[i], np.array([y[i]]))
-            loss_s = logistic_loss(theta, x[i] + pgd(theta, x[i], y[i], cfg), np.array([y[i]]))
+            alone = pgd_batch(theta, x[i : i + 1], y[i : i + 1], cfg)[0]
+            loss_s = logistic_loss(theta, x[i] + alone, np.array([y[i]]))
             assert loss_b == pytest.approx(loss_s, abs=1e-12)
 
 

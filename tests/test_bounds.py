@@ -8,18 +8,12 @@ from hypothesis import strategies as st
 
 from rpopt import bounds
 from rpopt.bounds import (
-    BOUND_FUNCTIONS,
     FORMS,
     BoundInputs,
     EpsilonReport,
     ExcessRiskInputs,
     accountant_epsilon,
     accountant_sigma,
-    bound_nominal,
-    bound_private,
-    bound_robust,
-    bound_robust_private,
-    bound_robust_under_standard,
     curvature_budget,
     evaluate_series,
     excess_risk_bound,
@@ -33,61 +27,69 @@ from rpopt.errors import InvalidRegimeError
 # + (8-eta)/4 log(1 + 1/t) at t=1, eta=0.1, gamma=1
 NOMINAL_T1_ORACLE = 11.243965681605893
 
+SETTINGS = sorted(bounds._RATES)
+
+
+def _at(setting, inputs, t):
+    """The bound ``setting`` at the one step t."""
+    return evaluate_series(setting, inputs, [t])[0, 1]
+
 
 class TestBoundInputs:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(t=0, eta=0.1, gamma=1.0),
-            dict(t=1, eta=0.0, gamma=1.0),
-            dict(t=1, eta=math.inf, gamma=1.0),
-            dict(t=1, eta=0.1, gamma=0.0),
-            dict(t=1, eta=0.1, gamma=1.5),
-            dict(t=1, eta=0.1, gamma=1.0, c=-0.1),
-            dict(t=1, eta=0.1, gamma=1.0, d=-1),
-            dict(t=1, eta=0.1, gamma=1.0, sigma=-0.5),
-            dict(t=1, eta=0.1, gamma=1.0, form="figure"),
+            dict(eta=0.0, gamma=1.0),
+            dict(eta=math.inf, gamma=1.0),
+            dict(eta=0.1, gamma=0.0),
+            dict(eta=0.1, gamma=1.5),
+            dict(eta=0.1, gamma=1.0, c=-0.1),
+            dict(eta=0.1, gamma=1.0, d=-1),
+            dict(eta=0.1, gamma=1.0, sigma=-0.5),
+            dict(eta=0.1, gamma=1.0, form="figure"),
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             BoundInputs(**kwargs)
 
+    def test_inputs_carry_no_step(self):
+        with pytest.raises(TypeError):
+            BoundInputs(t=1, eta=0.1, gamma=1.0)
+
     def test_gamma_one_is_legal(self):
-        assert bound_nominal(BoundInputs(t=10, eta=0.1, gamma=1.0)) > 0
+        assert _at("nominal", BoundInputs(eta=0.1, gamma=1.0), 10) > 0
 
 
 class TestNominalAndPrivate:
     def test_frozen_value(self):
-        value = bound_nominal(BoundInputs(t=1, eta=0.1, gamma=1.0))
+        value = _at("nominal", BoundInputs(eta=0.1, gamma=1.0), 1)
         assert value == pytest.approx(NOMINAL_T1_ORACLE, rel=1e-14)
         analytic = (8 - 0.1) / (8 * 0.1) + (8 - 0.1) / 4 * math.log(2.0)
         assert value == pytest.approx(analytic, rel=1e-14)
 
     def test_eta_regime_guard(self):
         with pytest.raises(InvalidRegimeError, match="eta < 4"):
-            bound_nominal(BoundInputs(t=1, eta=4.0, gamma=1.0))
+            _at("nominal", BoundInputs(eta=4.0, gamma=1.0), 1)
         with pytest.raises(InvalidRegimeError, match="eta < 4"):
-            bound_private(BoundInputs(t=1, eta=5.0, gamma=1.0, d=1, sigma=1.0))
+            _at("private", BoundInputs(eta=5.0, gamma=1.0, d=1, sigma=1.0), 1)
 
     def test_private_reduces_exactly_without_noise(self):
         for t in (1, 10, 1234):
-            nom = bound_nominal(BoundInputs(t=t, eta=0.3, gamma=0.5))
-            assert bound_private(BoundInputs(t=t, eta=0.3, gamma=0.5, d=0, sigma=9.0)) == nom
-            assert bound_private(BoundInputs(t=t, eta=0.3, gamma=0.5, d=64, sigma=0.0)) == nom
+            nom = _at("nominal", BoundInputs(eta=0.3, gamma=0.5), t)
+            assert _at("private", BoundInputs(eta=0.3, gamma=0.5, d=0, sigma=9.0), t) == nom
+            assert _at("private", BoundInputs(eta=0.3, gamma=0.5, d=64, sigma=0.0), t) == nom
 
     def test_private_exceeds_nominal_with_noise(self):
-        inputs = BoundInputs(t=50, eta=0.2, gamma=0.8, d=10, sigma=0.5)
-        noisy = bound_private(inputs)
-        plain = bound_nominal(inputs)
+        inputs = BoundInputs(eta=0.2, gamma=0.8, d=10, sigma=0.5)
+        noisy = _at("private", inputs, 50)
+        plain = _at("nominal", inputs, 50)
         assert noisy > plain
         # the noise floor eta d sigma^2 persists at large t
-        late = BoundInputs(t=10**7, eta=0.2, gamma=0.8, d=10, sigma=0.5)
-        assert bound_private(late) > 0.2 * 10 * 0.25
+        assert _at("private", inputs, 10**7) > 0.2 * 10 * 0.25
 
     def test_decays_roughly_like_log_squared_over_t(self):
-        a = bound_nominal(BoundInputs(t=100, eta=0.1, gamma=1.0))
-        b = bound_nominal(BoundInputs(t=10000, eta=0.1, gamma=1.0))
+        a, b = evaluate_series("nominal", BoundInputs(eta=0.1, gamma=1.0), [100, 10000])[:, 1]
         assert b < a / 20
 
 
@@ -98,49 +100,50 @@ class TestRobustBounds:
 
     def test_regime_guards(self):
         with pytest.raises(InvalidRegimeError, match="c < gamma/2"):
-            bound_robust(BoundInputs(t=1, eta=0.1, gamma=0.4, c=0.2))
+            _at("robust", BoundInputs(eta=0.1, gamma=0.4, c=0.2), 1)
         with pytest.raises(InvalidRegimeError, match=r"s \* eta < 1"):
-            bound_robust(BoundInputs(t=1, eta=1.0, gamma=1.0, c=0.4))
+            _at("robust", BoundInputs(eta=1.0, gamma=1.0, c=0.4), 1)
 
     @pytest.mark.parametrize("form", ["appendix", "table"])
     def test_reduces_exactly_at_zero_budget(self, form):
-        for t in (1, 7, 500):
-            for eta in (0.05, 0.9, 3.9):
-                inputs = BoundInputs(t=t, eta=eta, gamma=0.6, c=0.0, form=form)
-                assert bound_robust(inputs) == bound_nominal(inputs)
+        for eta in (0.05, 0.9, 3.9):
+            inputs = BoundInputs(eta=eta, gamma=0.6, c=0.0, form=form)
+            np.testing.assert_array_equal(
+                evaluate_series("robust", inputs, [1, 7, 500]),
+                evaluate_series("nominal", inputs, [1, 7, 500]),
+            )
 
     def test_forms_differ_at_positive_budget(self):
-        app = BoundInputs(t=100, eta=0.1, gamma=1.0, c=0.2, form="appendix")
+        app = BoundInputs(eta=0.1, gamma=1.0, c=0.2, form="appendix")
         tab = replace(app, form="table")
-        assert bound_robust(app) != bound_robust(tab)
+        assert _at("robust", app, 100) != _at("robust", tab, 100)
 
     def test_private_variant_reduces_exactly_without_noise(self):
-        inputs = BoundInputs(t=40, eta=0.2, gamma=1.0, c=0.1, d=12, sigma=0.0)
-        assert bound_robust_private(inputs) == bound_robust(inputs)
+        inputs = BoundInputs(eta=0.2, gamma=1.0, c=0.1, d=12, sigma=0.0)
+        assert _at("robust-private", inputs, 40) == _at("robust", inputs, 40)
         noisy = replace(inputs, sigma=0.3)
-        assert bound_robust_private(noisy) > bound_robust(inputs)
+        assert _at("robust-private", noisy, 40) > _at("robust", inputs, 40)
 
     def test_under_standard_training_grows_linearly(self):
-        inputs = BoundInputs(t=1, eta=0.1, gamma=1.0, c=0.05)
+        inputs = BoundInputs(eta=0.1, gamma=1.0, c=0.05)
         for t in (1, 10, 200):
-            at_t = replace(inputs, t=t)
-            expected = bound_nominal(at_t) + 0.05 * (1.0 + 0.1 * (t - 1))
-            assert bound_robust_under_standard(at_t) == pytest.approx(expected, rel=1e-15)
-        zero_c = BoundInputs(t=33, eta=0.1, gamma=1.0, c=0.0)
-        assert bound_robust_under_standard(zero_c) == bound_nominal(zero_c)
+            expected = _at("nominal", inputs, t) + 0.05 * (1.0 + 0.1 * (t - 1))
+            assert _at("robust-under-standard", inputs, t) == pytest.approx(expected, rel=1e-15)
+        zero_c = BoundInputs(eta=0.1, gamma=1.0, c=0.0)
+        assert _at("robust-under-standard", zero_c, 33) == _at("nominal", zero_c, 33)
 
 
 class TestSeriesAndGaps:
     def test_evaluate_series_matches_pointwise(self):
-        inputs = BoundInputs(t=1, eta=0.1, gamma=1.0, c=0.1, d=5, sigma=0.2)
+        inputs = BoundInputs(eta=0.1, gamma=1.0, c=0.1, d=5, sigma=0.2)
         ts = [1, 10, 100]
         rows = evaluate_series("robust-private", inputs, ts)
         assert rows.shape == (3, 2)
         for (t, value) in rows:
-            assert value == bound_robust_private(replace(inputs, t=int(t)))
+            assert value == _at("robust-private", inputs, int(t))
         with pytest.raises(ValueError, match="setting"):
             evaluate_series("fancy", inputs, ts)
-        assert sorted(BOUND_FUNCTIONS) == [
+        assert SETTINGS == [
             "nominal",
             "private",
             "robust",
@@ -161,15 +164,15 @@ class TestSeriesAndGaps:
 
     @pytest.mark.parametrize("grid", GRIDS, ids=GRIDS.keys())
     @pytest.mark.parametrize("form", FORMS)
-    @pytest.mark.parametrize("setting", sorted(BOUND_FUNCTIONS))
+    @pytest.mark.parametrize("setting", SETTINGS)
     def test_series_is_each_steps_bound_bit_for_bit(self, setting, form, grid):
         fields, ts = self.GRIDS[grid]
-        inputs = BoundInputs(t=1, eta=0.1, gamma=1.0, c=0.1, form=form, **fields)
+        inputs = BoundInputs(eta=0.1, gamma=1.0, c=0.1, form=form, **fields)
         rows = evaluate_series(setting, inputs, ts)
-        expected = [(int(t), BOUND_FUNCTIONS[setting](replace(inputs, t=int(t)))) for t in ts]
+        expected = [(int(t), _at(setting, inputs, int(t))) for t in ts]
         assert rows.tobytes() == np.asarray(expected).tobytes()
 
-    @pytest.mark.parametrize("setting", sorted(BOUND_FUNCTIONS))
+    @pytest.mark.parametrize("setting", SETTINGS)
     def test_series_checks_its_regime_once(self, setting, monkeypatch):
         checks = []
         real = bounds.regime_violations
@@ -179,18 +182,18 @@ class TestSeriesAndGaps:
             return real(*args)
 
         monkeypatch.setattr(bounds, "regime_violations", counted)
-        inputs = BoundInputs(t=1, eta=0.1, gamma=1.0, c=0.1, d=10, sigma=0.25)
+        inputs = BoundInputs(eta=0.1, gamma=1.0, c=0.1, d=10, sigma=0.25)
         assert evaluate_series(setting, inputs, np.arange(1, 50)).shape == (49, 2)
         assert len(checks) == 1
 
-    @pytest.mark.parametrize("setting", sorted(BOUND_FUNCTIONS))
+    @pytest.mark.parametrize("setting", SETTINGS)
     def test_series_checks_its_regime_before_any_step(self, setting, monkeypatch):
         def no_value(*args):
             raise AssertionError("a step was evaluated")
 
         monkeypatch.setattr(math, "log", no_value)
         monkeypatch.setattr(math, "log1p", no_value)
-        inputs = BoundInputs(t=1, eta=4.0, gamma=1.0, c=0.1)
+        inputs = BoundInputs(eta=4.0, gamma=1.0, c=0.1)
         with pytest.raises(InvalidRegimeError, match="eta < 4"):
             evaluate_series(setting, inputs, np.arange(1, 50))
         with pytest.raises(ValueError, match="t must be"):
@@ -198,42 +201,40 @@ class TestSeriesAndGaps:
 
     @pytest.mark.parametrize("form", FORMS)
     @pytest.mark.parametrize(
-        "setting, robust", [("nonprivate", bound_robust), ("private", bound_robust_private)]
+        "setting, robust", [("nonprivate", "robust"), ("private", "robust-private")]
     )
     def test_gap_curve_subtracts_plain_baseline(self, setting, robust, form):
-        inputs = BoundInputs(t=1, eta=0.1, gamma=1.0, c=0.1, d=10, sigma=0.4, form=form)
+        inputs = BoundInputs(eta=0.1, gamma=1.0, c=0.1, d=10, sigma=0.4, form=form)
         rows = gap_curve(inputs, setting, [1, 10, 100])
         for (t, gap) in rows:
             t = int(t)
-            expected = robust(replace(inputs, t=t)) - bound_nominal(
-                BoundInputs(t=t, eta=0.1, gamma=1.0)
-            )
+            expected = _at(robust, inputs, t) - _at("nominal", BoundInputs(eta=0.1, gamma=1.0), t)
             assert gap == expected
 
     def test_nonprivate_gap_ignores_noise_fields(self):
-        noisy = BoundInputs(t=1, eta=0.1, gamma=1.0, c=0.1, d=10, sigma=0.4)
-        quiet = BoundInputs(t=1, eta=0.1, gamma=1.0, c=0.1)
+        noisy = BoundInputs(eta=0.1, gamma=1.0, c=0.1, d=10, sigma=0.4)
+        quiet = BoundInputs(eta=0.1, gamma=1.0, c=0.1)
         np.testing.assert_array_equal(
             gap_curve(noisy, "nonprivate", [5, 50]), gap_curve(quiet, "nonprivate", [5, 50])
         )
 
-    def test_gap_curve_defaults_to_single_step(self):
-        inputs = BoundInputs(t=25, eta=0.1, gamma=1.0, c=0.1)
-        rows = gap_curve(inputs, "nonprivate")
+    def test_gap_curve_at_a_single_step(self):
+        inputs = BoundInputs(eta=0.1, gamma=1.0, c=0.1)
+        rows = gap_curve(inputs, "nonprivate", [25])
         assert rows.shape == (1, 2) and rows[0, 0] == 25
+        with pytest.raises(TypeError):
+            gap_curve(inputs, "nonprivate")  # the steps are required
 
     def test_gap_curve_rejects_unknown_setting(self):
         with pytest.raises(ValueError, match="setting"):
-            gap_curve(BoundInputs(t=1, eta=0.1, gamma=1.0, c=0.1), "noisy")
+            gap_curve(BoundInputs(eta=0.1, gamma=1.0, c=0.1), "noisy", [1])
 
     def test_private_gap_grows_with_dimension(self):
         gaps = [
-            gap_curve(
-                BoundInputs(t=100, eta=0.1, gamma=1.0, c=0.1, d=d, sigma=0.1), "private"
-            )[0, 1]
+            gap_curve(BoundInputs(eta=0.1, gamma=1.0, c=0.1, d=d, sigma=0.1), "private", [100])
             for d in (10, 100, 1000)
         ]
-        assert gaps[0] < gaps[1] < gaps[2]
+        assert gaps[0][0, 1] < gaps[1][0, 1] < gaps[2][0, 1]
 
     def test_log_spaced_steps(self):
         grid = log_spaced_steps(1000, points=50)
@@ -362,10 +363,12 @@ class TestExcessRisk:
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
+STEPS = st.integers(min_value=1, max_value=10**6)
+
+
 @st.composite
 def nominal_inputs(draw):
     return BoundInputs(
-        t=draw(st.integers(min_value=1, max_value=10**6)),
         eta=draw(st.floats(min_value=0.01, max_value=3.99, exclude_max=True)),
         gamma=draw(st.floats(min_value=0.05, max_value=1.0)),
         d=draw(st.integers(min_value=0, max_value=1000)),
@@ -374,11 +377,11 @@ def nominal_inputs(draw):
 
 
 class TestBoundProperties:
-    @given(nominal_inputs())
+    @given(nominal_inputs(), STEPS)
     @settings(max_examples=60, deadline=None)
-    def test_bounds_positive_and_noise_never_helps(self, inputs):
-        plain = bound_nominal(inputs)
-        noisy = bound_private(inputs)
+    def test_bounds_positive_and_noise_never_helps(self, inputs, t):
+        plain = _at("nominal", inputs, t)
+        noisy = _at("private", inputs, t)
         assert plain > 0
         assert noisy >= plain
         # strict increase is only observable once the noise term clears
@@ -388,20 +391,21 @@ class TestBoundProperties:
 
     @given(
         nominal_inputs(),
+        STEPS,
         st.floats(min_value=0.001, max_value=0.49),
     )
     @settings(max_examples=60, deadline=None)
-    def test_robust_regime_is_consistent(self, inputs, c_frac):
+    def test_robust_regime_is_consistent(self, inputs, t, c_frac):
         c = c_frac * inputs.gamma / 1.0
         trial = replace(inputs, c=c)
         s = curvature_budget(c, trial.eta, trial.gamma)
         if s * trial.eta < 1.0:
-            value = bound_robust_private(trial)
+            value = _at("robust-private", trial, t)
             assert math.isfinite(value)
-            assert value >= bound_robust(replace(trial, sigma=0.0, d=0))
+            assert value >= _at("robust", replace(trial, sigma=0.0, d=0), t)
         else:
             with pytest.raises(InvalidRegimeError):
-                bound_robust(trial)
+                _at("robust", trial, t)
 
     @given(st.integers(min_value=1, max_value=10**7), st.integers(min_value=2, max_value=400))
     @settings(max_examples=40, deadline=None)

@@ -35,7 +35,7 @@ from rpopt.data import (
     write_table,
 )
 from rpopt.errors import SingularityError
-from rpopt.losses import LossSpec
+from rpopt.losses import LossSpec, hessian_operator
 from rpopt.experiments import ExperimentConfig, artifact_name, run_experiment
 from rpopt.optimizer import OptimizerConfig, train
 from scipy.special import expit
@@ -98,28 +98,33 @@ class TestPowerIteration:
 class TestMaxEigenvalue:
     def test_matches_dense_nominal_hessian(self, small_binary):
         trace = train(small_binary, OptimizerConfig(eta=1.0, steps=50))
-        theta = trace.final_params.weights
+        theta = trace.final_params
         x, y = small_binary.features, small_binary.labels.astype(float)
         weights = expit(x @ theta) * expit(-(x @ theta))
         dense = (x.T * weights) @ x / x.shape[0]
-        report = max_eigenvalue(trace.final_params, small_binary, LossSpec.nominal(), tol=1e-10)
+        report = max_eigenvalue(trace.final_params, small_binary, LossSpec(), tol=1e-10)
         assert report.converged
         top = float(np.linalg.eigvalsh(dense)[-1])
         assert report.lambda_max == pytest.approx(top, rel=1e-7)
-        assert report.predicted is None
-        assert report.theta_norm == pytest.approx(float(np.linalg.norm(theta)))
 
-    def test_predicted_curvature_for_robust_binary(self, small_binary):
-        spec = LossSpec.adversarial(0.1, 2.0)
-        trace = train(small_binary, OptimizerConfig(eta=0.5, steps=30, spec=spec))
-        report = max_eigenvalue(trace.final_params, small_binary, spec)
-        norm = float(np.linalg.norm(trace.final_params.weights))
-        assert report.predicted == pytest.approx(0.1 / (2.0 * norm), rel=1e-15)
+    def test_returns_the_solvers_report(self, small_binary):
+        spec = LossSpec(0.1, 2.0)
+        theta = train(small_binary, OptimizerConfig(eta=0.5, steps=30, spec=spec)).final_params
+        report = max_eigenvalue(theta, small_binary, spec, seed=4)
+        hessian = hessian_operator(theta, small_binary.features, small_binary.labels, spec)
+        solver = power_iteration(hessian, theta.size, seed=4)
+        assert [f.name for f in dataclasses.fields(report)] == [
+            "lambda_max", "iterations", "residual", "converged", "eigenvector"
+        ]
+        assert (report.lambda_max, report.iterations, report.residual, report.converged) == (
+            solver.lambda_max, solver.iterations, solver.residual, solver.converged
+        )
+        np.testing.assert_array_equal(report.eigenvector, solver.eigenvector)
 
     def test_rejects_nonfinite_parameters(self, small_binary):
         with pytest.raises(ValueError, match="finite"):
             max_eigenvalue(np.array([np.inf, 0.0, 0.0, 0.0, 0.0, 0.0]),
-                           small_binary, LossSpec.nominal())
+                           small_binary, LossSpec())
 
     def test_equal_margin_seed_collision_recovers_dominant_eigenvalue(self):
         # the dataset's separator is drawn from default_rng(seed) exactly like
@@ -128,14 +133,12 @@ class TestMaxEigenvalue:
         # the iteration used to certify (0, separator) and report lambda = 0
         seed = 5
         ds = generate_equal_margin(d=8, n=200, margin=0.2, jitter=0.25, seed=seed)
-        spec = LossSpec.adversarial(0.2, 2.0)
+        spec = LossSpec(0.2, 2.0)
         trace = train(ds, OptimizerConfig(eta=1.0, steps=400, spec=spec))
         assert trace.grad_norm[-1] < 1e-6  # genuinely at the optimum
         report = max_eigenvalue(trace.final_params, ds, spec, seed=seed)
-        assert report.predicted == pytest.approx(
-            0.2 / (2.0 * report.theta_norm), rel=1e-12
-        )
-        assert report.lambda_max == pytest.approx(report.predicted, rel=5e-2)
+        predicted = optimum_curvature(0.2, float(np.linalg.norm(trace.final_params)))
+        assert report.lambda_max == pytest.approx(predicted, rel=5e-2)
         assert report.lambda_max > 0.2
 
     def test_multiclass_nominal_spectrum(self, rng):
@@ -143,7 +146,7 @@ class TestMaxEigenvalue:
         features = rng.uniform(-0.4, 0.4, size=(30, 4))
         labels = rng.integers(0, 3, size=30)
         ds = Dataset(features=features, labels=labels)
-        report = max_eigenvalue(theta, ds, LossSpec.nominal(), tol=1e-9)
+        report = max_eigenvalue(theta, ds, LossSpec(), tol=1e-9)
         assert report.converged
         assert report.lambda_max > 0
 
@@ -158,7 +161,33 @@ class TestAttackedEigenvalue:
         b = attacked_max_eigenvalue(theta, x, y, attack, tol=1e-8, seed=3)
         assert a.lambda_max == b.lambda_max
         assert a.lambda_max > 0
-        assert a.theta_norm == pytest.approx(float(np.linalg.norm(theta)))
+
+
+class TestTwoClassCurvatureOracle:
+    """A two-class softmax model theta is the binary model w = theta_1 - theta_0
+    with labels +-1, and its Hessian is [[H, -H], [-H, H]] for the binary
+    Hessian H in w, so its top eigenvalue is twice H's.  At p = inf the
+    attack's one-shot candidate is the exact worst case and the dual l1 norm
+    is flat off its kinks, so the frozen-attack lambda_max is twice the
+    closed form's."""
+
+    @pytest.mark.parametrize("c", [0.05, 0.2])
+    def test_attacked_lambda_max_is_twice_the_closed_form(self, c):
+        rng = np.random.default_rng(8)
+        n, d = 60, 5
+        x = rng.standard_normal((n, d))
+        x *= rng.uniform(0.0, 1.0, size=(n, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+        theta = rng.standard_normal((2, d))
+        labels = rng.integers(0, 2, size=n)
+        binary = Dataset(x, 2 * labels - 1)
+        assert binary.is_binary
+        attack = AttackConfig(budget=c, p=math.inf, steps=10, seed=3)
+        two_class = attacked_max_eigenvalue(theta, x, labels, attack, tol=1e-12, seed=1)
+        closed = max_eigenvalue(
+            theta[1] - theta[0], binary, LossSpec(c, math.inf), tol=1e-12, seed=1
+        )
+        assert two_class.converged and closed.converged
+        assert two_class.lambda_max == pytest.approx(2.0 * closed.lambda_max, rel=1e-10)
 
 
 class TestOptimumCurvature:

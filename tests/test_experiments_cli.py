@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from rpopt.cli import load_train_config, main
-from rpopt.data import load_csv, write_idx
-from rpopt import curvature, experiments
+from rpopt.data import Dataset, load_csv, save_csv, write_idx
+from rpopt import curvature, experiments, report
 from rpopt.errors import DataFormatError, ExperimentError
 from rpopt.experiments import (
     KINDS,
@@ -88,6 +88,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="seeds"):
             ExperimentConfig(kind="fig1-convergence", output_dir="x", seeds=(), params={})
         assert len(KINDS) == 7
+
+    def test_every_table_of_kinds_has_the_same_keys(self):
+        assert KINDS == tuple(experiments._RUNNERS)
+        for table in (experiments._DEFAULTS, experiments._RUNNERS, report._VERIFIERS):
+            assert table.keys() == set(KINDS)
 
     def test_resolve_params_typing(self):
         config = ExperimentConfig(
@@ -999,6 +1004,45 @@ class TestCliInProcess:
         )
         assert code == 1 and "batch 51" in err and "load-data" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["csv", "idx"])
+    def test_multiclass_sweep_rejects_p_2_with_a_budget(self, run_cli, tmp_path, source):
+        # the frozen-attack lambda_max has no l2 norm term, so it would read
+        # below the worst case's curvature
+        rng = np.random.default_rng(5)
+        features, labels = rng.uniform(0.0, 0.3, size=(48, 9)), rng.integers(0, 3, size=48)
+        if source == "csv":
+            data = ["--param", f"data_csv={tmp_path / 'data.csv'}"]
+            save_csv(Dataset(features, labels), str(tmp_path / "data.csv"))
+        else:
+            images, idx_labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+            write_idx(features.reshape(48, 3, 3), labels, str(images), str(idx_labels))
+            data = ["--param", f"images={images}", "--param", f"labels={idx_labels}"]
+        for mode in ("clip", "dp"):
+            out = tmp_path / mode
+            code, _, err = run_cli(
+                "sweep", "--mode", mode, "--out-dir", out, *data, "--param", "p=2",
+                "--param", "c_grid=0,0.05", "--param", "steps=2",
+            )
+            assert code == 1 and "[params] p" in err and "load-data" in err, err
+            assert not out.exists()
+        # a grid without a budget has no attack to leave a term out of
+        code, _, err = run_cli(
+            "sweep", "--mode", "clip", "--out-dir", tmp_path / "clean", *data,
+            "--param", "p=2", "--param", "c_grid=0", "--param", "k_grid=1",
+            "--param", "steps=2", "--param", "curvature_iters=5",
+        )
+        assert code == 0, err
+
+    def test_binary_sweep_runs_at_p_2(self, run_cli, tmp_path, sweep_data):
+        out = tmp_path / "sweep"
+        code, _, err = run_cli(
+            "sweep", "--mode", "clip", "--out-dir", out, "--param", f"data_csv={sweep_data}",
+            "--param", "p=2", "--param", "c_grid=0,0.05", "--param", "k_grid=1",
+            "--param", "steps=2", "--param", "curvature_examples=16",
+        )
+        assert code == 0, err
+        assert read_table(str(out / "fig8-sweep.csv"))["c"].tolist() == [0.0, 0.05]
 
     def test_sweep_defaults_to_full_batch(self, run_cli, tmp_path, sweep_data):
         args = (

@@ -9,7 +9,6 @@ from scipy.special import expit
 from rpopt.errors import SingularityError
 from rpopt.losses import (
     LossSpec,
-    ModelParams,
     adversarial_logistic_loss,
     gradient,
     hessian_vector_product,
@@ -48,24 +47,23 @@ def _random_case(rng, d, spec):
 
 class TestLossSpec:
     def test_dual_exponent(self):
-        assert LossSpec.adversarial(0.1, p=2.0).dual_q == 2.0
-        assert LossSpec.adversarial(0.1, p=math.inf).dual_q == 1.0
+        assert LossSpec(0.1, p=2.0).dual_q == 2.0
+        assert LossSpec(0.1, p=math.inf).dual_q == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LossSpec.adversarial(-0.1)
+            LossSpec(-0.1)
         with pytest.raises(ValueError):
-            LossSpec.adversarial(0.1, p=3.0)
+            LossSpec(0.1, p=3.0)
         with pytest.raises(ValueError):
             LossSpec(math.inf)
 
     def test_the_budget_alone_selects_the_worst_case(self):
         assert [f.name for f in dataclasses.fields(LossSpec)] == ["c", "p"]
-        assert LossSpec.adversarial(0.0) == LossSpec.nominal() == LossSpec(0.0, 2.0)
-        assert LossSpec.adversarial(0.1, math.inf) == LossSpec(0.1, math.inf)
+        assert LossSpec(0.0) == LossSpec() == LossSpec(0.0, 2.0)
 
     def test_weight_norm_subgradient_zero_at_origin(self):
-        spec = LossSpec.adversarial(0.2, p=2.0)
+        spec = LossSpec(0.2, p=2.0)
         np.testing.assert_array_equal(
             spec.weight_norm_subgradient(np.zeros(3)), np.zeros(3)
         )
@@ -93,19 +91,13 @@ class TestSigmoid:
             assert np.geterr()["over"] == "raise"
 
 
-class TestModelParams:
-    def test_rejects_3d(self):
-        with pytest.raises(ValueError):
-            ModelParams(np.zeros((2, 2, 2)))
-
-
 class TestLossValues:
     def test_plain_oracle(self):
         assert logistic_loss(THETA, X, Y) == pytest.approx(PLAIN_ORACLE, rel=1e-15)
 
     def test_worst_case_oracles(self):
-        spec2 = LossSpec.adversarial(0.1, p=2.0)
-        spec1 = LossSpec.adversarial(0.1, p=math.inf)
+        spec2 = LossSpec(0.1, p=2.0)
+        spec1 = LossSpec(0.1, p=math.inf)
         assert adversarial_logistic_loss(THETA, X, Y, spec2) == pytest.approx(
             ADV_Q2_ORACLE, rel=1e-15
         )
@@ -123,7 +115,7 @@ class TestLossValues:
         plain = logistic_loss(theta, x, y)
         last = plain
         for c in (0.05, 0.1, 0.2, 0.4):
-            value = adversarial_logistic_loss(theta, x, y, LossSpec.adversarial(c, 2.0))
+            value = adversarial_logistic_loss(theta, x, y, LossSpec(c, 2.0))
             assert value >= last
             last = value
         assert last > plain
@@ -131,7 +123,7 @@ class TestLossValues:
     def test_value_at_origin_is_log_two_for_any_budget(self):
         x = np.array([[0.4, 0.1], [0.0, -0.6]])
         y = np.array([1.0, -1.0])
-        for spec in (LossSpec.nominal(), LossSpec.adversarial(0.7, 2.0), LossSpec.adversarial(0.7, math.inf)):
+        for spec in (LossSpec(), LossSpec(0.7, 2.0), LossSpec(0.7, math.inf)):
             value = adversarial_logistic_loss(np.zeros(2), x, y, spec)
             assert value == pytest.approx(0.6931471805599453, rel=1e-15)
 
@@ -173,13 +165,13 @@ def _central_difference(fn, theta, eps):
 class TestGradients:
     @pytest.mark.parametrize(
         "spec",
-        [None, LossSpec.adversarial(0.2, p=2.0), LossSpec.adversarial(0.2, p=math.inf)],
+        [None, LossSpec(0.2, p=2.0), LossSpec(0.2, p=math.inf)],
         ids=["plain", "worst-case-l2", "worst-case-linf"],
     )
     def test_matches_central_differences(self, spec):
         rng = np.random.default_rng(77)
         fn = _loss_fn(spec)
-        grad_spec = spec if spec is not None else LossSpec.nominal()
+        grad_spec = spec if spec is not None else LossSpec()
         worst = 0.0
         for _ in range(120):
             d = int(rng.integers(2, 7))
@@ -213,7 +205,7 @@ class TestGradients:
         assert worst < 1e-5, f"worst softmax gradient mismatch {worst:.2e}"
 
     def test_per_example_gradients_average_to_gradient(self, rng):
-        spec = LossSpec.adversarial(0.15, p=2.0)
+        spec = LossSpec(0.15, p=2.0)
         theta, x, y = _random_case(rng, 5, spec)
         per = per_example_gradients(theta, x, y, spec)
         assert per.shape == (x.shape[0], 5)
@@ -222,13 +214,13 @@ class TestGradients:
     def test_origin_uses_zero_subgradient(self):
         x = np.array([[0.2, -0.4], [0.5, 0.1]])
         y = np.array([1.0, -1.0])
-        spec = LossSpec.adversarial(0.3, p=2.0)
+        spec = LossSpec(0.3, p=2.0)
         expected = 0.5 * (-(y[:, None] * x)).mean(axis=0)
         np.testing.assert_allclose(gradient(np.zeros(2), x, y, spec), expected, atol=1e-16)
 
     def test_multiclass_with_budget_is_rejected(self):
         theta = np.zeros((3, 2))
-        spec = LossSpec.adversarial(0.1, p=math.inf)
+        spec = LossSpec(0.1, p=math.inf)
         with pytest.raises(ValueError, match="attacked inputs"):
             gradient(theta, np.array([[0.1, 0.1]]), np.array([0]), spec)
         with pytest.raises(ValueError, match="attacked inputs"):
@@ -254,7 +246,7 @@ def _dense_hessian_from_gradient(theta, x, y, spec, eps=1e-6):
 class TestHessianVectorProduct:
     @pytest.mark.parametrize(
         "spec",
-        [LossSpec.nominal(), LossSpec.adversarial(0.2, p=2.0), LossSpec.adversarial(0.2, p=math.inf)],
+        [LossSpec(), LossSpec(0.2, p=2.0), LossSpec(0.2, p=math.inf)],
         ids=["plain", "worst-case-l2", "worst-case-linf"],
     )
     def test_matches_dense_finite_difference_hessian(self, spec):
@@ -271,7 +263,7 @@ class TestHessianVectorProduct:
 
     def test_quadratic_form_nonnegative(self, rng):
         # both closed-form losses are convex, so v' H v >= 0
-        for spec in (LossSpec.nominal(), LossSpec.adversarial(0.3, 2.0)):
+        for spec in (LossSpec(), LossSpec(0.3, 2.0)):
             for _ in range(40):
                 theta, x, y = _random_case(rng, 4, spec)
                 v = rng.normal(size=4)
@@ -279,7 +271,7 @@ class TestHessianVectorProduct:
                 assert v @ hv >= -1e-12
 
     def test_singular_at_origin_with_budget(self):
-        spec = LossSpec.adversarial(0.2, p=2.0)
+        spec = LossSpec(0.2, p=2.0)
         with pytest.raises(SingularityError):
             hessian_vector_product(
                 np.zeros(3), np.ones(3), np.eye(3) * 0.5, np.array([1.0, -1.0, 1.0]), spec
@@ -291,11 +283,11 @@ class TestHessianVectorProduct:
         x = rng.uniform(-0.4, 0.4, size=(6, 4))
         y = rng.integers(0, 3, size=6)
         v = rng.normal(size=(3, 4))
-        hv = hessian_vector_product(theta, v, x, y, LossSpec.nominal())
+        hv = hessian_vector_product(theta, v, x, y, LossSpec())
         assert hv.shape == (3, 4)
         # symmetric operator: <u, H v> == <v, H u>
         u = rng.normal(size=(3, 4))
-        hu = hessian_vector_product(theta, u, x, y, LossSpec.nominal())
+        hu = hessian_vector_product(theta, u, x, y, LossSpec())
         assert float((u * hv).sum()) == pytest.approx(float((v * hu).sum()), rel=1e-12)
 
 
@@ -326,7 +318,7 @@ class TestBruteForceWorstCase:
             y = float(rng.choice([-1.0, 1.0]))
             c = float(rng.uniform(0.05, 0.5))
             for p, boundary in ((2.0, circle), (math.inf, square)):
-                spec = LossSpec.adversarial(c, p)
+                spec = LossSpec(c, p)
                 closed = adversarial_logistic_loss(theta, x, np.array([y]), spec)
                 z = -y * ((x[None, :] + c * boundary) @ theta)
                 brute = float(np.max(np.maximum(z, 0) + np.log1p(np.exp(-np.abs(z)))))

@@ -102,7 +102,7 @@ class TestSoftmaxOracles:
         theta, x, y = _softmax_case(seed, scale)
         probs = _softmax_residuals(theta, x, y)
         expected = probs[:, :, None] * x[:, None, :]
-        assert np.array_equal(per_example_gradients(theta, x, y, LossSpec.nominal()), expected)
+        assert np.array_equal(per_example_gradients(theta, x, y, LossSpec()), expected)
 
 
 def _softmax_by_reduction(logits):
@@ -570,17 +570,17 @@ def _binary_hvp_per_call(theta, v, x, y, spec):
 def test_multiclass_operator_matches_the_dense_hessian(seed, scale):
     theta, x, y = _softmax_case(seed, scale)
     dense = _dense_softmax_hessian(theta, x, y)
-    hessian = hessian_operator(theta, x, y, LossSpec.nominal())
+    hessian = hessian_operator(theta, x, y, LossSpec())
     v = np.random.default_rng(seed + 10).standard_normal(theta.shape)
     hv = hessian(v)
     assert hv.shape == theta.shape
     assert np.max(np.abs(hv.ravel() - dense @ v.ravel())) < 1e-12
-    assert np.array_equal(hessian_vector_product(theta, v, x, y, LossSpec.nominal()), hv)
+    assert np.array_equal(hessian_vector_product(theta, v, x, y, LossSpec()), hv)
 
 
 @pytest.mark.parametrize(
     "spec",
-    [LossSpec.nominal(), LossSpec.adversarial(0.3, p=2.0), LossSpec.adversarial(0.3, p=math.inf)],
+    [LossSpec(), LossSpec(0.3, p=2.0), LossSpec(0.3, p=math.inf)],
     ids=["c0", "c-l2", "c-linf"],
 )
 def test_binary_operator_matches_the_per_call_product(spec):
@@ -600,7 +600,7 @@ def test_binary_operator_is_singular_at_the_origin_with_a_budget():
     x = np.eye(3) * 0.5
     y = np.array([1.0, -1.0, 1.0])
     with pytest.raises(SingularityError):
-        hessian_operator(np.zeros(3), x, y, LossSpec.adversarial(0.2, p=2.0))
+        hessian_operator(np.zeros(3), x, y, LossSpec(0.2, p=2.0))
 
 
 def test_multiclass_max_eigenvalue_matches_the_dense_spectrum():
@@ -609,7 +609,7 @@ def test_multiclass_max_eigenvalue_matches_the_dense_spectrum():
     x = rng.uniform(-0.4, 0.4, size=(30, 4))
     y = rng.integers(0, 3, size=30)
     tol = 1e-9
-    report = max_eigenvalue(theta, Dataset(x, y, num_classes=3), LossSpec.nominal(), tol=tol)
+    report = max_eigenvalue(theta, Dataset(x, y, num_classes=3), LossSpec(), tol=tol)
     top = float(np.linalg.eigvalsh(_dense_softmax_hessian(theta, x, y))[-1])
     assert report.converged
     assert abs(report.lambda_max - top) <= 2.0 * tol * max(1.0, top)

@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from rpopt.bounds import BOUND_FUNCTIONS, BoundInputs
+from rpopt.bounds import BoundInputs, evaluate_series
 from rpopt.data import Dataset, generate_separable, read_table
 from rpopt.errors import DivergenceError, InvalidRegimeError
 from rpopt.losses import LossSpec, adversarial_logistic_loss, gradient, logistic_loss
@@ -45,7 +45,7 @@ class TestOptimizerConfig:
 
     def test_first_step_default_depends_on_budget(self):
         assert OptimizerConfig(eta=0.5, steps=5).resolved_first_step_eta == 0.5
-        robust = OptimizerConfig(eta=0.5, steps=5, spec=LossSpec.adversarial(0.1, 2.0))
+        robust = OptimizerConfig(eta=0.5, steps=5, spec=LossSpec(0.1, 2.0))
         assert robust.resolved_first_step_eta == 2.0
 
 
@@ -56,15 +56,15 @@ class TestFirstStep:
         expected_dir = 0.5 * np.mean(
             small_binary.labels[:, None] * small_binary.features, axis=0
         )
-        for spec, eta0 in [(LossSpec.nominal(), 0.7), (LossSpec.adversarial(0.1, 2.0), 2.8)]:
+        for spec, eta0 in [(LossSpec(), 0.7), (LossSpec(0.1, 2.0), 2.8)]:
             trace = train(small_binary, OptimizerConfig(eta=0.7, steps=1, spec=spec))
-            np.testing.assert_allclose(trace.final_params.weights, eta0 * expected_dir, rtol=1e-15)
+            np.testing.assert_allclose(trace.final_params, eta0 * expected_dir, rtol=1e-15)
 
     def test_first_robust_step_clears_the_margin_floor(self):
         ds = generate_separable(d=6, n=120, gamma=0.4, seed=3)
         eta = 0.8
         trace = train(
-            ds, OptimizerConfig(eta=eta, steps=40, spec=LossSpec.adversarial(0.05, 2.0))
+            ds, OptimizerConfig(eta=eta, steps=40, spec=LossSpec(0.05, 2.0))
         )
         # ||theta_1|| = 2 eta ||mean(y x)|| >= 2 eta gamma for gamma-separated data
         assert trace.theta_norm[1] >= 2.0 * eta * ds.margin - 1e-12
@@ -81,21 +81,21 @@ class TestTraceContract:
         assert trace.theta_norm[0] == 0.0
         assert trace.nominal_loss[0] == pytest.approx(math.log(2.0), rel=1e-15)
         assert trace.theta_norm[-1] == pytest.approx(
-            float(np.linalg.norm(trace.final_params.weights)), rel=1e-15
+            float(np.linalg.norm(trace.final_params)), rel=1e-15
         )
         assert trace.config is cfg
 
     def test_final_row_losses_are_full_dataset(self, small_binary):
         trace = train(small_binary, OptimizerConfig(eta=0.5, steps=10, batch=8, seed=2))
-        theta = trace.final_params.weights
+        theta = trace.final_params
         assert trace.nominal_loss[-1] == pytest.approx(
             logistic_loss(theta, small_binary.features, small_binary.labels), rel=1e-15
         )
 
     def test_adversarial_column_tracks_closed_form(self, small_binary):
-        spec = LossSpec.adversarial(0.1, math.inf)
+        spec = LossSpec(0.1, math.inf)
         trace = train(small_binary, OptimizerConfig(eta=0.5, steps=8, spec=spec))
-        theta = trace.final_params.weights
+        theta = trace.final_params
         assert trace.adversarial_loss[-1] == pytest.approx(
             adversarial_logistic_loss(theta, small_binary.features, small_binary.labels, spec),
             rel=1e-15,
@@ -114,7 +114,7 @@ class TestDeterminismAndDescent:
         )
         a = train(small_binary, cfg)
         b = train(small_binary, cfg)
-        np.testing.assert_array_equal(a.final_params.weights, b.final_params.weights)
+        np.testing.assert_array_equal(a.final_params, b.final_params)
         for name in TrainTrace.COLUMNS:
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
@@ -122,7 +122,7 @@ class TestDeterminismAndDescent:
         base = dict(eta=0.3, steps=10, sigma=0.5)
         a = train(small_binary, OptimizerConfig(**base, seed=0))
         b = train(small_binary, OptimizerConfig(**base, seed=1))
-        assert not np.array_equal(a.final_params.weights, b.final_params.weights)
+        assert not np.array_equal(a.final_params, b.final_params)
 
     def test_noiseless_full_batch_descends(self, small_binary):
         trace = train(small_binary, OptimizerConfig(eta=1.0, steps=60))
@@ -131,7 +131,7 @@ class TestDeterminismAndDescent:
         assert trace.nominal_loss[-1] < math.log(2.0) / 2
 
     def test_robust_loss_descends_after_first_step(self, small_binary):
-        spec = LossSpec.adversarial(0.1, 2.0)
+        spec = LossSpec(0.1, 2.0)
         trace = train(small_binary, OptimizerConfig(eta=0.5, steps=60, spec=spec))
         diffs = np.diff(trace.adversarial_loss[1:])
         assert np.all(diffs <= 1e-12)
@@ -204,30 +204,30 @@ class TestBatchingAndMulticlass:
         x, y = small_binary.features, small_binary.labels.astype(np.float64)
         theta = np.zeros(small_binary.dim)
         for t in range(steps):
-            grad = gradient(theta, x, y, LossSpec.nominal())
+            grad = gradient(theta, x, y, LossSpec())
             assert trace.grad_norm[t] == pytest.approx(np.linalg.norm(grad), rel=1e-12)
             theta = theta - eta * grad
-        np.testing.assert_allclose(trace.final_params.weights, theta, rtol=1e-12)
+        np.testing.assert_allclose(trace.final_params, theta, rtol=1e-12)
 
     def test_minibatch_differs_from_full_batch(self, small_binary):
         full = train(small_binary, OptimizerConfig(eta=0.5, steps=20, seed=0))
         mini = train(small_binary, OptimizerConfig(eta=0.5, steps=20, batch=8, seed=0))
-        assert not np.array_equal(full.final_params.weights, mini.final_params.weights)
+        assert not np.array_equal(full.final_params, mini.final_params)
 
     def test_multiclass_nominal_training(self, three_class):
         trace = train(three_class, OptimizerConfig(eta=1.0, steps=40, seed=0))
-        assert trace.final_params.weights.shape == (3, 3)
+        assert trace.final_params.shape == (3, 3)
         assert trace.nominal_loss[-1] < trace.nominal_loss[0]
 
     def test_multiclass_robust_training_uses_attack(self, three_class):
-        spec = LossSpec.adversarial(0.05, math.inf)
+        spec = LossSpec(0.05, math.inf)
         cfg = OptimizerConfig(eta=1.0, steps=15, spec=spec, attack_steps=5, seed=0)
         trace = train(three_class, cfg)
         assert np.all(np.isfinite(trace.adversarial_loss))
         assert np.all(trace.adversarial_loss[1:] >= trace.nominal_loss[1:] - 1e-15)
         assert trace.adversarial_loss[-1] < math.log(3.0)
         again = train(three_class, cfg)
-        np.testing.assert_array_equal(trace.final_params.weights, again.final_params.weights)
+        np.testing.assert_array_equal(trace.final_params, again.final_params)
 
 
 class TestTraceCsv:
@@ -243,7 +243,7 @@ class TestTraceCsv:
 
 class TestValidateConfig:
     def test_quiet_in_good_regime(self):
-        cfg = OptimizerConfig(eta=0.1, steps=10, spec=LossSpec.adversarial(0.1, 2.0))
+        cfg = OptimizerConfig(eta=0.1, steps=10, spec=LossSpec(0.1, 2.0))
         assert validate_config(cfg, gamma=1.0) == []
 
     def test_flags_large_eta(self):
@@ -251,12 +251,12 @@ class TestValidateConfig:
         assert any("eta" in w for w in warnings)
 
     def test_flags_budget_outside_regime(self):
-        cfg = OptimizerConfig(eta=0.01, steps=1, spec=LossSpec.adversarial(0.5, 2.0))
+        cfg = OptimizerConfig(eta=0.01, steps=1, spec=LossSpec(0.5, 2.0))
         warnings = validate_config(cfg, gamma=1.0)
         assert any("gamma/2" in w for w in warnings)
 
     def test_flags_eta_above_robust_threshold(self):
-        cfg = OptimizerConfig(eta=3.9, steps=1, spec=LossSpec.adversarial(0.1, 2.0))
+        cfg = OptimizerConfig(eta=3.9, steps=1, spec=LossSpec(0.1, 2.0))
         warnings = validate_config(cfg, gamma=1.0)
         assert any("s * eta < 1" in w for w in warnings)
 
@@ -265,10 +265,10 @@ class TestValidateConfig:
     )
     def test_warns_exactly_where_the_bound_refuses(self, eta, c, gamma):
         setting = "robust" if c > 0 else "nominal"
-        cfg = OptimizerConfig(eta=eta, steps=1, spec=LossSpec.adversarial(c, 2.0))
+        cfg = OptimizerConfig(eta=eta, steps=1, spec=LossSpec(c, 2.0))
         warnings = validate_config(cfg, gamma=gamma)
         try:
-            BOUND_FUNCTIONS[setting](BoundInputs(t=1, eta=eta, gamma=gamma, c=c))
+            evaluate_series(setting, BoundInputs(eta=eta, gamma=gamma, c=c), [1])
         except InvalidRegimeError as exc:
             assert warnings[0] == str(exc)
         else:

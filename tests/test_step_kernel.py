@@ -25,9 +25,9 @@ from rpopt.optimizer import OptimizerConfig, TrainTrace, clip_rows, train
 
 CLIP_KS = [1e-6, 0.3, 1e6, math.inf]  # tiny, moderate, large, none
 BINARY_SPECS = [
-    LossSpec.nominal(),
-    LossSpec.adversarial(0.2, 2.0),
-    LossSpec.adversarial(0.2, math.inf),
+    LossSpec(),
+    LossSpec(0.2, 2.0),
+    LossSpec(0.2, math.inf),
 ]
 
 
@@ -41,8 +41,8 @@ def attacked_terms(theta, x, y, clip_k, x_adv):
     """A multi-class cell's worst-case terms from its attacked batch: the
     nominal loss on x; the worst-case loss and clipped gradient as nominal
     terms at x_adv."""
-    nominal = step_terms(theta, x, y, LossSpec.nominal())[0]
-    adversarial, _, grad = step_terms(theta, x_adv, y, LossSpec.nominal(), clip_k)
+    nominal = step_terms(theta, x, y, LossSpec())[0]
+    adversarial, _, grad = step_terms(theta, x_adv, y, LossSpec(), clip_k)
     return nominal, adversarial, grad
 
 
@@ -112,7 +112,7 @@ class TestBinary:
     def test_rejects_attacked_batch(self, binary_case):
         x, y = binary_case
         with pytest.raises(TypeError):
-            losses.step_terms_stack(np.zeros((1, 5)), x, y, LossSpec.nominal(), [1.0], x[None])
+            losses.step_terms_stack(np.zeros((1, 5)), x, y, LossSpec(), [1.0], x[None])
 
 
 class TestBinaryRankOne:
@@ -134,7 +134,7 @@ class TestBinaryRankOne:
         theta = rng.normal(size=5)
         x = x.copy()
         x[0] = c * y[0] * np.sign(theta)
-        spec = LossSpec.adversarial(c, math.inf)
+        spec = LossSpec(c, math.inf)
         grad = _clipped_gradient(theta, x, y, spec, k)
         cancelled = 2.0 * c * math.sqrt(5) / len(x)
         _assert_close(grad, _reference_gradient(theta, x, y, spec, k), cancelled)
@@ -147,7 +147,7 @@ class TestBinaryRankOne:
         theta = rng.normal(size=(cells, d))
         theta[2] = 0.0
         clip_k = np.array([0.3, math.inf, 1e-6, 1e6, math.inf])
-        spec = LossSpec.adversarial(0.2, p)
+        spec = LossSpec(0.2, p)
         with np.errstate(all="raise"):
             grad = losses.step_terms_stack(theta, x, y, spec, clip_k)[2]
         for i in range(cells):
@@ -162,7 +162,7 @@ class TestBinaryRankOne:
         y = rng.choice([-1.0, 1.0], size=n)
         theta = rng.normal(size=(cells, d))
         clip_k = np.full(cells, 1e-3)
-        spec = LossSpec.adversarial(0.2, p)
+        spec = LossSpec(0.2, p)
         stacked = losses.step_terms_stack(theta, x, y, spec, clip_k)[2]
         for i in range(cells):
             alone = losses.step_terms_stack(theta[i : i + 1], x, y, spec, clip_k[i : i + 1])[2]
@@ -189,41 +189,41 @@ class TestMulticlass:
     @pytest.mark.parametrize("k", CLIP_KS)
     def test_clean_clipped_gradient_matches_tensor_path(self, multiclass_case, k):
         theta, x, y, _ = multiclass_case
-        grad = _clipped_gradient(theta, x, y, LossSpec.nominal(), k)
-        _assert_close(grad, _reference_gradient(theta, x, y, LossSpec.nominal(), k))
+        grad = _clipped_gradient(theta, x, y, LossSpec(), k)
+        _assert_close(grad, _reference_gradient(theta, x, y, LossSpec(), k))
 
     @pytest.mark.parametrize("k", CLIP_KS)
     def test_attacked_clipped_gradient_matches_tensor_path(self, multiclass_case, k):
         theta, x, y, x_adv = multiclass_case
         with np.errstate(all="raise"):
             grad = attacked_terms(theta, x, y, k, x_adv)[2]
-        _assert_close(grad, _reference_gradient(theta, x_adv, y, LossSpec.nominal(), k))
+        _assert_close(grad, _reference_gradient(theta, x_adv, y, LossSpec(), k))
 
     def test_losses_and_unclipped_gradient_are_exact(self, multiclass_case):
         theta, x, y, x_adv = multiclass_case
-        nominal, adversarial, grad = step_terms(theta, x, y, LossSpec.nominal())
+        nominal, adversarial, grad = step_terms(theta, x, y, LossSpec())
         assert nominal == adversarial == losses.multiclass_loss(theta, x, y)
-        np.testing.assert_array_equal(grad, losses.gradient(theta, x, y, LossSpec.nominal()))
+        np.testing.assert_array_equal(grad, losses.gradient(theta, x, y, LossSpec()))
 
         nominal, adversarial, grad = attacked_terms(theta, x, y, math.inf, x_adv)
         assert nominal == losses.multiclass_loss(theta, x, y)
         assert adversarial == losses.multiclass_loss(theta, x_adv, y)
         np.testing.assert_array_equal(
-            grad, losses.gradient(theta, x_adv, y, LossSpec.nominal())
+            grad, losses.gradient(theta, x_adv, y, LossSpec())
         )
 
     def test_budget_and_attacked_batch_go_together(self, multiclass_case):
         # the worst-case terms come from the attack, never from the kernel
         theta, x, y, x_adv = multiclass_case
         with pytest.raises(ValueError, match="no closed form"):
-            step_terms(theta, x, y, LossSpec.adversarial(0.1, math.inf))
+            step_terms(theta, x, y, LossSpec(0.1, math.inf))
         with pytest.raises(TypeError):
-            losses.step_terms_stack(theta[None], x, y, LossSpec.nominal(), [1.0], x_adv[None])
+            losses.step_terms_stack(theta[None], x, y, LossSpec(), [1.0], x_adv[None])
 
     def test_label_range_is_checked(self, multiclass_case):
         theta, x, y, _ = multiclass_case
         with pytest.raises(ValueError, match="class labels"):
-            step_terms(theta, x, y + 4, LossSpec.nominal())
+            step_terms(theta, x, y + 4, LossSpec())
 
 
 def _refuse(*args, **kwargs):
@@ -242,7 +242,7 @@ def test_multiclass_dpsgd_training_builds_no_per_example_tensor(monkeypatch):
     cfg = OptimizerConfig(
         eta=1.0,
         steps=12,
-        spec=LossSpec.adversarial(0.05, math.inf),
+        spec=LossSpec(0.05, math.inf),
         clip_k=k,
         sigma=0.5,
         batch=24,
@@ -255,6 +255,6 @@ def test_multiclass_dpsgd_training_builds_no_per_example_tensor(monkeypatch):
         column = getattr(first, name)
         assert np.all(np.isfinite(column))
         np.testing.assert_array_equal(column, getattr(again, name))
-    np.testing.assert_array_equal(first.final_params.weights, again.final_params.weights)
+    np.testing.assert_array_equal(first.final_params, again.final_params)
     assert np.all(first.grad_norm <= k)
     assert np.all(first.adversarial_loss >= first.nominal_loss - 1e-15)

@@ -42,8 +42,8 @@ from rpopt.optimizer import (
 def _attacked_terms(theta, x, y, clip_k, x_adv):
     """A multi-class cell's terms from its attacked batch: the nominal loss
     on x; the worst-case loss and clipped gradient as nominal terms at x_adv."""
-    nominal = step_terms_stack(theta[None], x, y, LossSpec.nominal(), [clip_k])[0][0]
-    adversarial, _, grad = step_terms_stack(theta[None], x_adv, y, LossSpec.nominal(), [clip_k])
+    nominal = step_terms_stack(theta[None], x, y, LossSpec(), [clip_k])[0][0]
+    adversarial, _, grad = step_terms_stack(theta[None], x_adv, y, LossSpec(), [clip_k])
     return nominal, adversarial[0], grad[0]
 
 
@@ -105,7 +105,7 @@ def _assert_same(outcome, reference):
     assert isinstance(outcome, TrainTrace)
     for i, name in enumerate(TrainTrace.COLUMNS):
         np.testing.assert_array_equal(getattr(outcome, name), rows[:, i])
-    np.testing.assert_array_equal(outcome.final_params.weights, theta)
+    np.testing.assert_array_equal(outcome.final_params, theta)
 
 
 def _check_stack(dataset, configs):
@@ -144,9 +144,9 @@ def box_data():
 
 
 BINARY_SPECS = {
-    "c=0": LossSpec.nominal(),
-    "c>0,p=2": LossSpec.adversarial(0.05, 2.0),
-    "c>0,p=inf": LossSpec.adversarial(0.05, math.inf),
+    "c=0": LossSpec(),
+    "c>0,p=2": LossSpec(0.05, 2.0),
+    "c>0,p=inf": LossSpec(0.05, math.inf),
 }
 
 
@@ -186,7 +186,7 @@ class TestMulticlass:
     @pytest.mark.parametrize("c", [0.0, 0.05], ids=["clean", "attacked"])
     @pytest.mark.parametrize("batch", [0, 24], ids=["full", "minibatch"])
     def test_cells_match_one_cell_training(self, box_data, c, batch):
-        spec = LossSpec.adversarial(c, math.inf) if c > 0 else LossSpec.nominal()
+        spec = LossSpec(c, math.inf) if c > 0 else LossSpec()
         base = OptimizerConfig(eta=1.0, steps=8, spec=spec, batch=batch, attack_steps=3)
         configs = _cells(base, [(0.05, 0.5, 7), (math.inf, 0.0, 8), (0.5, 0.0, 9)])
         _check_stack(box_data, configs)
@@ -194,7 +194,7 @@ class TestMulticlass:
     @pytest.mark.parametrize("batch", [0, 24], ids=["full", "minibatch"])
     def test_noisy_cells_of_both_regimes_mix(self, box_data, batch):
         base = OptimizerConfig(
-            eta=1.0, steps=8, spec=LossSpec.adversarial(0.05), batch=batch, attack_steps=3
+            eta=1.0, steps=8, spec=LossSpec(0.05), batch=batch, attack_steps=3
         )
         configs = _cells(base, [(math.inf, 0.4, 7), (0.05, 0.5, 8), (math.inf, 0.1, 9)])
         _check_stack(box_data, configs)
@@ -211,7 +211,7 @@ class TestAttackedCells:
         self, box_data, batch, p
     ):
         base = OptimizerConfig(
-            eta=1.0, steps=10, spec=LossSpec.adversarial(0.05, p), batch=batch,
+            eta=1.0, steps=10, spec=LossSpec(0.05, p), batch=batch,
             attack_steps=3,
         )
         # finite and infinite thresholds; a finite iterate so large that its
@@ -234,7 +234,7 @@ class TestAttackedCells:
     @pytest.mark.parametrize("where", ["attack", "terms"])
     def test_an_error_in_one_cell_is_raised(self, box_data, monkeypatch, where, failing_seed):
         base = OptimizerConfig(
-            eta=1.0, steps=5, spec=LossSpec.adversarial(0.05), attack_steps=3,
+            eta=1.0, steps=5, spec=LossSpec(0.05), attack_steps=3,
         )
         # seeds 7, 8 and 9 at thresholds 0.5, 0.6 and 0.7
         configs = _cells(base, [(0.5, 0.0, 7), (0.6, 0.0, 8), (0.7, 0.0, 9)])
@@ -273,7 +273,7 @@ class TestAttackedCells:
             raise AssertionError("train_stack started a thread")
 
         monkeypatch.setattr(threading.Thread, "start", no_thread)
-        spec = LossSpec.adversarial(c) if c > 0 else LossSpec.nominal()
+        spec = LossSpec(c) if c > 0 else LossSpec()
         base = OptimizerConfig(eta=1.0, steps=3, spec=spec, attack_steps=2)
         dataset = box_data if data == "box" else binary_data
         outcomes = train_stack(dataset, [replace(base, seed=seed) for seed in range(3)])
@@ -310,9 +310,9 @@ class TestTwoClassOracle:
         for steps in (1, 5, 40):
             two = train(two_class, OptimizerConfig(eta=eta, steps=steps, spec=spec))
             reference = train(binary, OptimizerConfig(eta=2 * eta, steps=steps, spec=spec))
-            theta = two.final_params.weights
+            theta = two.final_params
             np.testing.assert_allclose(
-                theta[1] - theta[0], reference.final_params.weights, rtol=self.RTOL, atol=0
+                theta[1] - theta[0], reference.final_params, rtol=self.RTOL, atol=0
             )
             for name in ("adversarial_loss", "nominal_loss"):
                 np.testing.assert_allclose(
@@ -352,7 +352,7 @@ class TestDivergence:
             for name in TrainTrace.COLUMNS:
                 np.testing.assert_array_equal(getattr(outcome, name), getattr(mate, name))
             np.testing.assert_array_equal(
-                outcome.final_params.weights, mate.final_params.weights
+                outcome.final_params, mate.final_params
             )
 
     def test_every_cell_may_diverge(self, binary_data):
@@ -487,7 +487,7 @@ class TestValidation:
             {"steps": 4},
             {"first_step_eta": 1.0},
             {"batch": 10},
-            {"spec": LossSpec.adversarial(0.05)},
+            {"spec": LossSpec(0.05)},
             {"attack_steps": 3},
         ],
         ids=lambda change: next(iter(change)),
