@@ -3,6 +3,8 @@ with the matching convergence-rate bounds, privacy accounting, attacks, and
 curvature analysis.
 """
 
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .attacks import (
     AttackConfig,
@@ -79,4 +81,6 @@ from .optimizer import (
 from .plotting import PlotSpec, render_plot
 from .report import VerifyReport, verify_report
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the re-exported names, not the submodules that importing them binds here
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

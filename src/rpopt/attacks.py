@@ -160,7 +160,8 @@ def _ascent_direction(grads: np.ndarray, p: float, ws: PGDWorkspace) -> np.ndarr
         return np.sign(grads, out=ws.array("signs", grads.shape))
     norms = _row_norms(grads, ws)
     np.divide(grads, np.maximum(norms, 1e-300), out=grads)
-    np.copyto(grads, 0.0, where=~(norms > 0))
+    if not (norms > 0).all():  # a zero or NaN row has no direction
+        np.copyto(grads, 0.0, where=~(norms > 0))
     return grads
 
 

@@ -108,11 +108,15 @@ def _cmd_bounds(args) -> int:
         eta=args.eta, gamma=args.gamma, c=args.c, d=args.d, sigma=args.sigma, form=args.form
     )
     if args.t is not None:
+        given = [flag for flag, value in (("--t-max", args.t_max), ("--points", args.points))
+                 if value is not None]
+        if given:
+            raise ValueError(f"{' and '.join(given)} cannot go with --t, only with --out")
         ts = [args.t]
-    elif args.out:
-        ts = bounds_mod.log_spaced_steps(args.t_max, args.points)
     else:
-        raise ValueError("provide --t for a single value or --out for a series CSV")
+        ts = bounds_mod.log_spaced_steps(
+            10000 if args.t_max is None else args.t_max, 200 if args.points is None else args.points
+        )
     gap_setting = _GAP_SETTINGS.get(args.setting)
     if gap_setting is not None:
         rows = bounds_mod.gap_curve(inputs, gap_setting, ts)
@@ -277,10 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     bo.add_argument("--d", type=int, default=0)
     bo.add_argument("--sigma", type=float, default=0.0)
     bo.add_argument("--form", choices=bounds_mod.FORMS, default="appendix")
-    bo.add_argument("--t", type=int, default=None, help="single step (prints the value)")
-    bo.add_argument("--t-max", type=int, default=10000)
-    bo.add_argument("--points", type=int, default=200)
-    bo.add_argument("--out", help="series CSV output path")
+    step_or_series = bo.add_mutually_exclusive_group(required=True)
+    step_or_series.add_argument("--t", type=int, help="single step (prints the value)")
+    step_or_series.add_argument("--out", help="series CSV output path")
+    bo.add_argument("--t-max", type=int, help="last step of the --out series (default 10000)")
+    bo.add_argument("--points", type=int, help="points of the --out series (default 200)")
     bo.set_defaults(func=_cmd_bounds)
 
     ae = sub.add_parser("attack-eval", help="accuracy-under-attack experiment")

@@ -117,32 +117,27 @@ def power_iteration(matvec, dim, tol=1e-8, max_iters=1000, seed=0) -> SpectrumRe
     )
 
 
-def _top_eigenpair(theta, x, y, spec: LossSpec, tol, max_iters, seed) -> SpectrumReport:
-    """Power iteration on the Hessian of the loss at theta over (x, y), with
-    one operator built for the whole solve."""
+def max_eigenvalue(
+    model,
+    x: np.ndarray,
+    y: np.ndarray,
+    spec: LossSpec,
+    tol: float = 1e-8,
+    max_iters: int = 1000,
+    seed: int = 0,
+) -> SpectrumReport:
+    """Top Hessian eigenvalue of the loss over (x, y) at the model's weights,
+    by power iteration on one Hessian operator built for the whole solve;
+    :func:`optimum_curvature` is its limit at a worst-case binary optimum."""
+    theta = np.asarray(model, dtype=np.float64)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("model parameters must be finite")
     shape = theta.shape
     hessian = losses_mod.hessian_operator(theta, x, y, spec)
     return power_iteration(
         lambda v: hessian(v.reshape(shape)).ravel(),
         theta.size, tol=tol, max_iters=max_iters, seed=seed,
     )
-
-
-def max_eigenvalue(
-    model,
-    dataset: Dataset,
-    spec: LossSpec,
-    tol: float = 1e-8,
-    max_iters: int = 1000,
-    seed: int = 0,
-) -> SpectrumReport:
-    """Top Hessian eigenvalue of the given loss at the model's parameters;
-    :func:`optimum_curvature` is the closed form it approaches at a
-    worst-case-trained binary optimum."""
-    theta = np.asarray(model, dtype=np.float64)
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("model parameters must be finite")
-    return _top_eigenpair(theta, dataset.features, dataset.labels, spec, tol, max_iters, seed)
 
 
 def attacked_max_eigenvalue(
@@ -161,7 +156,7 @@ def attacked_max_eigenvalue(
     while the Hessian is probed."""
     theta = np.asarray(model, dtype=np.float64)
     x_adv = x + pgd_batch(theta, x, y, attack, box=box)
-    return _top_eigenpair(theta, x_adv, y, LossSpec(), tol, max_iters, seed)
+    return max_eigenvalue(theta, x_adv, y, LossSpec(), tol, max_iters, seed)
 
 
 def optimum_curvature(c: float, theta_norm: float) -> float:
@@ -277,7 +272,7 @@ def _score_cell(train_ds, test_ds, settings, row, col, c, knob, config, outcome)
             seed=config.seed + 2,
         )
     else:
-        report = _top_eigenpair(
+        report = max_eigenvalue(
             theta, xs, ys, config.spec, settings.curvature_tol, settings.curvature_iters,
             config.seed + 2,
         )

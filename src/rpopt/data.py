@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import os
 import struct
 from dataclasses import dataclass, field
 
@@ -34,7 +33,6 @@ class Dataset:
         labels: (n,) int64 array; {-1, +1} for binary, {0..C-1} otherwise.
         separator: optional unit vector certifying linear separability.
         margin: optional minimum of y_i * <x_i, separator> over the data.
-        name: short identifier used in manifests.
         box: optional (lo, hi) coordinate-wise domain, e.g. (0, 1) for images.
         num_classes: the class count C, fixed at construction; None for
             binary data.  Left as None it is inferred from the labels:
@@ -47,7 +45,6 @@ class Dataset:
     labels: np.ndarray
     separator: np.ndarray | None = None
     margin: float | None = None
-    name: str = ""
     box: tuple[float, float] | None = None
     num_classes: int | None = None
 
@@ -182,7 +179,6 @@ def generate_separable(d: int, n: int, gamma: float, seed: int) -> Dataset:
         labels=labels,
         separator=u,
         margin=achieved,
-        name=f"separable-d{d}-n{n}-g{gamma:g}-s{seed}",
     )
 
 
@@ -228,7 +224,6 @@ def generate_equal_margin(
         labels=labels,
         separator=u,
         margin=achieved,
-        name=f"equal-margin-d{d}-n{n}-m{margin:g}-s{seed}",
     )
 
 
@@ -242,7 +237,7 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
     perm = np.random.default_rng(seed).permutation(dataset.n)
     test_idx, train_idx = perm[:n_test], perm[n_test:]
 
-    def take(idx, tag):
+    def take(idx):
         feats = dataset.features[idx]
         labs = dataset.labels[idx]
         margin = None
@@ -253,12 +248,11 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
             labels=labs,
             separator=dataset.separator,
             margin=margin,
-            name=f"{dataset.name}-{tag}" if dataset.name else tag,
             box=dataset.box,
             num_classes=dataset.num_classes,
         )
 
-    return take(train_idx, "train"), take(test_idx, "test")
+    return take(train_idx), take(test_idx)
 
 
 def load_csv(path: str, limit: int = 0) -> Dataset:
@@ -295,7 +289,6 @@ def load_csv(path: str, limit: int = 0) -> Dataset:
     return Dataset(
         features=features,
         labels=labels.astype(np.int64),
-        name=os.path.basename(path),
     )
 
 
@@ -406,7 +399,6 @@ def load_idx(images_path: str, labels_path: str, limit: int = 0) -> Dataset:
     return Dataset(
         features=features,
         labels=labels[:keep],
-        name=os.path.basename(images_path),
         box=(0.0, 1.0),
         num_classes=int(labels.max(initial=0)) + 1,
     )

@@ -80,7 +80,6 @@ _DEFAULTS = {
         "c": 0.1,
         "sigma": 0.25,
         "steps": 1000,
-        "first_step_eta": None,
     },
     "fig2-gap": {
         "eta": 0.1,
@@ -96,7 +95,6 @@ _DEFAULTS = {
         "eta": 0.1,
         "c": 0.1,
         "steps": 1000,
-        "first_step_eta": None,
     },
     "fig8-sweep": {**_COMMON_SWEEP, "eta": 2.0, "steps": 300, "k_grid": "0.1:3:10"},
     "fig9-sweep": {
@@ -129,7 +127,6 @@ _DEFAULTS = {
         "p": "2",
         "budgets": "0,0.05,0.1,0.15,0.2,0.3",
         "attack_steps": 50,
-        "restarts": 1,
     },
 }
 
@@ -202,11 +199,10 @@ def parse_grid(text: str, check=float) -> list:
 
 
 def parse_p(value) -> float:
-    """A perturbation norm: 2, or "inf" (also "oo")."""
-    text = str(value).strip()
-    p = math.inf if text == "oo" else float(text)
+    """A perturbation norm, 2 or inf, in any spelling ``float`` takes."""
+    p = float(value)
     if p not in (2.0, math.inf):
-        raise ValueError(f"a perturbation norm must be 2 or inf, got {text!r}")
+        raise ValueError(f"a perturbation norm must be 2 or inf, got {value!r}")
     return p
 
 
@@ -243,10 +239,6 @@ def _parse_form(value) -> str:
     return value
 
 
-def _float_or_none(value):
-    return None if str(value).strip().lower() == "none" else float(value)
-
-
 def _kept_as_text(parse):
     """A parser that checks a value with ``parse`` and keeps its text, as the
     manifest echoes it."""
@@ -258,9 +250,6 @@ def _kept_as_text(parse):
     return check
 
 
-# how a value is converted when its key has no parser: by its default's type
-_TYPE_PARSERS = {int: int, float: float, str: str, type(None): _float_or_none}
-
 # [experiment]: kind and output_dir are required
 _EXPERIMENT = {"kind": "", "output_dir": "", "seeds": (0,)}
 _EXPERIMENT_PARSERS = {"seeds": parse_seeds}
@@ -268,7 +257,7 @@ _EXPERIMENT_PARSERS = {"seeds": parse_seeds}
 # [params]: each kind's table is _DEFAULTS[kind]
 _PARAMS_PARSERS = {
     **dict.fromkeys(
-        ("steps", "attack_steps", "restarts", "points", "t_max", "curvature_iters",
+        ("steps", "attack_steps", "points", "t_max", "curvature_iters",
          "curvature_examples"),
         _positive_int,
     ),
@@ -298,7 +287,6 @@ _TRAIN = {
     "p": 2.0,
     "clip_k": math.inf,
     "sigma": 0.0,
-    "first_step_eta": None,
     "batch": 0,
     "seed": 0,
     "attack_steps": 10,
@@ -323,10 +311,9 @@ def parse_named(name: str, parse, value):
 def read_section(name: str, values: dict, defaults: dict, parsers: dict) -> dict:
     """The INI section [name]: ``defaults`` overlaid with ``values``.
 
-    Each value is converted once, by its key's entry in ``parsers`` or else
-    by its default's type (a None default takes a float or "none"), and an
-    empty value means the default.  An unknown key, or a value that does not
-    parse, raises ValueError naming "[name] key".
+    Each value is converted by its key's entry in ``parsers``, else by its
+    default's type; an empty value means the default.  An unknown key, or
+    a value that does not parse, raises ValueError naming "[name] key".
     """
     unknown = sorted(set(values) - set(defaults))
     if unknown:
@@ -336,7 +323,7 @@ def read_section(name: str, values: dict, defaults: dict, parsers: dict) -> dict
     resolved = dict(defaults)
     for key, raw in values.items():
         if str(raw).strip():
-            parse = parsers.get(key) or _TYPE_PARSERS[type(defaults[key])]
+            parse = parsers.get(key) or type(defaults[key])  # int, float or str
             resolved[key] = parse_named(f"[{name}] {key}", parse, raw)
     return resolved
 
@@ -376,14 +363,7 @@ def load_train_config(path) -> OptimizerConfig:
 
 def resolve_params(config: ExperimentConfig) -> dict:
     """The kind's defaults overlaid with the config's [params], typed."""
-    params = read_section("params", config.params, _DEFAULTS[config.kind], _PARAMS_PARSERS)
-    if params.get("first_step_eta") is not None:  # > 2 * eta, as OptimizerConfig checks
-        parse_named(
-            "[params] first_step_eta",
-            lambda first: OptimizerConfig(eta=params["eta"], steps=1, first_step_eta=first),
-            params["first_step_eta"],
-        )
-    return params
+    return read_section("params", config.params, _DEFAULTS[config.kind], _PARAMS_PARSERS)
 
 
 # a failure in these stages is a fault of the run's inputs (a data file or a
@@ -502,7 +482,6 @@ def _run_fig1(config, params, stage):
     dataset = _separable(params)
     eta, c, sigma, steps = params["eta"], params["c"], params["sigma"], params["steps"]
     gamma = params["gamma"]
-    first = params["first_step_eta"]
 
     def cfg(spec_c, noise):
         return OptimizerConfig(
@@ -510,7 +489,6 @@ def _run_fig1(config, params, stage):
             steps=steps,
             spec=LossSpec(spec_c),
             sigma=noise,
-            first_step_eta=first,
             seed=config.seeds[0],
         )
 
@@ -576,7 +554,6 @@ def _run_fig3(config, params, stage):
         eta=eta,
         steps=steps,
         spec=spec,
-        first_step_eta=params["first_step_eta"],
         seed=config.seeds[0],
     )
     robust = train(dataset, robust_cfg)
@@ -711,7 +688,6 @@ def _run_attack_eval(config, params, stage):
             budget=budget,
             p=p,
             steps=params["attack_steps"] if budget > 0 else 0,
-            restarts=params["restarts"],
             seed=config.seeds[0] + index,
         )
         standard.append(robust_accuracy(plain, test_ds, attack))

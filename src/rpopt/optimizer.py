@@ -61,10 +61,9 @@ class OptimizerConfig:
 
     A finite ``clip_k`` clips every per-example gradient to that norm and
     scales the noise with it (see :func:`noise_calibration`); ``batch = 0``
-    means full batch.  ``first_step_eta`` is the optional larger first-step
-    rate; when left as None it defaults to eta for nominal training and
-    4 * eta for worst-case training (the two-phase rule, which keeps the
-    iterate norm away from the origin where the worst-case loss is
+    means full batch.  The first step takes rate eta for nominal training
+    and 4 * eta for worst-case training (the two-phase rule, which keeps
+    the iterate norm away from the origin where the worst-case loss is
     non-smooth).  ``attack_steps`` only matters for multi-class worst-case
     training, whose loss is defined through the projected-gradient attack.
     """
@@ -74,7 +73,6 @@ class OptimizerConfig:
     spec: LossSpec = LossSpec()
     clip_k: float = math.inf
     sigma: float = 0.0
-    first_step_eta: float | None = None
     batch: int = 0
     seed: int = 0
     attack_steps: int = 10
@@ -88,19 +86,10 @@ class OptimizerConfig:
             raise ValueError("clip_k must be positive (inf disables clipping)")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be finite and non-negative")
-        first = self.first_step_eta
-        if first is not None and not (math.isfinite(first) and first / 2 > self.eta):
-            raise ValueError("first_step_eta must be finite and exceed 2 * eta")
         if self.batch < 0:
             raise ValueError("batch must be >= 0 (0: full batch)")
         if self.attack_steps < 1:
             raise ValueError("attack_steps must be >= 1")
-
-    @property
-    def resolved_first_step_eta(self) -> float:
-        if self.first_step_eta is not None:
-            return self.first_step_eta
-        return 4.0 * self.eta if self.spec.c > 0 else self.eta
 
 
 @dataclass
@@ -307,7 +296,7 @@ def train_stack(dataset: Dataset, configs) -> list:
                     [rngs[k].normal(0.0, noise_std[k], size=size) for k in live[drawn]], axis=1
                 )
             update[drawn] += noise[t % block]
-        eta_t = first.resolved_first_step_eta if t == 0 else first.eta
+        eta_t = 4.0 * first.eta if t == 0 and spec.c > 0 else first.eta  # the two-phase rule
         theta = theta - eta_t * update
         if not np.isfinite(theta).all():
             drop(np.isfinite(theta).reshape(len(live), math.prod(shape)).all(axis=1), t + 1)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import read_table
+from .errors import DataFormatError
 from .experiments import MANIFEST_NAME, artifact_name
 
 
@@ -43,6 +44,17 @@ class VerifyReport:
         return out
 
 
+class _Read(dict):
+    """The values read from one file; a missing key raises DataFormatError."""
+
+    def __init__(self, source, values):
+        super().__init__(values)
+        self.source = source
+
+    def __missing__(self, key):
+        raise DataFormatError(f"{self.source} has no {key!r}")
+
+
 def _check(name, passed, measured) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), measured=measured)
 
@@ -62,7 +74,7 @@ def _below_bound(table, loss_col, bound_col, se_col=None):
     )
 
 
-def _verify_fig1(table, manifest):
+def _verify_fig1(table, params):
     return [
         _below_bound(table, "loss_nominal", "bound_nominal"),
         _below_bound(table, "loss_private", "bound_private", "se_private"),
@@ -73,23 +85,17 @@ def _verify_fig1(table, manifest):
     ]
 
 
-def _gap_columns(table):
-    return [name for name in table if name.startswith("gap_")]
-
-
-def _verify_fig2(table, manifest):
+def _verify_fig2(table, params):
     ts = table["t"]
     checks = []
     anchor = int(np.argmin(np.abs(ts - 10.0)))
     last = int(np.argmax(ts))
-    private_cols = [n for n in _gap_columns(table) if n != "gap_nonprivate"]
+    private_cols = [name for name in table if name.startswith("gap_private_")]
     # the tends-to-zero claim is checked on the curves the figure shows: the
     # noiseless gap and the private gap at its own dimension (first column);
     # at much larger d the constant noise floor eta*d*sigma^2 dominates
     decay_cols = ["gap_nonprivate"] + private_cols[:1]
     for name in decay_cols:
-        if name not in table:
-            continue
         ratio = table[name][last] / table[name][anchor]
         checks.append(
             _check(
@@ -98,17 +104,15 @@ def _verify_fig2(table, manifest):
                 f"ratio {ratio:.4f}",
             )
         )
-    nonprivate = table.get("gap_nonprivate")
-    if nonprivate is not None:
-        for name in private_cols:
-            deficit = float((table[name] - nonprivate).min())
-            checks.append(
-                _check(
-                    f"{name} >= gap_nonprivate pointwise",
-                    deficit >= -1e-9,
-                    f"min difference {deficit:.3e}",
-                )
+    for name in private_cols:
+        deficit = float((table[name] - table["gap_nonprivate"]).min())
+        checks.append(
+            _check(
+                f"{name} >= gap_nonprivate pointwise",
+                deficit >= -1e-9,
+                f"min difference {deficit:.3e}",
             )
+        )
     if len(private_cols) >= 2:
         t100 = int(np.argmin(np.abs(ts - 100.0)))
         values = [float(table[name][t100]) for name in private_cols]
@@ -123,7 +127,7 @@ def _verify_fig2(table, manifest):
     return checks
 
 
-def _verify_fig3(table, manifest):
+def _verify_fig3(table, params):
     ts = table["t"]
     robust = table["bound_robust"]
     rus = table["bound_robust_under_standard"]
@@ -137,12 +141,10 @@ def _verify_fig3(table, manifest):
             f"crossover at t={crossover}",
         )
     ]
-    params = manifest.get("params", {})
-    c, eta = params.get("c"), params.get("eta")
-    if c is not None and eta is not None and len(ts) >= 4:
+    if len(ts) >= 4:
         mid = len(ts) // 2
         slope = (rus[-1] - rus[mid]) / (ts[-1] - ts[mid])
-        ratio = slope / (c * eta)
+        ratio = slope / (params["c"] * params["eta"])
         checks.append(
             _check(
                 "plain-training bound grows linearly at rate c*eta",
@@ -198,10 +200,10 @@ def _spearman_check(table, a, b, want_positive, name):
 def _trained_rows(table):
     """The sweep's rows without the diverged cells."""
     keep = table["diverged"] == 0
-    return {name: column[keep] for name, column in table.items()}
+    return _Read(table.source, {name: column[keep] for name, column in table.items()})
 
 
-def _verify_fig8(table, manifest):
+def _verify_fig8(table, params):
     table = _trained_rows(table)
     return [
         _spearman_check(table, "lambda_max", "c", True, "lambda_max, c"),
@@ -212,7 +214,7 @@ def _verify_fig8(table, manifest):
     ]
 
 
-def _verify_fig9(table, manifest):
+def _verify_fig9(table, params):
     # No lambda-vs-c check here: DP noise dominates curvature in this sweep,
     # so the budget effect is only claimed for the noiseless clipping sweep.
     table = _trained_rows(table)
@@ -224,7 +226,7 @@ def _verify_fig9(table, manifest):
     ]
 
 
-def _verify_bounds_only(table, manifest):
+def _verify_bounds_only(table, params):
     checks = []
     finite = all(np.all(np.isfinite(col)) for col in table.values())
     checks.append(_check("all bound values finite", finite, f"finite={finite}"))
@@ -237,27 +239,25 @@ def _verify_bounds_only(table, manifest):
         ("bound_robust_private", "bound_robust"),
     ]
     for upper, lower in pairs:
-        if upper in table and lower in table:
-            deficit = float((table[upper] - table[lower]).min())
-            checks.append(
-                _check(
-                    f"{upper} >= {lower} pointwise",
-                    deficit >= -1e-12,
-                    f"min difference {deficit:.3e}",
-                )
+        deficit = float((table[upper] - table[lower]).min())
+        checks.append(
+            _check(
+                f"{upper} >= {lower} pointwise",
+                deficit >= -1e-12,
+                f"min difference {deficit:.3e}",
             )
+        )
     return checks
 
 
-def _verify_attack_eval(table, manifest):
+def _verify_attack_eval(table, params):
     checks = []
     in_range = all(
         0.0 <= float(table[col].min()) and float(table[col].max()) <= 1.0
         for col in ("acc_standard", "acc_adversarial")
     )
     checks.append(_check("accuracies lie in [0, 1]", in_range, f"in_range={in_range}"))
-    n_hint = manifest.get("params", {}).get("n", 0) or 1
-    slack = 1.5 / float(n_hint)
+    slack = 1.5 / float(params["n"])
     for measured, exact in (
         ("acc_standard", "exact_acc_standard"),
         ("acc_adversarial", "exact_acc_adversarial"),
@@ -270,17 +270,15 @@ def _verify_attack_eval(table, manifest):
                 f"max |difference| {diff:.4f}",
             )
         )
-    c_train = manifest.get("params", {}).get("c_train")
-    if c_train is not None:
-        idx = int(np.argmin(np.abs(table["budget"] - float(c_train))))
-        improvement = float(table["improvement"][idx])
-        checks.append(
-            _check(
-                "worst-case training does not hurt at its own budget",
-                improvement >= -slack,
-                f"improvement {improvement:.4f} at budget {table['budget'][idx]:g}",
-            )
+    idx = int(np.argmin(np.abs(table["budget"] - float(params["c_train"]))))
+    improvement = float(table["improvement"][idx])
+    checks.append(
+        _check(
+            "worst-case training does not hurt at its own budget",
+            improvement >= -slack,
+            f"improvement {improvement:.4f} at budget {table['budget'][idx]:g}",
         )
+    )
     return checks
 
 
@@ -297,7 +295,8 @@ _VERIFIERS = {
 
 def verify_report(run_dir) -> VerifyReport:
     """Check an experiment output directory against the claims its kind is
-    supposed to exhibit."""
+    supposed to exhibit.  A column of the artifact or a key of the manifest
+    that a check reads and the files lack raises DataFormatError."""
     manifest_path = os.path.join(run_dir, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {run_dir}")
@@ -307,5 +306,7 @@ def verify_report(run_dir) -> VerifyReport:
     verifier = _VERIFIERS.get(kind)
     if verifier is None:
         raise ValueError(f"manifest names unknown experiment kind {kind!r}")
-    checks = verifier(read_table(os.path.join(run_dir, artifact_name(kind))), manifest)
+    csv_path = os.path.join(run_dir, artifact_name(kind))
+    params = _Read(f"{manifest_path} [params]", manifest.get("params", {}))
+    checks = verifier(_Read(csv_path, read_table(csv_path)), params)
     return VerifyReport(kind=kind, checks=tuple(checks))

@@ -1,8 +1,9 @@
-import math
+import dataclasses
 
 import numpy as np
 import pytest
 
+from rpopt import experiments
 from rpopt.curvature import SweepSettings
 from rpopt.data import generate_separable, write_idx
 
@@ -33,13 +34,11 @@ def small_binary():
 def sweep_settings():
     """The fig8/fig9 kinds' default scoring settings, for calling the sweep
     entries directly."""
-    return SweepSettings(
-        p=math.inf,
-        curvature_examples=512,
-        curvature_tol=1e-6,
-        curvature_iters=300,
-        eval_attack_steps=10,
-    )
+    defaults = experiments._COMMON_SWEEP
+    return SweepSettings(**{
+        **{field.name: defaults[field.name] for field in dataclasses.fields(SweepSettings)},
+        "p": experiments.parse_p(defaults["p"]),
+    })
 
 
 @pytest.fixture()

@@ -26,7 +26,7 @@ from rpopt.bounds import (
     excess_risk_bound,
 )
 from rpopt.curvature import max_eigenvalue, optimum_curvature
-from rpopt.data import generate_equal_margin, generate_separable, write_idx
+from rpopt.data import generate_equal_margin, generate_separable, read_table, write_idx
 from rpopt.experiments import KINDS, ExperimentConfig, run_experiment
 from rpopt.losses import (
     LossSpec,
@@ -37,7 +37,6 @@ from rpopt.losses import (
     multiclass_loss,
 )
 from rpopt.optimizer import OptimizerConfig, train
-from rpopt.plotting import read_table
 from rpopt.report import verify_report
 
 
@@ -261,7 +260,7 @@ def test_optimum_curvature_formula():
         ds = generate_equal_margin(d=8, n=200, margin=0.2, jitter=0.25, seed=seed)
         trace = train(ds, OptimizerConfig(eta=1.0, steps=400, spec=spec))
         assert trace.grad_norm[-1] < 1e-6
-        report = max_eigenvalue(trace.final_params, ds, spec, seed=seed)
+        report = max_eigenvalue(trace.final_params, ds.features, ds.labels, spec, seed=seed)
         predicted = optimum_curvature(spec.c, float(np.linalg.norm(trace.final_params)))
         rel = abs(report.lambda_max - predicted) / predicted
         worst = max(worst, rel)

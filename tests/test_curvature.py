@@ -102,7 +102,9 @@ class TestMaxEigenvalue:
         x, y = small_binary.features, small_binary.labels.astype(float)
         weights = expit(x @ theta) * expit(-(x @ theta))
         dense = (x.T * weights) @ x / x.shape[0]
-        report = max_eigenvalue(trace.final_params, small_binary, LossSpec(), tol=1e-10)
+        report = max_eigenvalue(
+            trace.final_params, small_binary.features, small_binary.labels, LossSpec(), tol=1e-10
+        )
         assert report.converged
         top = float(np.linalg.eigvalsh(dense)[-1])
         assert report.lambda_max == pytest.approx(top, rel=1e-7)
@@ -110,7 +112,7 @@ class TestMaxEigenvalue:
     def test_returns_the_solvers_report(self, small_binary):
         spec = LossSpec(0.1, 2.0)
         theta = train(small_binary, OptimizerConfig(eta=0.5, steps=30, spec=spec)).final_params
-        report = max_eigenvalue(theta, small_binary, spec, seed=4)
+        report = max_eigenvalue(theta, small_binary.features, small_binary.labels, spec, seed=4)
         hessian = hessian_operator(theta, small_binary.features, small_binary.labels, spec)
         solver = power_iteration(hessian, theta.size, seed=4)
         assert [f.name for f in dataclasses.fields(report)] == [
@@ -124,7 +126,7 @@ class TestMaxEigenvalue:
     def test_rejects_nonfinite_parameters(self, small_binary):
         with pytest.raises(ValueError, match="finite"):
             max_eigenvalue(np.array([np.inf, 0.0, 0.0, 0.0, 0.0, 0.0]),
-                           small_binary, LossSpec())
+                           small_binary.features, small_binary.labels, LossSpec())
 
     def test_equal_margin_seed_collision_recovers_dominant_eigenvalue(self):
         # the dataset's separator is drawn from default_rng(seed) exactly like
@@ -136,7 +138,7 @@ class TestMaxEigenvalue:
         spec = LossSpec(0.2, 2.0)
         trace = train(ds, OptimizerConfig(eta=1.0, steps=400, spec=spec))
         assert trace.grad_norm[-1] < 1e-6  # genuinely at the optimum
-        report = max_eigenvalue(trace.final_params, ds, spec, seed=seed)
+        report = max_eigenvalue(trace.final_params, ds.features, ds.labels, spec, seed=seed)
         predicted = optimum_curvature(0.2, float(np.linalg.norm(trace.final_params)))
         assert report.lambda_max == pytest.approx(predicted, rel=5e-2)
         assert report.lambda_max > 0.2
@@ -145,8 +147,7 @@ class TestMaxEigenvalue:
         theta = rng.normal(size=(3, 4)) * 0.5
         features = rng.uniform(-0.4, 0.4, size=(30, 4))
         labels = rng.integers(0, 3, size=30)
-        ds = Dataset(features=features, labels=labels)
-        report = max_eigenvalue(theta, ds, LossSpec(), tol=1e-9)
+        report = max_eigenvalue(theta, features, labels, LossSpec(), tol=1e-9)
         assert report.converged
         assert report.lambda_max > 0
 
@@ -184,7 +185,8 @@ class TestTwoClassCurvatureOracle:
         attack = AttackConfig(budget=c, p=math.inf, steps=10, seed=3)
         two_class = attacked_max_eigenvalue(theta, x, labels, attack, tol=1e-12, seed=1)
         closed = max_eigenvalue(
-            theta[1] - theta[0], binary, LossSpec(c, math.inf), tol=1e-12, seed=1
+            theta[1] - theta[0], binary.features, binary.labels, LossSpec(c, math.inf),
+            tol=1e-12, seed=1,
         )
         assert two_class.converged and closed.converged
         assert two_class.lambda_max == pytest.approx(2.0 * closed.lambda_max, rel=1e-10)

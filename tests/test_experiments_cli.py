@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import multiprocessing
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from rpopt.cli import load_train_config, main
-from rpopt.data import Dataset, load_csv, save_csv, write_idx
+from rpopt.data import Dataset, load_csv, read_table, save_csv, write_idx
 from rpopt import curvature, experiments, report
 from rpopt.errors import DataFormatError, ExperimentError
 from rpopt.experiments import (
@@ -27,7 +28,7 @@ from rpopt.experiments import (
     resolve_params,
     run_experiment,
 )
-from rpopt.plotting import PlotSpec, read_table, render_plot
+from rpopt.plotting import PlotSpec, render_plot
 from rpopt.report import _average_ranks, verify_report
 
 
@@ -54,8 +55,8 @@ class TestParsers:
 
     def test_parse_p_takes_two_or_inf(self):
         assert parse_p("2") == 2.0 and parse_p(" inf ") == math.inf
-        assert parse_p("oo") == math.inf and parse_p(2) == 2.0
-        for bad in ("1", "3", "nan", "-inf", "two"):
+        assert parse_p(2) == 2.0 and parse_p("Infinity") == math.inf
+        for bad in ("1", "3", "nan", "-inf", "two", "oo"):
             with pytest.raises(ValueError):
                 parse_p(bad)
 
@@ -99,22 +100,12 @@ class TestExperimentConfig:
             kind="fig1-convergence",
             output_dir="x",
             seeds=(0,),
-            params={"d": "5", "sigma": "0.5", "first_step_eta": "none"},
+            params={"d": "5", "sigma": "0.5"},
         )
         params = resolve_params(config)
         assert params["d"] == 5 and isinstance(params["d"], int)
         assert params["sigma"] == 0.5 and isinstance(params["sigma"], float)
-        assert params["first_step_eta"] is None
         assert params["eta"] == 0.1  # untouched default
-
-    def test_resolve_first_step_numeric(self):
-        config = ExperimentConfig(
-            kind="fig1-convergence",
-            output_dir="x",
-            seeds=(0,),
-            params={"first_step_eta": "0.5"},
-        )
-        assert resolve_params(config)["first_step_eta"] == 0.5
 
     def test_load_experiment_config(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -725,6 +716,30 @@ class TestCliInProcess:
         code, _, err = run_cli("bounds", "--setting", "nominal", "--eta", 0.1, "--gamma", 1.0)
         assert code == 1 and "--t" in err
 
+    ROBUST = ("bounds", "--setting", "robust", "--eta", 0.1, "--gamma", 1.0, "--c", 0.1)
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(("--out", "x.csv"), "--out"), (("--t-max", 50), "--t-max"),
+         (("--points", 5, "--t-max", 50), "--t-max and --points")],
+        ids=["out", "t-max", "points-and-t-max"],
+    )
+    def test_bounds_t_takes_no_series_flag(self, run_cli, tmp_path, monkeypatch, flags, named):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(*self.ROBUST, "--t", 10, *flags)
+        assert code == 1 and out == "" and named in err
+        assert not os.listdir(tmp_path)
+
+    def test_bounds_t_or_out_alone_gives_the_recorded_output(self, run_cli, tmp_path):
+        code, out, _ = run_cli(*self.ROBUST, "--t", 10)
+        assert code == 0 and out == "7.0313703487452148\n"
+        series = tmp_path / "series.csv"
+        code, _, _ = run_cli(*self.ROBUST, "--out", series)
+        assert code == 0
+        assert hashlib.sha256(series.read_bytes()).hexdigest() == (
+            "30e55e79dffd72512db7837c01a03859ffcfb26d515b601268fd224360aada89"
+        )
+
     def test_dp_solver_roundtrip(self, run_cli):
         code, out, _ = run_cli(
             "dp", "--solve", "sigma", "--epsilon", 2.0, "--delta", 1e-5, "--steps", 100
@@ -796,6 +811,38 @@ class TestCliInProcess:
         code, out, _ = run_cli("verify", "--run", str(out_dir))
         assert code == 3
         assert "FAIL" in out and "violations found" in out
+
+    @pytest.mark.parametrize(
+        "kind, params, column, key",
+        [
+            ("fig2-gap", {"t_max": "1000", "points": "20"}, "gap_nonprivate", None),
+            ("bounds-only", {"t_max": "100", "points": "10"}, "bound_robust", None),
+            ("fig3-robust-compare", {"steps": "20"}, None, "eta"),
+            ("attack-eval", {"n": "80", "steps": "20", "attack_steps": "3"}, None, "c_train"),
+        ],
+        ids=["fig2-column", "bounds-only-column", "fig3-param", "attack-eval-param"],
+    )
+    def test_verify_names_what_a_damaged_run_lacks(
+        self, run_cli, tmp_path, kind, params, column, key
+    ):
+        out_dir = tmp_path / "run"
+        run_experiment(ExperimentConfig(kind, str(out_dir), (0,), params))
+        if column is not None:
+            damaged = out_dir / artifact_name(kind)
+            rows = [line.split(",") for line in damaged.read_text(encoding="utf-8").splitlines()]
+            drop = rows[0].index(column)
+            damaged.write_text(
+                "".join(",".join(row[:drop] + row[drop + 1:]) + "\n" for row in rows),
+                encoding="utf-8",
+            )
+        else:
+            damaged = out_dir / MANIFEST_NAME
+            manifest = json.loads(damaged.read_text(encoding="utf-8"))
+            del manifest["params"][key]
+            damaged.write_text(json.dumps(manifest), encoding="utf-8")
+        code, out, err = run_cli("verify", "--run", str(out_dir))
+        assert code == 1 and out == ""
+        assert str(damaged) in err and repr(column or key) in err
 
     def test_experiment_unknown_kind_exits_one(self, run_cli, tmp_path):
         ini = tmp_path / "exp.ini"
@@ -1135,8 +1182,6 @@ class TestCliInProcess:
 
 def _as_text(value) -> str:
     """A typed config value as it is written in an INI file."""
-    if value is None:
-        return "none"
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     return str(value)
@@ -1151,7 +1196,6 @@ _FIG8 = _FIG3.replace("fig3-robust-compare", "fig8-sweep")
 _RANGE_FAULTS = [
     ("fig3-robust-compare", "steps", "0"),
     ("attack-eval", "attack_steps", "0"),
-    ("attack-eval", "restarts", "0"),
     ("bounds-only", "points", "0"),
     ("bounds-only", "t_max", "0"),
     ("fig8-sweep", "curvature_iters", "0"),
@@ -1166,10 +1210,6 @@ _RANGE_FAULTS = [
     ("fig2-gap", "gamma", "1.5"),
     ("bounds-only", "gamma", "2"),
     ("fig1-convergence", "gamma", "0"),
-    ("fig3-robust-compare", "first_step_eta", "0.1"),
-    ("fig1-convergence", "first_step_eta", "0.2"),
-    ("fig1-convergence", "first_step_eta", "inf"),
-    ("fig3-robust-compare", "first_step_eta", "1e400"),
     ("bounds-only", "form", "tabel"),
     ("fig8-sweep", "c_grid", "-0.05,0"),
     ("fig8-sweep", "c_grid", "nan"),
@@ -1247,12 +1287,8 @@ class TestConfigReader:
         assert code == 0, err
         return [path.read_bytes() for path in sorted(out.iterdir())]
 
-    @pytest.mark.parametrize(
-        "key, value",
-        [("batch", ""), ("first_step_eta", ""), ("first_step_eta", "none")],
-        ids=["batch-empty", "first_step_eta-empty", "first_step_eta-none"],
-    )
-    def test_empty_and_none_mean_the_default_in_both_readers(
+    @pytest.mark.parametrize("key, value", [("batch", "")], ids=["batch-empty"])
+    def test_an_empty_value_means_the_default_in_both_readers(
         self, run_cli, tmp_path, data, key, value
     ):
         for section in ("train", "params"):
@@ -1292,8 +1328,19 @@ class TestConfigReader:
              + _FIG3_PARAMS + "c = -0.1\n", None, "[params] c"),
             ("experiment", _FIG3.replace("fig3-robust-compare", "attack-eval")
              + "[params]\nn = 40\nc_train = -0.2\n", None, "[params] c_train"),
-            ("train", "[train]\nsteps = 5\nfirst_step_eta = inf\n", None,
-             "[train]: first_step_eta must be finite"),
+            ("train", "[train]\nsteps = 5\nfirst_step_eta = 0.4\n", None,
+             "[train]: unknown parameters ['first_step_eta']"),
+            ("train", "[train]\nsteps = 5\np = oo\n", None, "[train] p"),
+            ("experiment", _FIG3 + _FIG3_PARAMS + "first_step_eta = 0.4\n", None,
+             "[params]: unknown parameters ['first_step_eta']"),
+            ("experiment", _FIG3.replace("fig3-robust-compare", "fig1-convergence")
+             + _FIG3_PARAMS + "first_step_eta = 0.4\n", None,
+             "[params]: unknown parameters ['first_step_eta']"),
+            ("experiment", _FIG3.replace("fig3-robust-compare", "attack-eval")
+             + "[params]\nn = 40\nrestarts = 1\n", None,
+             "[params]: unknown parameters ['restarts']"),
+            ("experiment", _FIG3.replace("fig3-robust-compare", "attack-eval")
+             + "[params]\nn = 40\np = oo\n", None, "[params] p"),
             ("train", ("--config", "{ini}", "--images", "{data}", "--out", "{out}"), None,
              "--images needs --labels"),
             ("train", ("--config", "{ini}", "--images", "{data}", "--labels", "{data}",
@@ -1320,7 +1367,9 @@ class TestConfigReader:
             "experiment-negative-env-seed", "experiment-non-integer-env-seed",
             "experiment-regime-violation", "attack-eval-negative-seeds", "gen-data-negative-seed",
             "train-negative-c", "train-noise_mode-is-unknown", "params-negative-eta",
-            "params-negative-c", "params-negative-c_train", "train-infinite-first_step_eta",
+            "params-negative-c", "params-negative-c_train", "train-first_step_eta-is-unknown",
+            "train-p-oo", "fig3-first_step_eta-is-unknown", "fig1-first_step_eta-is-unknown",
+            "attack-eval-restarts-is-unknown", "attack-eval-p-oo",
             "train-images-without-labels", "train-pair-and-data", "params-labels-without-images",
             "params-images-without-labels", "params-pair-and-data_csv",
         ]

@@ -38,7 +38,6 @@ import pytest
 from rpopt import attacks, losses
 from rpopt.attacks import AttackConfig, PGDWorkspace, pgd_batch
 from rpopt.curvature import max_eigenvalue
-from rpopt.data import Dataset
 from rpopt.errors import SingularityError
 from rpopt.losses import (
     LossSpec,
@@ -157,6 +156,15 @@ def test_linf_ascent_direction_is_numpy_sign():
     expected = np.sign(grads)
     got = attacks._ascent_direction(grads.copy(), math.inf, PGDWorkspace())
     assert got.tobytes() == expected.tobytes()
+
+
+def test_l2_ascent_direction_is_the_written_out_one():
+    # the zero, NaN and part-NaN rows have no direction and read 0
+    grads = np.random.default_rng(5).standard_normal((6, 4))
+    odd = np.array([[0.0] * 4, [np.nan] * 4, [1.0, np.nan, 0.0, -2.0]])
+    for batch in (grads, np.concatenate([grads[:2], odd, grads[2:]])):
+        got = attacks._ascent_direction(batch.copy(), 2.0, PGDWorkspace())
+        assert got.tobytes() == _ascent_direction(batch, 2.0).tobytes()
 
 
 def test_clip_rows_matches_its_own_scale_factor():
@@ -609,7 +617,7 @@ def test_multiclass_max_eigenvalue_matches_the_dense_spectrum():
     x = rng.uniform(-0.4, 0.4, size=(30, 4))
     y = rng.integers(0, 3, size=30)
     tol = 1e-9
-    report = max_eigenvalue(theta, Dataset(x, y, num_classes=3), LossSpec(), tol=tol)
+    report = max_eigenvalue(theta, x, y, LossSpec(), tol=tol)
     top = float(np.linalg.eigvalsh(_dense_softmax_hessian(theta, x, y))[-1])
     assert report.converged
     assert abs(report.lambda_max - top) <= 2.0 * tol * max(1.0, top)

@@ -36,18 +36,6 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(**kwargs)
 
-    def test_first_step_eta_must_exceed_twice_eta(self):
-        with pytest.raises(ValueError, match="first_step_eta"):
-            OptimizerConfig(eta=0.1, steps=5, first_step_eta=0.2)
-        with pytest.raises(ValueError, match="finite"):
-            OptimizerConfig(eta=0.1, steps=5, first_step_eta=math.inf)
-        assert OptimizerConfig(eta=0.1, steps=5, first_step_eta=0.21).resolved_first_step_eta == 0.21
-
-    def test_first_step_default_depends_on_budget(self):
-        assert OptimizerConfig(eta=0.5, steps=5).resolved_first_step_eta == 0.5
-        robust = OptimizerConfig(eta=0.5, steps=5, spec=LossSpec(0.1, 2.0))
-        assert robust.resolved_first_step_eta == 2.0
-
 
 class TestFirstStep:
     def test_first_iterate_is_scaled_label_weighted_mean(self, small_binary):

@@ -90,7 +90,7 @@ def _train_one(dataset, config):
             return rows, theta
         if config.sigma > 0:
             grad = grad + rng.normal(0.0, noise_std, size=theta.shape)
-        eta_t = config.resolved_first_step_eta if t == 0 else config.eta
+        eta_t = 4.0 * config.eta if t == 0 and config.spec.c > 0 else config.eta
         theta = theta - eta_t * grad
         if not np.all(np.isfinite(theta)):
             return DivergenceError(t + 1)
@@ -472,26 +472,24 @@ class TestNoiseBlocks:
         _check_stack(box_data, configs)
 
 
+# one change of each field that the configs of one stack share
+MISMATCHES = [
+    {"eta": 0.2},
+    {"steps": 4},
+    {"batch": 10},
+    {"spec": LossSpec(0.05)},
+    {"attack_steps": 3},
+]
+
+
 class TestValidation:
     def test_stacked_fields(self):
         shared = {f.name for f in fields(OptimizerConfig)} - set(STACKED_FIELDS)
         assert set(STACKED_FIELDS) == {"clip_k", "sigma", "seed"}
-        assert shared == {
-            "eta", "steps", "first_step_eta", "batch", "spec", "attack_steps"
-        }
+        assert shared == {"eta", "steps", "batch", "spec", "attack_steps"}
+        assert {next(iter(change)) for change in MISMATCHES} == shared  # one case each
 
-    @pytest.mark.parametrize(
-        "change",
-        [
-            {"eta": 0.2},
-            {"steps": 4},
-            {"first_step_eta": 1.0},
-            {"batch": 10},
-            {"spec": LossSpec(0.05)},
-            {"attack_steps": 3},
-        ],
-        ids=lambda change: next(iter(change)),
-    )
+    @pytest.mark.parametrize("change", MISMATCHES, ids=lambda change: next(iter(change)))
     def test_mismatched_configs_are_rejected(self, binary_data, change):
         base = OptimizerConfig(eta=0.1, steps=3, clip_k=1.0)
         other = replace(base, seed=1, **change)
