@@ -16,13 +16,11 @@ from .attacks import (
 from .bounds import (
     BoundInputs,
     EpsilonReport,
-    ExcessRiskInputs,
     SigmaReport,
     accountant_epsilon,
     accountant_sigma,
     curvature_budget,
     evaluate_series,
-    excess_risk_bound,
     gap_curve,
     regime_violations,
     sensitivity_bound,

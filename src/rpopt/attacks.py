@@ -80,9 +80,8 @@ class PGDWorkspace:
     [max(-c, lo - x), min(c, hi - x)].  A call reuses them only for the
     same x object, budget and box, and only if x is frozen: it and every
     array it views are read-only, as a Dataset's features are.  So a
-    full-batch training run builds them once; a writeable array or a new
-    minibatch gets new ones.  Every other array is written before it is
-    read in each call.
+    training run builds them once; a writeable array or another input gets
+    new ones.  Every other array is written before it is read in each call.
 
     After a call, ``clean_loss`` (n,) and ``loss`` (n,) hold the loss of
     each example at x and at x + delta for the returned delta, and

@@ -314,35 +314,3 @@ def accountant_sigma(
     return SigmaReport(
         sigma=hi, epsilon=report.epsilon, order=report.order, implied_constant=implied
     )
-
-
-@dataclass(frozen=True)
-class ExcessRiskInputs:
-    """Arguments of the strongly convex noisy-SGD excess-risk bound."""
-
-    strong_convexity: float
-    lipschitz: float
-    dimension: int
-    sigma: float
-    horizon: int
-
-    def __post_init__(self):
-        if not self.strong_convexity > 0:
-            raise ValueError("strong_convexity must be positive")
-        if not self.lipschitz > 0:
-            raise ValueError("lipschitz must be positive")
-        if self.dimension < 0:
-            raise ValueError("dimension must be non-negative")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-
-
-def excess_risk_bound(inputs: ExcessRiskInputs) -> float:
-    """Last-iterate excess risk of noisy SGD with step sizes 1/(lambda t):
-    17 (L^2 + d sigma^2) (1 + log T) / (lambda T)."""
-    noisy_sq = inputs.lipschitz**2 + inputs.dimension * inputs.sigma**2
-    return 17.0 * noisy_sq * (1.0 + math.log(inputs.horizon)) / (
-        inputs.strong_convexity * inputs.horizon
-    )

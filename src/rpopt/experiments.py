@@ -64,7 +64,6 @@ _COMMON_SWEEP = {
     "gamma": 0.3,
     "data_seed": 0,
     "test_fraction": 1.0 / 6.0,
-    "batch": 0,
     "attack_steps": 4,
     "p": "inf",
     "c_grid": "0,0.005:0.05:9",
@@ -150,7 +149,8 @@ class ExperimentConfig:
 
 
 def non_negative_int(value) -> int:
-    """A seed or a batch size (0: full batch)."""
+    """A seed, an example limit (0: every example) or a count of attack
+    steps."""
     number = int(value)
     if number < 0:
         raise ValueError(f"must be >= 0, got {number}")
@@ -261,7 +261,7 @@ _PARAMS_PARSERS = {
          "curvature_examples"),
         _positive_int,
     ),
-    **dict.fromkeys(("batch", "eval_attack_steps", "limit", "data_seed"), non_negative_int),
+    **dict.fromkeys(("eval_attack_steps", "limit", "data_seed"), non_negative_int),
     **dict.fromkeys(("delta", "test_fraction"), _open_unit),
     "p": _kept_as_text(parse_p),
     "c_grid": _kept_as_text(partial(parse_grid, check=_finite_non_negative)),
@@ -287,14 +287,12 @@ _TRAIN = {
     "p": 2.0,
     "clip_k": math.inf,
     "sigma": 0.0,
-    "batch": 0,
     "seed": 0,
     "attack_steps": 10,
 }
 _TRAIN_PARSERS = {
     "c": _finite_non_negative,
     "p": parse_p,
-    "batch": non_negative_int,
     "seed": non_negative_int,
 }
 
@@ -598,14 +596,9 @@ def _run_sweep_kind(mode, config, params, stage):
     base = OptimizerConfig(
         eta=params["eta"],
         steps=params["steps"],
-        batch=params["batch"],
         attack_steps=params["attack_steps"],
         seed=config.seeds[0],
     )
-    if base.batch > train_ds.n:
-        raise ValueError(
-            f"batch {base.batch} exceeds the {train_ds.n} examples of the training part"
-        )
     p, c_grid = parse_p(params["p"]), parse_grid(params["c_grid"])
     if p == 2.0 and not train_ds.is_binary and any(c > 0 for c in c_grid):
         # the frozen-attack lambda_max has no term for the l2 maximiser's

@@ -174,9 +174,8 @@ def _clip_factors(norms: np.ndarray, k) -> np.ndarray:
 def _residual_gradient(r, x, clip_k):
     """Mean softmax gradient r^T x / n of the per-example gradients r_i x_i^T,
     each first scaled to norm ||r_i|| ||x_i|| <= clip_k when clip_k is
-    finite.  One cell, r (n, C) and x (n, d) with a float clip_k, or a
-    stack, r (K, n, C) and x (K, n, d) with clip_k (K, 1), all finite or
-    all inf.  r is not changed.
+    finite.  One cell, r (n, C) with a float clip_k, or a stack, r (K, n, C)
+    with clip_k (K, 1), all finite or all inf; x (n, d).  r is not changed.
     """
     if not np.isinf(clip_k).all():
         r = r * _clip_factors(_row_norms(r) * _row_norms(x), clip_k)[..., None]
@@ -187,9 +186,9 @@ def step_terms_stack(theta, x, y, spec: LossSpec, clip_k):
     """Nominal loss, worst-case loss and mean clipped gradient of one step,
     for each of a stack of K independent cells.
 
-    ``theta`` is (K, d) or (K, C, d).  The batch is shared, x (n, d) and
-    y (n,), or one per cell, x (K, n, d) and y (K, n); labels are float
-    {-1, +1} for binary and integer classes for multi-class cells.
+    ``theta`` is (K, d) or (K, C, d).  The cells share the batch, x (n, d)
+    and y (n,); labels are float {-1, +1} for binary and integer classes
+    for multi-class cells.
     ``clip_k`` holds each cell's threshold, shape (K,).  Returns the nominal
     and worst-case losses, shape (K,), and the mean gradients, shaped like
     theta.
@@ -232,11 +231,7 @@ def step_terms_stack(theta, x, y, spec: LossSpec, clip_k):
         grad = np.empty_like(theta)
         for cells in (unclipped, ~unclipped):
             nominal[cells], adversarial[cells], grad[cells] = step_terms_stack(
-                theta[cells],
-                x[cells] if x.ndim == 3 else x,
-                y[cells] if y.ndim == 2 else y,
-                spec,
-                clip_k[cells],
+                theta[cells], x, y, spec, clip_k[cells]
             )
         return nominal, adversarial, grad
     n = x.shape[-2]

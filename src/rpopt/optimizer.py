@@ -1,14 +1,15 @@
 """Gradient descent with optional worst-case losses, clipping, and noise.
 
+Every step takes the whole training set (full-batch gradient descent).
 Whether ``clip_k`` is finite decides the noise regime.  With clip_k = inf
 (the analysed setting: the logistic losses here are already 1-Lipschitz)
-Gaussian noise with per-coordinate std sigma is added to the mean batch
+Gaussian noise with per-coordinate std sigma is added to the mean
 gradient.  With a finite clip_k (DP-SGD) every per-example gradient is
 clipped to norm k and the clipped gradients are averaged; noise with std
-sigma * k / n is added to that mean (std sigma * k on the sum, for batch
-size n).  A linear model's per-example gradient is rank one, so its norm
-and the clipped mean come from products of the inputs with the residuals
-(softmax) or with the dual-norm subgradient (binary); see
+sigma * k / n is added to that mean (std sigma * k on the sum of the n
+training examples).  A linear model's per-example gradient is rank one,
+so its norm and the clipped mean come from products of the inputs with
+the residuals (softmax) or with the dual-norm subgradient (binary); see
 :func:`rpopt.losses.step_terms_stack`.  No per-example gradient, and for the
 binary loss no per-example residual, is built.
 
@@ -23,11 +24,9 @@ alone; :func:`train` is the one-cell case.
 A noisy cell draws its Gaussian noise for a block of steps in one call of
 its Generator, and each step adds its row of the block to every noisy live
 cell at once.  ``Generator.normal`` fills an array in order, so a block is
-the same numbers as its steps' draws one by one.  Under minibatches a
-block is one step, since each step's batch choice comes between two
-steps' noise in the cell's stream; under full batches it is as many steps
-as fit ``NOISE_BUFFER_BYTES`` (163 steps for fig1's 20 noisy seeds at
-d = 10).  A cell that diverges mid-block leaves draws that nothing reads.
+the same numbers as its steps' draws one by one.  A block is as many
+steps as fit ``NOISE_BUFFER_BYTES`` (163 steps for fig1's 20 noisy seeds
+at d = 10).  A cell that diverges mid-block leaves draws that nothing reads.
 
 Multi-class worst-case training attacks every live cell of a step with
 PGD, one cell after another, through one :class:`rpopt.attacks.PGDWorkspace`
@@ -60,11 +59,11 @@ class OptimizerConfig:
     """Training hyperparameters.
 
     A finite ``clip_k`` clips every per-example gradient to that norm and
-    scales the noise with it (see :func:`noise_calibration`); ``batch = 0``
-    means full batch.  The first step takes rate eta for nominal training
-    and 4 * eta for worst-case training (the two-phase rule, which keeps
-    the iterate norm away from the origin where the worst-case loss is
-    non-smooth).  ``attack_steps`` only matters for multi-class worst-case
+    scales the noise with it (see :func:`noise_calibration`).  Every step
+    takes the whole training set.  The first step takes rate eta for
+    nominal training and 4 * eta for worst-case training (the two-phase
+    rule, which keeps the iterate norm away from the origin where the
+    worst-case loss is non-smooth).  ``attack_steps`` only matters for multi-class worst-case
     training, whose loss is defined through the projected-gradient attack.
     """
 
@@ -73,7 +72,6 @@ class OptimizerConfig:
     spec: LossSpec = LossSpec()
     clip_k: float = math.inf
     sigma: float = 0.0
-    batch: int = 0
     seed: int = 0
     attack_steps: int = 10
 
@@ -86,8 +84,6 @@ class OptimizerConfig:
             raise ValueError("clip_k must be positive (inf disables clipping)")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be finite and non-negative")
-        if self.batch < 0:
-            raise ValueError("batch must be >= 0 (0: full batch)")
         if self.attack_steps < 1:
             raise ValueError("attack_steps must be >= 1")
 
@@ -97,11 +93,10 @@ class TrainTrace:
     """Per-iterate record of a training run.
 
     Row t describes iterate t (t = 0 is the zero initializer), so there are
-    steps + 1 rows.  Losses and the gradient norm in row t < steps are
-    evaluated on the batch used for the update out of iterate t (the full
-    training set under full-batch training); the final row is always
-    evaluated on the full training set.  ``grad_norm`` is the norm of the
-    clipped, pre-noise mean gradient.
+    steps + 1 rows, each evaluated on the whole training set: losses and
+    the gradient norm in row t < steps are those of the update out of
+    iterate t.  ``grad_norm`` is the norm of the clipped, pre-noise mean
+    gradient.
     """
 
     t: np.ndarray
@@ -163,7 +158,7 @@ def train(dataset: Dataset, config: OptimizerConfig) -> TrainTrace:
 # the only fields in which the configs of one stack may differ
 STACKED_FIELDS = ("clip_k", "sigma", "seed")
 
-# the size of the noise a stack draws at a time, when it may draw ahead
+# the size of the noise a stack draws at a time
 NOISE_BUFFER_BYTES = 256 * 1024
 
 
@@ -175,12 +170,11 @@ def train_stack(dataset: Dataset, configs) -> list:
     stacked as (K, d) or (K, C, d) and every step is one call of
     :func:`rpopt.losses.step_terms_stack`, or for multi-class cells with
     c > 0 one attack per cell whose kept losses and residuals give the
-    cell's terms; each cell keeps its own Generator
-    (batch choice and noise, drawn a block of steps at a time, see the
-    module docstring) and its own PGD seeds.  Entry i of
-    the result is what ``train(dataset, configs[i])`` returns, bit for bit,
-    or the DivergenceError it raises: a cell that diverges stops updating
-    and never changes another cell's numbers.
+    cell's terms; each cell keeps its own Generator (its noise, drawn a
+    block of steps at a time, see the module docstring) and its own PGD
+    seeds.  Entry i of the result is what ``train(dataset, configs[i])``
+    returns, bit for bit, or the DivergenceError it raises: a cell that
+    diverges stops updating and never changes another cell's numbers.
 
     Multi-class cells with a budget c > 0 are attacked one after another
     (see the module docstring); an error raised by one cell's attack or
@@ -202,27 +196,22 @@ def train_stack(dataset: Dataset, configs) -> list:
                 f"not in {', '.join(differ)}"
             )
     multiclass = not dataset.is_binary
-    spec, steps, batch = first.spec, first.steps, first.batch
-    x_all = dataset.features
+    spec, steps = first.spec, first.steps
+    x = dataset.features
     if multiclass:
-        y_all = dataset.labels
+        y = dataset.labels
         shape = (dataset.num_classes, dataset.dim)
     else:
-        y_all = dataset.labels.astype(np.float64)
+        y = dataset.labels.astype(np.float64)
         shape = (dataset.dim,)
-    n_all = dataset.n
-    if batch > n_all:
-        raise ValueError("batch size exceeds dataset size")
     noise_std = [
-        noise_calibration(config, batch or n_all) if config.sigma > 0 else 0.0
+        noise_calibration(config, dataset.n) if config.sigma > 0 else 0.0
         for config in configs
     ]
     noisy = np.array([config.sigma > 0 for config in configs])
     noisy_cells = int(noisy.sum())
-    # steps of noise per draw: one when each step's batch draw comes between
-    # two steps' noise, else as many as fit the buffer
-    step_bytes = 8 * max(1, noisy_cells) * math.prod(shape)
-    block = 1 if batch else max(1, NOISE_BUFFER_BYTES // step_bytes)
+    # steps of noise per draw
+    block = max(1, NOISE_BUFFER_BYTES // (8 * max(1, noisy_cells) * math.prod(shape)))
     clip_k = np.array([config.clip_k for config in configs])
     rngs = [np.random.default_rng(config.seed) for config in configs]
     # per cell and iterate: nominal loss, worst-case loss, ||theta||, ||grad||
@@ -235,14 +224,13 @@ def train_stack(dataset: Dataset, configs) -> list:
     attacked = multiclass and spec.c > 0
     workspace = PGDWorkspace()  # the attack buffers of every cell and step
 
-    def eval_at(xb, yb, t):
+    def eval_at(t):
         """Losses and mean clipped gradients of the live cells; an attacked
         cell's come from the terms its attack kept."""
         if not attacked:
-            return losses_mod.step_terms_stack(theta, xb, yb, spec, clip_k)
+            return losses_mod.step_terms_stack(theta, x, y, spec, clip_k)
         nominal, adversarial, grad = np.empty(len(live)), np.empty(len(live)), np.empty_like(theta)
         for i, k in enumerate(live):
-            xk, yk = (xb, yb) if xb.ndim == 2 else (xb[i], yb[i])
             attack = AttackConfig(
                 budget=spec.c,
                 p=spec.p,
@@ -250,8 +238,8 @@ def train_stack(dataset: Dataset, configs) -> list:
                 seed=configs[k].seed + 7919 * (t + 1),
             )
             # a new array: delta, then x + delta
-            x_adv = pgd_batch(theta[i], xk, yk, attack, box=dataset.box, workspace=workspace)
-            x_adv += xk
+            x_adv = pgd_batch(theta[i], x, y, attack, box=dataset.box, workspace=workspace)
+            x_adv += x
             nominal[i] = workspace.clean_loss.mean()
             adversarial[i] = workspace.loss.mean()
             grad[i] = losses_mod._residual_gradient(workspace.residual, x_adv, clip_k[i])
@@ -281,12 +269,7 @@ def train_stack(dataset: Dataset, configs) -> list:
     for t in range(steps + 1):
         if not len(live):
             break
-        if batch == 0 or t == steps:  # the final row is on the full set
-            xb, yb = x_all, y_all
-        else:
-            idx = np.array([rngs[k].choice(n_all, size=batch, replace=False) for k in live])
-            xb, yb = x_all[idx], y_all[idx]
-        update = record(t, eval_at(xb, yb, t))
+        update = record(t, eval_at(t))
         if t == steps:
             break
         if noise.shape[1]:  # a live cell draws noise

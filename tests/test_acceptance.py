@@ -12,21 +12,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 from scipy.stats import spearmanr
 
 import rpopt
 from rpopt.attacks import AttackConfig, pgd_batch
 from rpopt.bounds import (
     BoundInputs,
-    ExcessRiskInputs,
     accountant_epsilon,
     accountant_sigma,
     evaluate_series,
-    excess_risk_bound,
 )
 from rpopt.curvature import max_eigenvalue, optimum_curvature
-from rpopt.data import generate_equal_margin, generate_separable, read_table, write_idx
+from rpopt.data import generate_equal_margin, read_table, write_idx
 from rpopt.experiments import KINDS, ExperimentConfig, run_experiment
 from rpopt.losses import (
     LossSpec,
@@ -373,57 +370,6 @@ def test_accountant_properties():
     nominal = accountant_epsilon(sigma, 100, 1.0, 1e-5).epsilon
     robust = accountant_epsilon(sigma, 100, 1.0, 1e-5, radius=0.1, dimension=20).epsilon
     assert robust > nominal
-
-
-def test_excess_risk_bound_dominates_measured_risk():
-    lam_sc, sigma, radius = 0.5, 0.3, 4.0
-    lipschitz = 1.0 + lam_sc * radius  # data lives in the unit ball
-    ds = generate_separable(d=5, n=200, gamma=0.3, seed=11)
-    x, y = ds.features, ds.labels.astype(np.float64)
-    spec = LossSpec()
-
-    def objective(theta):
-        value = logistic_loss(theta, x, y) + 0.5 * lam_sc * float(theta @ theta)
-        grad = gradient(theta, x, y, spec) + lam_sc * theta
-        return value, grad
-
-    solution = minimize(
-        objective,
-        np.zeros(5),
-        jac=True,
-        method="L-BFGS-B",
-        options=dict(gtol=1e-12, ftol=1e-16, maxiter=10000),
-    )
-    f_star = float(solution.fun)
-    assert float(np.linalg.norm(solution.jac)) < 1e-8
-
-    horizons = (100, 1000, 10000)
-    gaps = {T: [] for T in horizons}
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        theta = np.zeros(5)
-        for t in range(1, max(horizons) + 1):
-            grad = gradient(theta, x, y, spec) + lam_sc * theta
-            theta = theta - (grad + sigma * rng.standard_normal(5)) / (lam_sc * t)
-            norm = float(np.linalg.norm(theta))
-            if norm > radius:
-                theta *= radius / norm
-            if t in gaps:
-                gaps[t].append(objective(theta)[0] - f_star)
-
-    for T in horizons:
-        measured = float(np.mean(gaps[T]))
-        bound = excess_risk_bound(
-            ExcessRiskInputs(
-                strong_convexity=lam_sc,
-                lipschitz=lipschitz,
-                dimension=5,
-                sigma=sigma,
-                horizon=T,
-            )
-        )
-        assert measured >= 0.0
-        assert measured <= bound, f"T={T}: measured {measured:.4f} > bound {bound:.4f}"
 
 
 def test_deep_models_not_in_scope():

@@ -11,12 +11,10 @@ from rpopt.bounds import (
     FORMS,
     BoundInputs,
     EpsilonReport,
-    ExcessRiskInputs,
     accountant_epsilon,
     accountant_sigma,
     curvature_budget,
     evaluate_series,
-    excess_risk_bound,
     gap_curve,
     log_spaced_steps,
     sensitivity_bound,
@@ -322,45 +320,6 @@ class TestAccountant:
         ratio = doubled.sigma**2 / base.sigma**2
         assert ratio <= 2.0 * (1.0 + 1e-4)
         assert ratio > 1.5
-
-
-class TestExcessRisk:
-    def test_validation(self):
-        for kwargs in [
-            dict(strong_convexity=0.0, lipschitz=1.0, dimension=1, sigma=0.0, horizon=1),
-            dict(strong_convexity=1.0, lipschitz=0.0, dimension=1, sigma=0.0, horizon=1),
-            dict(strong_convexity=1.0, lipschitz=1.0, dimension=-1, sigma=0.0, horizon=1),
-            dict(strong_convexity=1.0, lipschitz=1.0, dimension=1, sigma=-1.0, horizon=1),
-            dict(strong_convexity=1.0, lipschitz=1.0, dimension=1, sigma=0.0, horizon=0),
-        ]:
-            with pytest.raises(ValueError):
-                ExcessRiskInputs(**kwargs)
-
-    def test_noiseless_reduction(self):
-        inputs = ExcessRiskInputs(
-            strong_convexity=0.5, lipschitz=3.0, dimension=10, sigma=0.0, horizon=1000
-        )
-        expected = 17.0 * 9.0 * (1.0 + math.log(1000)) / (0.5 * 1000)
-        assert excess_risk_bound(inputs) == pytest.approx(expected, rel=1e-15)
-
-    def test_noise_enters_through_dimension(self):
-        base = ExcessRiskInputs(
-            strong_convexity=0.5, lipschitz=3.0, dimension=10, sigma=0.2, horizon=1000
-        )
-        wide = replace(base, dimension=1000)
-        assert excess_risk_bound(wide) > excess_risk_bound(base)
-        assert excess_risk_bound(replace(base, sigma=0.0)) < excess_risk_bound(base)
-
-    def test_decreases_in_horizon(self):
-        values = [
-            excess_risk_bound(
-                ExcessRiskInputs(
-                    strong_convexity=1.0, lipschitz=1.0, dimension=5, sigma=0.1, horizon=T
-                )
-            )
-            for T in (10, 100, 1000, 10000)
-        ]
-        assert all(a > b for a, b in zip(values, values[1:]))
 
 
 STEPS = st.integers(min_value=1, max_value=10**6)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from rpopt.cli import load_train_config, main
-from rpopt.data import Dataset, load_csv, read_table, save_csv, write_idx
+from rpopt.data import Dataset, load_csv, read_table, save_csv, write_idx, write_table
 from rpopt import curvature, experiments, report
 from rpopt.errors import DataFormatError, ExperimentError
 from rpopt.experiments import (
@@ -351,6 +351,26 @@ class TestVerifyReportFaults:
         assert "all bound values positive" in failed
         assert "bound_private >= bound_nominal pointwise" in failed
 
+    @pytest.mark.parametrize("examples, passed", [(1, True), (2, False)])
+    def test_attack_eval_slack_is_one_and_a_half_test_examples(
+        self, tmp_path, examples, passed
+    ):
+        # the defaults test on 150 of 600 examples: one example of
+        # disagreement with the closed form is within the slack, two are not
+        out = tmp_path / "attack"
+        run_experiment(
+            ExperimentConfig(kind="attack-eval", output_dir=str(out), seeds=(0,), params={})
+        )
+        csv_path = str(out / "attack-eval.csv")
+        table = read_table(csv_path)
+        table["acc_standard"][0] -= examples / 150
+        write_table(csv_path, list(table), zip(*table.values()))
+        (check,) = [
+            check for check in verify_report(str(out)).checks
+            if check.name == "acc_standard matches the closed form"
+        ]
+        assert check.passed is passed, check.measured
+
     def test_constant_column_makes_spearman_undefined(self, tmp_path):
         out = tmp_path / "fig8"
         out.mkdir()
@@ -596,21 +616,6 @@ class TestCliInProcess:
         assert code == 1 and "stpes" in err
         assert not out.exists()
 
-    def test_train_batch_zero_is_full_batch(self, run_cli, tmp_path):
-        data = str(tmp_path / "data.csv")
-        run_cli("gen-data", "--d", 4, "--n", 40, "--seed", 1, "--out", data)
-        outputs = []
-        for batch in ("", "0"):
-            ini = tmp_path / f"train{batch}.ini"
-            ini.write_text(f"[train]\neta = 0.5\nsteps = 5\nbatch = {batch}\n",
-                           encoding="utf-8")
-            out = tmp_path / f"trace{batch}.csv"
-            code, _, err = run_cli("train", "--config", str(ini), "--data", data,
-                                   "--out", str(out))
-            assert code == 0, err
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-
     def test_train_limit_zero_reads_every_example(self, run_cli, tmp_path):
         rng = np.random.default_rng(3)
         images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
@@ -657,29 +662,30 @@ class TestCliInProcess:
             outputs[name] = out.read_bytes()
         assert outputs["limit 5"] == outputs["head"] != outputs["full"] == outputs["limit 0"]
 
-    def test_train_rejects_a_negative_batch(self, run_cli, tmp_path):
+    def test_train_rejects_batch_as_an_unknown_key(self, run_cli, tmp_path):
+        # every step takes the whole training set: no key selects a batch
         data = str(tmp_path / "data.csv")
         run_cli("gen-data", "--d", 4, "--n", 40, "--out", data)
         ini = tmp_path / "train.ini"
-        ini.write_text("[train]\neta = 0.5\nsteps = 5\nbatch = -2\n", encoding="utf-8")
+        ini.write_text("[train]\neta = 0.5\nsteps = 5\nbatch = 0\n", encoding="utf-8")
         out = tmp_path / "t.csv"
         code, _, err = run_cli("train", "--config", str(ini), "--data", data, "--out", str(out))
-        assert code == 1 and "[train] batch" in err
+        assert code == 1 and "[train]: unknown parameters ['batch']" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["fig8-sweep", "fig9-sweep"])
-    def test_sweep_kind_rejects_a_negative_batch_on_read(self, run_cli, tmp_path, kind):
+    def test_sweep_kind_rejects_batch_as_an_unknown_key_on_read(self, run_cli, tmp_path, kind):
         ini = tmp_path / "exp.ini"
         out = tmp_path / "out"
         ini.write_text(
             f"[experiment]\nkind = {kind}\noutput_dir = {out}\n\n"
-            "[params]\nn = 60\nsteps = 2\nbatch = -1\n",
+            "[params]\nn = 60\nsteps = 2\nbatch = 0\n",
             encoding="utf-8",
         )
-        with pytest.raises(ValueError, match=r"\[params\] batch"):
+        with pytest.raises(ValueError, match=r"\[params\]: unknown parameters \['batch'\]"):
             load_experiment_config(str(ini))
         code, _, err = run_cli("experiment", "--config", str(ini))
-        assert code == 1 and "[params] batch" in err
+        assert code == 1 and "[params]: unknown parameters ['batch']" in err
         assert not out.exists()
 
     def test_load_train_config_errors(self, tmp_path):
@@ -1042,16 +1048,6 @@ class TestCliInProcess:
         assert not out.exists()
         assert multiprocessing.active_children() == []
 
-    def test_sweep_batch_larger_than_training_part_fails(self, run_cli, tmp_path, sweep_data):
-        out = tmp_path / "sweep"
-        # 50 training examples after the default split, against batch 51
-        code, _, err = run_cli(
-            "sweep", "--mode", "clip", "--out-dir", out, "--param", f"data_csv={sweep_data}",
-            "--param", "c_grid=0", "--param", "steps=2", "--param", "batch=51",
-        )
-        assert code == 1 and "batch 51" in err and "load-data" in err
-        assert not out.exists()
-
     @pytest.mark.parametrize("source", ["csv", "idx"])
     def test_multiclass_sweep_rejects_p_2_with_a_budget(self, run_cli, tmp_path, source):
         # the frozen-attack lambda_max has no l2 norm term, so it would read
@@ -1091,29 +1087,6 @@ class TestCliInProcess:
         assert code == 0, err
         assert read_table(str(out / "fig8-sweep.csv"))["c"].tolist() == [0.0, 0.05]
 
-    def test_sweep_defaults_to_full_batch(self, run_cli, tmp_path, sweep_data):
-        args = (
-            "sweep", "--mode", "clip", "--param", f"data_csv={sweep_data}",
-            "--param", "c_grid=0,0.05", "--param", "k_grid=0.5", "--param", "eta=1.0",
-            "--param", "steps=5", "--param", "curvature_examples=16",
-        )
-        default, full = tmp_path / "default", tmp_path / "full"
-        code, _, err = run_cli(*args, "--out-dir", default)
-        assert code == 0, err
-        code, _, err = run_cli(*args, "--out-dir", full, "--param", "batch=0")
-        assert code == 0, err
-        for name in ("fig8-sweep.csv", MANIFEST_NAME):
-            assert (default / name).read_bytes() == (full / name).read_bytes()
-
-    def test_sweep_rejects_a_negative_batch(self, run_cli, tmp_path, sweep_data):
-        out = tmp_path / "sweep"
-        code, _, err = run_cli(
-            "sweep", "--mode", "clip", "--out-dir", out, "--param", f"data_csv={sweep_data}",
-            "--param", "batch=-1",
-        )
-        assert code == 1 and "[params] batch" in err
-        assert not out.exists()
-
     def test_sweep_flag_requirements(self, run_cli, tmp_path):
         out = tmp_path / "sweep"
         code, _, err = run_cli("sweep", "--out-dir", out)
@@ -1127,12 +1100,10 @@ class TestCliInProcess:
         assert code == 1 and "kgrid" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("fault", ["batch", "missing-file", "malformed-file"])
+    @pytest.mark.parametrize("fault", ["missing-file", "malformed-file"])
     def test_experiment_input_faults_exit_one(self, run_cli, tmp_path, sweep_data, fault):
         params = {"data_csv": sweep_data, "c_grid": "0", "steps": "2"}
-        if fault == "batch":
-            params["batch"] = "51"
-        elif fault == "missing-file":
+        if fault == "missing-file":
             params["data_csv"] = str(tmp_path / "nope.csv")
         else:
             params["data_csv"] = str(tmp_path / "bad.csv")
@@ -1266,9 +1237,9 @@ class TestConfigReader:
         run_cli("gen-data", "--d", 4, "--n", 40, "--seed", 1, "--out", path)
         return path
 
-    def _outputs(self, run_cli, tmp_path, data, section, key, line):
-        """The output bytes of one run whose [train] or [params] ends with
-        ``line``; a [params] ``key`` of batch selects a sweep kind."""
+    def _outputs(self, run_cli, tmp_path, data, section, line):
+        """The output bytes of one run whose [train] or fig3 [params] ends
+        with ``line``."""
         out = tmp_path / f"out{len(os.listdir(tmp_path))}"
         ini = tmp_path / f"{out.name}.ini"
         if section == "train":
@@ -1276,25 +1247,18 @@ class TestConfigReader:
             code, _, err = run_cli("train", "--config", ini, "--data", data, "--out", out)
             assert code == 0, err
             return [out.read_bytes()]
-        if key == "batch":
-            head = f"[experiment]\nkind = fig8-sweep\noutput_dir = {out}\n"
-            params = (f"[params]\ndata_csv = {data}\nc_grid = 0\nk_grid = 1\n"
-                      "steps = 2\ncurvature_examples = 8\n")
-        else:
-            head, params = _FIG3.format(out=out), _FIG3_PARAMS
-        ini.write_text(head + params + line)
+        ini.write_text(_FIG3.format(out=out) + _FIG3_PARAMS + line)
         code, _, err = run_cli("experiment", "--config", ini)
         assert code == 0, err
         return [path.read_bytes() for path in sorted(out.iterdir())]
 
-    @pytest.mark.parametrize("key, value", [("batch", "")], ids=["batch-empty"])
+    @pytest.mark.parametrize("section, key", [("train", "p"), ("params", "c")])
     def test_an_empty_value_means_the_default_in_both_readers(
-        self, run_cli, tmp_path, data, key, value
+        self, run_cli, tmp_path, data, section, key
     ):
-        for section in ("train", "params"):
-            given = self._outputs(run_cli, tmp_path, data, section, key, f"{key} = {value}\n")
-            default = self._outputs(run_cli, tmp_path, data, section, key, "")
-            assert given == default, section
+        given = self._outputs(run_cli, tmp_path, data, section, f"{key} = \n")
+        default = self._outputs(run_cli, tmp_path, data, section, "")
+        assert given == default
 
     @pytest.mark.parametrize(
         "verb, text, env_seed, source",

@@ -314,12 +314,13 @@ def test_pgd_batch_matches_the_written_out_loop_at_digits_size():
 
 
 def _reuse_calls():
-    """Attacks one workspace serves in turn, as a training run makes them."""
+    """Attacks one workspace serves in turn: inputs of one shape, then of
+    another."""
     rng = np.random.default_rng(21)
     x = rng.uniform(0.0, 1.0, size=(40, 6))
     x[:, 0] = 0.0
-    x_next = rng.uniform(0.0, 1.0, size=(40, 6))  # the next minibatch
-    x_full = rng.uniform(0.0, 1.0, size=(55, 6))  # the final full-set step
+    x_next = rng.uniform(0.0, 1.0, size=(40, 6))  # other inputs of the same shape
+    x_full = rng.uniform(0.0, 1.0, size=(55, 6))  # inputs of another shape
     theta = rng.standard_normal((4, 6))
     theta_next = rng.standard_normal((4, 6))
     y, y_next, y_full = (rng.integers(0, 4, size=len(a)) for a in (x, x_next, x_full))
@@ -500,14 +501,14 @@ def test_an_input_changed_in_place_gets_new_box_bounds(case):
 def test_a_new_budget_box_or_array_gets_new_box_bounds():
     theta, x, y = _box_case(33)
     x, other = _read_only_copy(x), _read_only_copy(1.0 - x)
-    minibatch = x[::-1].copy()  # writeable, of the same shape
+    writeable = x[::-1].copy()  # of the same shape
     workspace = PGDWorkspace()
     calls = [
         (x, 0.3, (0.0, 1.0)),
         (x, 0.1, (0.0, 1.0)),  # new budget
         (x, 0.1, (0.0, 0.9)),  # new box
         (other, 0.1, (0.0, 0.9)),  # new array, same shape
-        (minibatch, 0.1, (0.0, 0.9)),  # a writeable array in the same buffers
+        (writeable, 0.1, (0.0, 0.9)),  # a writeable array in the same buffers
         (x, 0.1, (0.0, 0.9)),  # back to the first array
     ]
     previous = None

@@ -28,7 +28,6 @@ class TestOptimizerConfig:
             dict(eta=0.1, steps=10, clip_k=0.0),
             dict(eta=0.1, steps=10, sigma=-1.0),
             dict(eta=0.1, steps=10, sigma=math.inf),
-            dict(eta=0.1, steps=10, batch=-1),
             dict(eta=0.1, steps=10, attack_steps=0),
         ],
     )
@@ -74,11 +73,22 @@ class TestTraceContract:
         assert trace.config is cfg
 
     def test_final_row_losses_are_full_dataset(self, small_binary):
-        trace = train(small_binary, OptimizerConfig(eta=0.5, steps=10, batch=8, seed=2))
+        trace = train(small_binary, OptimizerConfig(eta=0.5, steps=10, seed=2))
         theta = trace.final_params
         assert trace.nominal_loss[-1] == pytest.approx(
             logistic_loss(theta, small_binary.features, small_binary.labels), rel=1e-15
         )
+
+    def test_every_step_takes_the_whole_set(self, small_binary):
+        eta, steps = 0.5, 6
+        trace = train(small_binary, OptimizerConfig(eta=eta, steps=steps))
+        x, y = small_binary.features, small_binary.labels.astype(np.float64)
+        theta = np.zeros(small_binary.dim)
+        for t in range(steps):
+            grad = gradient(theta, x, y, LossSpec())
+            assert trace.grad_norm[t] == pytest.approx(np.linalg.norm(grad), rel=1e-12)
+            theta = theta - eta * grad
+        np.testing.assert_allclose(trace.final_params, theta, rtol=1e-12)
 
     def test_adversarial_column_tracks_closed_form(self, small_binary):
         spec = LossSpec(0.1, math.inf)
@@ -97,9 +107,7 @@ class TestTraceContract:
 
 class TestDeterminismAndDescent:
     def test_bitwise_deterministic_with_noise(self, small_binary):
-        cfg = OptimizerConfig(
-            eta=0.3, steps=30, sigma=0.5, batch=16, clip_k=1.0, seed=99
-        )
+        cfg = OptimizerConfig(eta=0.3, steps=30, sigma=0.5, clip_k=1.0, seed=99)
         a = train(small_binary, cfg)
         b = train(small_binary, cfg)
         np.testing.assert_array_equal(a.final_params, b.final_params)
@@ -181,27 +189,7 @@ def three_class():
     return Dataset(features=features, labels=labels)
 
 
-class TestBatchingAndMulticlass:
-    def test_batch_must_fit(self, small_binary):
-        with pytest.raises(ValueError, match="batch"):
-            train(small_binary, OptimizerConfig(eta=0.1, steps=1, batch=small_binary.n + 1))
-
-    def test_batch_zero_trains_on_the_whole_set(self, small_binary):
-        eta, steps = 0.5, 6
-        trace = train(small_binary, OptimizerConfig(eta=eta, steps=steps, batch=0))
-        x, y = small_binary.features, small_binary.labels.astype(np.float64)
-        theta = np.zeros(small_binary.dim)
-        for t in range(steps):
-            grad = gradient(theta, x, y, LossSpec())
-            assert trace.grad_norm[t] == pytest.approx(np.linalg.norm(grad), rel=1e-12)
-            theta = theta - eta * grad
-        np.testing.assert_allclose(trace.final_params, theta, rtol=1e-12)
-
-    def test_minibatch_differs_from_full_batch(self, small_binary):
-        full = train(small_binary, OptimizerConfig(eta=0.5, steps=20, seed=0))
-        mini = train(small_binary, OptimizerConfig(eta=0.5, steps=20, batch=8, seed=0))
-        assert not np.array_equal(full.final_params, mini.final_params)
-
+class TestMulticlass:
     def test_multiclass_nominal_training(self, three_class):
         trace = train(three_class, OptimizerConfig(eta=1.0, steps=40, seed=0))
         assert trace.final_params.shape == (3, 3)

@@ -23,7 +23,6 @@ PUBLIC = [
     "Dataset",
     "DivergenceError",
     "EpsilonReport",
-    "ExcessRiskInputs",
     "ExperimentConfig",
     "ExperimentError",
     "InvalidRegimeError",
@@ -48,7 +47,6 @@ PUBLIC = [
     "curvature_budget",
     "evaluate_series",
     "exact_linear_robust_accuracy",
-    "excess_risk_bound",
     "gap_curve",
     "generate_equal_margin",
     "generate_separable",
@@ -85,6 +83,7 @@ PUBLIC = [
 
 _BOUNDS = ["bound_nominal", "bound_private", "bound_robust", "bound_robust_private",
            "bound_robust_under_standard"]
+_EXCESS_RISK = ["ExcessRiskInputs", "excess_risk_bound"]
 REMOVED = [
     *[(owner, "ModelParams") for owner in (rpopt, losses)],
     (losses, "model_weights"),
@@ -97,12 +96,14 @@ REMOVED = [
     (curvature, "_top_eigenpair"),
     (experiments, "_float_or_none"),
     (optimizer.OptimizerConfig, "resolved_first_step_eta"),
+    *[(owner, name) for owner in (rpopt, bounds) for name in _EXCESS_RISK],
 ]
 REMOVED_FIELDS = [
     (bounds.BoundInputs, "t"),
     (curvature.SpectrumReport, "theta_norm"),
     (curvature.SpectrumReport, "predicted"),
     (optimizer.OptimizerConfig, "first_step_eta"),
+    (optimizer.OptimizerConfig, "batch"),
     (data.Dataset, "name"),
 ]
 

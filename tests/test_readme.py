@@ -41,3 +41,13 @@ def test_train_ini_reads_and_documents_every_key(text, tmp_path):
     # the key list under the block names every [train] key, and only those
     listing = text.split("All `[train]` keys with defaults:", 1)[1].split("\n\n", 1)[0]
     assert re.findall(r"`(\w+)`\s+\(", listing) == list(experiments._TRAIN)
+
+
+def test_params_checks_name_every_parsed_key(text):
+    # the paragraph on [params] checks names each key with a parser, and a
+    # deleted key cannot linger in it
+    start = "The `[params]` values are checked when the config is read"
+    paragraph = text[text.index(start):].split("\n\n", 1)[0]
+    keys = {key for defaults in experiments._DEFAULTS.values() for key in defaults}
+    named = {word for word in re.findall(r"`([^`]+)`", paragraph) if word in keys}
+    assert named == set(experiments._PARAMS_PARSERS)

@@ -140,10 +140,11 @@ class TestBinaryRankOne:
         _assert_close(grad, _reference_gradient(theta, x, y, spec, k), cancelled)
 
     @pytest.mark.parametrize("p", [2.0, math.inf])
-    def test_per_cell_minibatches_with_mixed_clipping(self, rng, p):
+    def test_mixed_clipping_on_one_shared_batch(self, rng, p):
+        # clipped and unclipped cells take two expressions, on one batch
         cells, n, d = 5, 12, 5
-        x = np.stack([_batch(rng, n, d) for _ in range(cells)])
-        y = rng.choice([-1.0, 1.0], size=(cells, n))
+        x = _batch(rng, n, d)
+        y = rng.choice([-1.0, 1.0], size=n)
         theta = rng.normal(size=(cells, d))
         theta[2] = 0.0
         clip_k = np.array([0.3, math.inf, 1e-6, 1e6, math.inf])
@@ -151,7 +152,7 @@ class TestBinaryRankOne:
         with np.errstate(all="raise"):
             grad = losses.step_terms_stack(theta, x, y, spec, clip_k)[2]
         for i in range(cells):
-            _assert_close(grad[i], _reference_gradient(theta[i], x[i], y[i], spec, clip_k[i]))
+            _assert_close(grad[i], _reference_gradient(theta[i], x, y, spec, clip_k[i]))
 
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_stacked_cells_match_one_cell_calls(self, rng, p):
@@ -245,7 +246,6 @@ def test_multiclass_dpsgd_training_builds_no_per_example_tensor(monkeypatch):
         spec=LossSpec(0.05, math.inf),
         clip_k=k,
         sigma=0.5,
-        batch=24,
         seed=7,
         attack_steps=3,
     )

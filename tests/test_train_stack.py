@@ -2,8 +2,8 @@
 
 The reference is the one-cell training loop, kept here as it stood before
 training was stacked: one call of ``losses.step_terms_stack`` on a stack of
-this one cell per step, with the cell's own Generator for batch choice and
-noise and its own PGD seeds.  An attacked multi-class step takes its terms
+this one cell per step on the whole training set, with the cell's own
+Generator for noise and its own PGD seeds.  An attacked multi-class step takes its terms
 as the kernel once took them from the attacked batch x_adv (the oracle
 ``_attacked_terms``); ``train_stack`` takes them from the attack instead.
 Every comparison is bit for bit.
@@ -52,37 +52,32 @@ def _train_one(dataset, config):
     DivergenceError the run stops with."""
     multiclass = not dataset.is_binary
     spec = config.spec
-    x_all = dataset.features
+    x = dataset.features
     if multiclass:
-        y_all = dataset.labels
+        y = dataset.labels
         theta = np.zeros((dataset.num_classes, dataset.dim))
     else:
-        y_all = dataset.labels.astype(np.float64)
+        y = dataset.labels.astype(np.float64)
         theta = np.zeros(dataset.dim)
-    # the noise std on the mean gradient: sigma unclipped, sigma * k / batch clipped
+    # the noise std on the mean gradient: sigma unclipped, sigma * k / n clipped
     noise_std = config.sigma
     if math.isfinite(config.clip_k):
-        noise_std = config.sigma * config.clip_k / (config.batch or dataset.n)
+        noise_std = config.sigma * config.clip_k / dataset.n
     rng = np.random.default_rng(config.seed)
     rows = np.zeros((config.steps + 1, 5))
 
-    def eval_at(xb, yb, t):
+    def eval_at(t):
         if multiclass and spec.c > 0:
             attack = AttackConfig(
                 budget=spec.c, p=spec.p, steps=config.attack_steps, seed=config.seed + 7919 * (t + 1)
             )
-            x_adv = xb + pgd_batch(theta, xb, yb, attack, box=dataset.box)
-            return _attacked_terms(theta, xb, yb, config.clip_k, x_adv)
-        nominal, adversarial, grad = step_terms_stack(theta[None], xb, yb, spec, [config.clip_k])
+            x_adv = x + pgd_batch(theta, x, y, attack, box=dataset.box)
+            return _attacked_terms(theta, x, y, config.clip_k, x_adv)
+        nominal, adversarial, grad = step_terms_stack(theta[None], x, y, spec, [config.clip_k])
         return nominal[0], adversarial[0], grad[0]
 
     for t in range(config.steps + 1):
-        if config.batch == 0 or t == config.steps:
-            xb, yb = x_all, y_all
-        else:
-            idx = rng.choice(dataset.n, size=config.batch, replace=False)
-            xb, yb = x_all[idx], y_all[idx]
-        nominal, adversarial, grad = eval_at(xb, yb, t)
+        nominal, adversarial, grad = eval_at(t)
         if not (math.isfinite(nominal) and math.isfinite(adversarial)):
             return DivergenceError(t)
         rows[t] = (t, nominal, adversarial, np.linalg.norm(theta), np.linalg.norm(grad))
@@ -152,9 +147,8 @@ BINARY_SPECS = {
 
 class TestBinary:
     @pytest.mark.parametrize("spec", BINARY_SPECS.values(), ids=BINARY_SPECS.keys())
-    @pytest.mark.parametrize("batch", [0, 17], ids=["full", "minibatch"])
-    def test_dpsgd_cells_match_one_cell_training(self, binary_data, spec, batch):
-        base = OptimizerConfig(eta=0.5, steps=15, spec=spec, batch=batch)
+    def test_dpsgd_cells_match_one_cell_training(self, binary_data, spec):
+        base = OptimizerConfig(eta=0.5, steps=15, spec=spec)
         # finite and infinite thresholds, with and without noise, in one stack
         configs = _cells(
             base,
@@ -168,10 +162,9 @@ class TestBinary:
         configs = [replace(base, sigma=0.25, seed=seed) for seed in range(4)]
         _check_stack(binary_data, configs + [replace(base, seed=9)])
 
-    @pytest.mark.parametrize("batch", [0, 17], ids=["full", "minibatch"])
-    def test_noisy_cells_of_both_regimes_mix(self, binary_data, batch):
-        # unclipped cells (noise std sigma) beside clipped ones (sigma * k / batch)
-        base = OptimizerConfig(eta=0.5, steps=15, spec=BINARY_SPECS["c>0,p=2"], batch=batch)
+    def test_noisy_cells_of_both_regimes_mix(self, binary_data):
+        # unclipped cells (noise std sigma) beside clipped ones (sigma * k / n)
+        base = OptimizerConfig(eta=0.5, steps=15, spec=BINARY_SPECS["c>0,p=2"])
         configs = _cells(
             base, [(math.inf, 0.3, 1), (0.5, 0.7, 2), (math.inf, 0.1, 3), (2.0, 3.0, 4)]
         )
@@ -184,18 +177,14 @@ class TestBinary:
 
 class TestMulticlass:
     @pytest.mark.parametrize("c", [0.0, 0.05], ids=["clean", "attacked"])
-    @pytest.mark.parametrize("batch", [0, 24], ids=["full", "minibatch"])
-    def test_cells_match_one_cell_training(self, box_data, c, batch):
+    def test_cells_match_one_cell_training(self, box_data, c):
         spec = LossSpec(c, math.inf) if c > 0 else LossSpec()
-        base = OptimizerConfig(eta=1.0, steps=8, spec=spec, batch=batch, attack_steps=3)
+        base = OptimizerConfig(eta=1.0, steps=8, spec=spec, attack_steps=3)
         configs = _cells(base, [(0.05, 0.5, 7), (math.inf, 0.0, 8), (0.5, 0.0, 9)])
         _check_stack(box_data, configs)
 
-    @pytest.mark.parametrize("batch", [0, 24], ids=["full", "minibatch"])
-    def test_noisy_cells_of_both_regimes_mix(self, box_data, batch):
-        base = OptimizerConfig(
-            eta=1.0, steps=8, spec=LossSpec(0.05), batch=batch, attack_steps=3
-        )
+    def test_noisy_cells_of_both_regimes_mix(self, box_data):
+        base = OptimizerConfig(eta=1.0, steps=8, spec=LossSpec(0.05), attack_steps=3)
         configs = _cells(base, [(math.inf, 0.4, 7), (0.05, 0.5, 8), (math.inf, 0.1, 9)])
         _check_stack(box_data, configs)
 
@@ -206,14 +195,8 @@ class CellFault(Exception):
 
 class TestAttackedCells:
     @pytest.mark.parametrize("p", [2.0, math.inf], ids=["l2", "linf"])
-    @pytest.mark.parametrize("batch", [0, 24], ids=["full", "minibatch"])
-    def test_diverging_cells_keep_the_one_cell_bits_and_the_callers_errstate(
-        self, box_data, batch, p
-    ):
-        base = OptimizerConfig(
-            eta=1.0, steps=10, spec=LossSpec(0.05, p), batch=batch,
-            attack_steps=3,
-        )
+    def test_diverging_cells_keep_the_one_cell_bits_and_the_callers_errstate(self, box_data, p):
+        base = OptimizerConfig(eta=1.0, steps=10, spec=LossSpec(0.05, p), attack_steps=3)
         # finite and infinite thresholds; a finite iterate so large that its
         # l2 attack overflows; three cells that overflow, not all at one step,
         # so the live cells shrink in stages
@@ -324,9 +307,8 @@ class TestTwoClassOracle:
 
 class TestDivergence:
     @pytest.mark.parametrize("clipped", [True, False], ids=["clipped", "unclipped"])
-    @pytest.mark.parametrize("batch", [0, 17], ids=["full", "minibatch"])
-    def test_diverging_cells_leave_their_stack_mates_alone(self, binary_data, batch, clipped):
-        base = OptimizerConfig(eta=0.5, steps=30, batch=batch)
+    def test_diverging_cells_leave_their_stack_mates_alone(self, binary_data, clipped):
+        base = OptimizerConfig(eta=0.5, steps=30)
         mates = [replace(base, clip_k=0.1, sigma=0.2, seed=1), replace(base, clip_k=2.0, seed=3)]
         # the first overflows at once, the second only after several steps
         diverging = [
@@ -374,9 +356,6 @@ class _RecordingRng:
         self.sizes.append(size)
         return self.rng.normal(loc, scale, size=size)
 
-    def choice(self, *args, **kwargs):
-        return self.rng.choice(*args, **kwargs)
-
 
 def _noise_draws(monkeypatch, dataset, configs):
     """The size of every normal draw of ``train_stack(dataset, configs)``,
@@ -391,10 +370,9 @@ def _noise_draws(monkeypatch, dataset, configs):
 
 
 class TestNoiseBlocks:
-    """A noisy cell draws its noise for a block of steps at once: one step
-    at a time under minibatches, whose batch draws come between two steps'
-    noise, and else as many steps as fit ``optimizer.NOISE_BUFFER_BYTES``.
-    The reference loop draws per step; the streams must agree bit for bit."""
+    """A noisy cell draws its noise for a block of steps at once, as many
+    steps as fit ``optimizer.NOISE_BUFFER_BYTES``.  The reference loop
+    draws per step; the streams must agree bit for bit."""
 
     @staticmethod
     def _block(monkeypatch, steps_per_block, noisy_cells, shape):
@@ -453,15 +431,6 @@ class TestNoiseBlocks:
         assert [outcomes[1].step, outcomes[3].step] == [17, 10]
         assert all(isinstance(outcomes[i], TrainTrace) for i in (0, 2, 4))
 
-    def test_minibatch_cells_draw_one_step_at_a_time(self, binary_data, monkeypatch):
-        base = OptimizerConfig(eta=0.5, steps=9, spec=BINARY_SPECS["c>0,p=inf"], batch=17)
-        configs = _cells(base, [(math.inf, 0.3, 1), (0.5, 0.7, 2), (0.1, 0.0, 3),
-                                (math.inf, 0.1, 4), (2.0, 3.0, 5)])
-        draws, _ = _noise_draws(monkeypatch, binary_data, configs)
-        assert draws[2] == []
-        assert all(sizes == [(1, 5)] * 9 for i, sizes in enumerate(draws) if i != 2)
-        _check_stack(binary_data, configs)
-
     def test_multiclass_cells_draw_blocks_of_matrices(self, box_data, monkeypatch):
         base = OptimizerConfig(eta=1.0, steps=10)
         configs = _cells(base, [(math.inf, 0.4, 7), (0.05, 0.5, 8), (0.5, 0.0, 9),
@@ -476,7 +445,6 @@ class TestNoiseBlocks:
 MISMATCHES = [
     {"eta": 0.2},
     {"steps": 4},
-    {"batch": 10},
     {"spec": LossSpec(0.05)},
     {"attack_steps": 3},
 ]
@@ -486,7 +454,7 @@ class TestValidation:
     def test_stacked_fields(self):
         shared = {f.name for f in fields(OptimizerConfig)} - set(STACKED_FIELDS)
         assert set(STACKED_FIELDS) == {"clip_k", "sigma", "seed"}
-        assert shared == {"eta", "steps", "batch", "spec", "attack_steps"}
+        assert shared == {"eta", "steps", "spec", "attack_steps"}
         assert {next(iter(change)) for change in MISMATCHES} == shared  # one case each
 
     @pytest.mark.parametrize("change", MISMATCHES, ids=lambda change: next(iter(change)))
