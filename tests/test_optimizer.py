@@ -79,15 +79,21 @@ class TestTraceContract:
             logistic_loss(theta, small_binary.features, small_binary.labels), rel=1e-15
         )
 
-    def test_every_step_takes_the_whole_set(self, small_binary):
+    @pytest.mark.parametrize(
+        "spec",
+        [LossSpec(), LossSpec(0.05, 2.0), LossSpec(0.05, math.inf)],
+        ids=["c=0", "c>0,p=2", "c>0,p=inf"],
+    )
+    def test_every_step_takes_the_whole_set(self, small_binary, spec):
         eta, steps = 0.5, 6
-        trace = train(small_binary, OptimizerConfig(eta=eta, steps=steps))
+        trace = train(small_binary, OptimizerConfig(eta=eta, steps=steps, spec=spec))
         x, y = small_binary.features, small_binary.labels.astype(np.float64)
         theta = np.zeros(small_binary.dim)
         for t in range(steps):
-            grad = gradient(theta, x, y, LossSpec())
+            grad = gradient(theta, x, y, spec)
             assert trace.grad_norm[t] == pytest.approx(np.linalg.norm(grad), rel=1e-12)
-            theta = theta - eta * grad
+            # an attacked run takes its first step at 4 eta
+            theta = theta - (4.0 * eta if t == 0 and spec.c > 0 else eta) * grad
         np.testing.assert_allclose(trace.final_params, theta, rtol=1e-12)
 
     def test_adversarial_column_tracks_closed_form(self, small_binary):

@@ -441,6 +441,68 @@ class TestNoiseBlocks:
         _check_stack(box_data, configs)
 
 
+    @pytest.mark.parametrize("steps_per_block", [1, 2, 5, 11, 40])
+    @pytest.mark.parametrize("data", ["binary_data", "box_data"], ids=["binary", "multiclass"])
+    def test_every_block_length_gives_the_per_step_draws(
+        self, request, monkeypatch, data, steps_per_block
+    ):
+        # from one step per block to one block longer than the whole run
+        dataset = request.getfixturevalue(data)
+        steps = 11
+        spec = LossSpec() if data == "box_data" else BINARY_SPECS["c>0,p=inf"]
+        base = OptimizerConfig(eta=0.5, steps=steps, spec=spec)
+        configs = _cells(base, [(math.inf, 0.3, 1), (0.5, 0.0, 2), (0.5, 0.7, 3), (2.0, 3.0, 4)])
+        shape = (dataset.num_classes, dataset.dim) if data == "box_data" else (dataset.dim,)
+        self._block(monkeypatch, steps_per_block, 3, shape)
+        draws, _ = _noise_draws(monkeypatch, dataset, configs)
+        blocks = [(min(steps_per_block, steps - t),) + shape for t in range(0, steps, steps_per_block)]
+        assert draws[1] == []
+        assert all(sizes == blocks for sizes in draws[:1] + draws[2:])
+        _check_stack(dataset, configs)
+
+
+def _twice_over(dataset):
+    """The dataset's examples twice over: the same mean gradients from 2n examples."""
+    return Dataset(
+        features=np.concatenate([dataset.features] * 2),
+        labels=np.concatenate([dataset.labels] * 2),
+        box=dataset.box,
+        num_classes=dataset.num_classes,
+    )
+
+
+class TestNoiseScale:
+    """Every step takes the whole training set, so a clipped cell's noise std
+    is sigma * k / n with n the training examples, and an unclipped cell's
+    is sigma.  On the examples twice over a clipped cell therefore trains as
+    with half its sigma on the examples once, and an unclipped cell as with
+    its own."""
+
+    @pytest.mark.parametrize("clip_k", [0.5, math.inf], ids=["clipped", "unclipped"])
+    @pytest.mark.parametrize(
+        "data, spec",
+        [
+            ("binary_data", BINARY_SPECS["c=0"]),
+            ("binary_data", BINARY_SPECS["c>0,p=2"]),
+            ("binary_data", BINARY_SPECS["c>0,p=inf"]),
+            ("box_data", LossSpec()),
+        ],
+        ids=["binary-c=0", "binary-c>0,p=2", "binary-c>0,p=inf", "multiclass"],
+    )
+    def test_the_noise_std_divides_by_the_training_set_size(self, request, data, spec, clip_k):
+        dataset = request.getfixturevalue(data)
+        config = OptimizerConfig(eta=0.5, steps=12, spec=spec, clip_k=clip_k, sigma=0.8, seed=3)
+        twice = train(_twice_over(dataset), config)
+        scale = 0.5 if math.isfinite(clip_k) else 1.0
+        once = train(dataset, replace(config, sigma=scale * config.sigma))
+        for name in TrainTrace.COLUMNS:
+            np.testing.assert_allclose(getattr(twice, name), getattr(once, name), rtol=1e-9)
+        np.testing.assert_allclose(twice.final_params, once.final_params, rtol=1e-9, atol=1e-12)
+        if math.isfinite(clip_k):  # the noise is large enough to tell n from 2n
+            unscaled = train(dataset, config).final_params
+            assert not np.allclose(twice.final_params, unscaled, rtol=1e-3)
+
+
 # one change of each field that the configs of one stack share
 MISMATCHES = [
     {"eta": 0.2},
