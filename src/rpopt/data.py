@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,6 +99,12 @@ class Dataset:
         self.features.flags.writeable = False
         self.labels.flags.writeable = False
 
+    def __reduce__(self):
+        # the dataclass default would restore the fields as they unpickle,
+        # writeable; this rebuilds the copy through the constructor instead
+        return (_unpickled_dataset, (self.features, self.labels, self.separator,
+                                     self.margin, self.box, self.num_classes))
+
     @property
     def n(self) -> int:
         return self.features.shape[0]
@@ -110,6 +116,14 @@ class Dataset:
     @property
     def is_binary(self) -> bool:
         return self.num_classes is None
+
+
+def _unpickled_dataset(features, labels, *rest) -> Dataset:
+    """A pickled Dataset, checked and frozen again by its constructor.  An
+    unpickled array may view the pickle's bytes, so the features are copied
+    into an array of their own, as the constructor's int64 cast copies the
+    labels, and ``attacks._frozen`` holds for both."""
+    return Dataset(features.astype(np.float64), labels, *rest)
 
 
 def _unit_vector(rng: np.random.Generator, d: int) -> np.ndarray:

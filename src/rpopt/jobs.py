@@ -7,6 +7,13 @@ loaded OpenBLAS runs one thread, so that its threads do not compete with
 the other jobs.  The jobs are the binary rows and multi-class cells of a
 sweep (see :mod:`rpopt.curvature`) and fig1's two seed stacks (see
 :mod:`rpopt.experiments`).
+
+The job function reaches each pool process once, when the process starts:
+the pool's initializer keeps it in ``_installed``, and then only the jobs
+are sent.  Under the ``fork`` start method the processes inherit it and
+nothing of it is pickled, so they read the caller's (read-only) arrays.
+Only pool processes set ``_installed``; in the calling process it stays
+None.
 """
 
 from __future__ import annotations
@@ -15,7 +22,9 @@ import contextlib
 import ctypes
 import os
 from concurrent.futures import ProcessPoolExecutor
-from functools import cache, partial
+from functools import cache
+
+_installed = None  # the job function of this pool process; set by _install only
 
 
 def usable_cpus() -> int:
@@ -74,27 +83,41 @@ def _one_blas_thread():
 
 
 def _run_one(fn, job):
-    """fn(job) with BLAS on one thread; at module level, so that it pickles."""
+    """fn(job) with BLAS on one thread: each job, in a pool process or in
+    this one."""
     with _one_blas_thread():
         return fn(job)
+
+
+def _install(fn):
+    """The pool's initializer: keep fn for every job this process runs."""
+    global _installed
+    _installed = fn
+
+
+def _run_installed(job):
+    """The pool's task: the installed function on one job."""
+    return _run_one(_installed, job)
 
 
 def run_jobs(fn, jobs) -> list:
     """``[fn(job) for job in jobs]``, each call with BLAS on one thread, on
     min(jobs, usable CPUs) processes, or in this one when that is 1.
 
-    ``fn`` and the jobs must pickle.  The results keep the jobs' order.  An
-    error in a job is raised here, once the jobs already running have ended
-    and the others are cancelled, so no process outlives the call.
+    ``fn`` is handed to each process once, as it starts: under ``fork`` it
+    is inherited and never pickled, otherwise it must pickle and is pickled
+    once per process.  The jobs and their results must pickle.  The results
+    keep the jobs' order.  An error in a job is raised here, once the jobs
+    already running have ended and the others are cancelled, so no process
+    outlives the call.
     """
     jobs = list(jobs)
-    run = partial(_run_one, fn)
     processes = min(len(jobs), usable_cpus())
     if processes <= 1:
-        return list(map(run, jobs))
-    with ProcessPoolExecutor(processes) as pool:
+        return [_run_one(fn, job) for job in jobs]
+    with ProcessPoolExecutor(processes, initializer=_install, initargs=(fn,)) as pool:
         try:
-            return list(pool.map(run, jobs))
+            return list(pool.map(_run_installed, jobs))
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise

@@ -301,9 +301,9 @@ class TestSweeps:
         pools, sent = [], []
 
         class CountedPool(ProcessPoolExecutor):
-            def __init__(self, processes):
+            def __init__(self, processes, **kwargs):
                 pools.append(processes)
-                super().__init__(processes)
+                super().__init__(processes, **kwargs)
 
             def map(self, fn, items):
                 items = list(items)

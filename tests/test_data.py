@@ -1,8 +1,10 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from rpopt.attacks import _frozen
 from rpopt.data import (
     Dataset,
     generate_equal_margin,
@@ -47,6 +49,27 @@ class TestDatasetInvariants:
     def test_arrays_are_frozen(self, small_binary):
         with pytest.raises(ValueError):
             small_binary.features[0, 0] = 7.0
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    @pytest.mark.parametrize("kind", ["binary", "multiclass"])
+    def test_a_pickled_copy_is_frozen_and_equal(self, protocol, kind):
+        if kind == "binary":
+            ds = generate_separable(d=5, n=40, gamma=0.1, seed=3)
+        else:
+            ds = Dataset(features=np.eye(3) * 0.5, labels=np.array([0, 2, 1]), box=(0.0, 1.0),
+                         num_classes=4)
+        copy = pickle.loads(pickle.dumps(ds, protocol=protocol))
+        for array in (copy.features, copy.labels):
+            assert not array.flags.writeable
+            assert _frozen(array)
+        assert np.array_equal(copy.features, ds.features)
+        assert np.array_equal(copy.labels, ds.labels)
+        assert copy.features.dtype == np.float64 and copy.labels.dtype == np.int64
+        if ds.separator is None:
+            assert copy.separator is None
+        else:
+            assert np.array_equal(copy.separator, ds.separator)
+        assert (copy.margin, copy.box, copy.num_classes) == (ds.margin, ds.box, ds.num_classes)
 
     def test_class_counting(self):
         ds = Dataset(features=np.eye(3) * 0.5, labels=np.array([0, 2, 1]))

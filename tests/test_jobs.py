@@ -1,13 +1,18 @@
 """The one process pool, ``rpopt.jobs.run_jobs``: the CPUs it counts, the
-order of its results, when it starts no process, and how a job's error
-comes back."""
+order of its results, when it starts no process, how a job's error comes
+back, and how the job function reaches the processes."""
 
+import contextlib
 import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
+import numpy as np
 import pytest
 
-from rpopt import jobs
+from rpopt import attacks, jobs
+from rpopt.data import Dataset
 from rpopt.errors import DivergenceError
 
 
@@ -23,6 +28,26 @@ def _diverge_or_square(job):
 
 def _blas_threads(job):
     return jobs._openblas_threads()[0]()
+
+
+class _CountsPickles:
+    """Appends a line to its file each time it is pickled."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        with open(self.path, "a", encoding="utf-8") as log:
+            log.write("pickled\n")
+        return (_CountsPickles, (self.path,))
+
+
+def _square_beside(counter, job):
+    return job * job
+
+
+def _features_frozen(dataset, job):
+    return attacks._frozen(dataset.features)
 
 
 def _cpus(monkeypatch, count):
@@ -87,3 +112,45 @@ def test_each_job_runs_one_blas_thread(monkeypatch, cpus):
         assert get() == 2  # the count is given back
     finally:
         set_(before)
+
+
+def _start_method(monkeypatch, method):
+    """Make run_jobs' pool start its processes by ``method``."""
+    context = multiprocessing.get_context(method)
+    monkeypatch.setattr(jobs, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=context))
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_the_job_function_is_pickled_once_per_process_or_never(monkeypatch, tmp_path, method):
+    _cpus(monkeypatch, 2)
+    _start_method(monkeypatch, method)
+    log = tmp_path / "pickles.log"
+    fn = partial(_square_beside, _CountsPickles(str(log)))
+    assert jobs.run_jobs(fn, range(6)) == [job * job for job in range(6)]
+    pickles = len(log.read_text(encoding="utf-8").splitlines()) if log.exists() else 0
+    # forked processes inherit fn; the others get it once each, never per job
+    assert pickles == 0 if method == "fork" else 1 <= pickles <= 2
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_a_job_sees_the_dataset_frozen(monkeypatch, method):
+    _cpus(monkeypatch, 2)
+    _start_method(monkeypatch, method)
+    dataset = Dataset(features=np.eye(3) * 0.5, labels=np.array([0, 2, 1]))
+    assert attacks._frozen(dataset.features)
+    # forked: the caller's own arrays; otherwise a copy that the constructor froze
+    assert jobs.run_jobs(partial(_features_frozen, dataset), range(2)) == [True, True]
+
+
+@pytest.mark.parametrize(
+    "fn, outcome",
+    [(_square_and_pid, contextlib.nullcontext()), (_diverge_or_square, pytest.raises(DivergenceError))],
+    ids=["ok", "raises"],
+)
+def test_the_calling_process_never_installs_a_job_function(monkeypatch, fn, outcome):
+    _cpus(monkeypatch, 2)
+    with outcome:
+        jobs.run_jobs(fn, range(6))
+    assert jobs._installed is None
+    assert multiprocessing.active_children() == []

@@ -5,10 +5,13 @@ removed from the package shows in this file's diff.  Each concept has one
 spelling: weights are float64 arrays, a bound is a series over steps of
 one of ``bounds._RATES``'s settings, a loss spec is ``LossSpec(c, p)``,
 the attack is ``pgd_batch``, and an eigen-solve returns the solver's
-report.  The second spellings listed below stay gone.
+report.  The second spellings listed below stay gone, and no module
+imports a name it never reads.
 """
 
+import ast
 import dataclasses
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -126,3 +129,21 @@ def test_second_spellings_are_gone(owner, name):
 )
 def test_removed_fields_are_gone(cls, name):
     assert name not in [field.name for field in dataclasses.fields(cls)]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unread = []
+    for path in sorted(Path(rpopt.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # its imports are the re-exports that __all__ pins
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unread += [f"{path.name}: {name}" for name in bound if name not in read]
+    assert unread == []
