@@ -52,11 +52,21 @@ def _env_seed() -> int | None:
 
 def _cmd_gen_data(args) -> int:
     seed = args.seed if args.env_seed is None else args.env_seed
+    other = ("--margin", "--jitter") if args.kind == "separable" else ("--gamma",)
+    given = [flag for flag in other if getattr(args, flag[2:]) is not None]
+    if given:
+        raise ValueError(f"{' and '.join(given)} cannot go with --kind {args.kind}")
     if args.kind == "separable":
-        dataset = generate_separable(d=args.d, n=args.n, gamma=args.gamma, seed=seed)
+        dataset = generate_separable(
+            d=args.d, n=args.n, gamma=0.3 if args.gamma is None else args.gamma, seed=seed
+        )
     else:
         dataset = generate_equal_margin(
-            d=args.d, n=args.n, margin=args.margin, jitter=args.jitter, seed=seed
+            d=args.d,
+            n=args.n,
+            margin=0.3 if args.margin is None else args.margin,
+            jitter=0.01 if args.jitter is None else args.jitter,
+            seed=seed,
         )
     save_csv(dataset, args.out)
     print(
@@ -80,10 +90,9 @@ def _cmd_train(args) -> int:
     )
     if dataset is None:
         raise ValueError("provide --data CSV or --images/--labels IDX files")
-    gamma = dataset.margin if dataset.is_binary else None
-    warnings = validate_config(config, gamma=gamma)
-    if dataset.is_binary and gamma is None and config.spec.c > 0:
-        # only a generated dataset knows its margin; a CSV stores no separator
+    warnings = validate_config(config)
+    if dataset.is_binary and config.spec.c > 0:
+        # a CSV stores no separator, so the margin these checks need is unknown
         warnings.append(
             f"c < gamma/2 and s * eta < 1 not checked: the CSV {args.data} carries no margin"
         )
@@ -201,9 +210,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dp(args) -> int:
-    if args.solve == "epsilon":
-        if args.sigma is None:
-            raise ValueError("--solve epsilon requires --sigma")
+    if args.sigma is not None:
         result = bounds_mod.accountant_epsilon(
             sigma=args.sigma,
             steps=args.steps,
@@ -217,8 +224,6 @@ def _cmd_dp(args) -> int:
         print(f"order = {result.order}")
         print(f"sensitivity = {result.sensitivity:.12g}")
     else:
-        if args.epsilon is None:
-            raise ValueError("--solve sigma requires --epsilon")
         result = bounds_mod.accountant_sigma(
             epsilon=args.epsilon,
             delta=args.delta,
@@ -253,9 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--kind", choices=("separable", "equal-margin"), default="separable")
     gen.add_argument("--d", type=int, required=True)
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--gamma", type=float, default=0.3, help="margin (separable kind)")
-    gen.add_argument("--margin", type=float, default=0.3, help="margin (equal-margin kind)")
-    gen.add_argument("--jitter", type=float, default=0.01)
+    gen.add_argument("--gamma", type=float, help="margin of the separable kind (default 0.3)")
+    gen.add_argument("--margin", type=float, help="margin of the equal-margin kind (default 0.3)")
+    gen.add_argument("--jitter", type=float, help="jitter of the equal-margin kind (default 0.01)")
     gen.add_argument("--seed", type=non_negative_int, default=0)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen_data)
@@ -328,9 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     ve.set_defaults(func=_cmd_verify)
 
     dp = sub.add_parser("dp", help="privacy accountant: epsilon from sigma or vice versa")
-    dp.add_argument("--solve", choices=("epsilon", "sigma"), required=True)
-    dp.add_argument("--sigma", type=float, default=None)
-    dp.add_argument("--epsilon", type=float, default=None)
+    solve = dp.add_mutually_exclusive_group(required=True)
+    solve.add_argument("--sigma", type=float, help="noise multiplier (solves epsilon)")
+    solve.add_argument("--epsilon", type=float, help="privacy budget (solves sigma)")
     dp.add_argument("--delta", type=float, default=1e-5)
     dp.add_argument("--steps", type=int, required=True)
     dp.add_argument("--lipschitz", type=float, default=1.0)

@@ -29,27 +29,32 @@ class Dataset:
     """Immutable feature/label container.
 
     Attributes:
-        features: (n, d) float64 array, every row norm <= 1.
+        features: (n, d) float64 array, every row norm <= 1.  It owns its
+            data: a view of another array (a caller's slice, an unpickled
+            array) is copied, so no write to that array reaches it.
         labels: (n,) int64 array; {-1, +1} for binary, {0..C-1} otherwise.
-        separator: optional unit vector certifying linear separability.
-        margin: optional minimum of y_i * <x_i, separator> over the data.
+        separator: optional unit vector certifying linear separability,
+            copied into a read-only array of its own.
         box: optional (lo, hi) coordinate-wise domain, e.g. (0, 1) for images.
         num_classes: the class count C, fixed at construction; None for
             binary data.  Left as None it is inferred from the labels:
             {-1, +1} labels are binary, others give max + 1.  Subsets pass
             their parent's count, so a part that lacks the top class, or
             whose labels are all 1, keeps the parent's C classes.
+
+    The margin is derived, not stated: see :attr:`margin`.
     """
 
     features: np.ndarray
     labels: np.ndarray
     separator: np.ndarray | None = None
-    margin: float | None = None
     box: tuple[float, float] | None = None
     num_classes: int | None = None
 
     def __post_init__(self):
         features = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
+        if features.base is not None:
+            features = features.copy()
         labels = np.asarray(self.labels)
         if features.ndim != 2:
             raise ValueError("features must be a 2-D array")
@@ -79,22 +84,13 @@ class Dataset:
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
         if self.separator is not None:
-            separator = np.asarray(self.separator, dtype=np.float64).reshape(-1)
+            separator = np.asarray(self.separator, dtype=np.float64).flatten()
             if separator.shape[0] != features.shape[1]:
                 raise ValueError("separator dimension mismatch")
             if abs(np.linalg.norm(separator) - 1.0) > 1e-12:
                 raise ValueError("separator must be a unit vector")
+            separator.flags.writeable = False
             object.__setattr__(self, "separator", separator)
-            if self.margin is not None:
-                if not self.is_binary:
-                    raise ValueError("margin certificates require binary labels")
-                achieved = float(np.min(labels * (features @ separator)))
-                if achieved < self.margin - 1e-12:
-                    raise ValueError(
-                        f"stated margin {self.margin} not achieved (min {achieved})"
-                    )
-        elif self.margin is not None:
-            raise ValueError("margin requires a separator")
         # freeze the arrays: every cell trained on this dataset reads the same ones
         self.features.flags.writeable = False
         self.labels.flags.writeable = False
@@ -102,8 +98,16 @@ class Dataset:
     def __reduce__(self):
         # the dataclass default would restore the fields as they unpickle,
         # writeable; this rebuilds the copy through the constructor instead
-        return (_unpickled_dataset, (self.features, self.labels, self.separator,
-                                     self.margin, self.box, self.num_classes))
+        return (Dataset, (self.features, self.labels, self.separator, self.box,
+                          self.num_classes))
+
+    @property
+    def margin(self) -> float | None:
+        """min y_i * <x_i, separator> over the data, for binary data with a
+        separator; None otherwise."""
+        if self.separator is None or not self.is_binary:
+            return None
+        return float(np.min(self.labels * (self.features @ self.separator)))
 
     @property
     def n(self) -> int:
@@ -116,14 +120,6 @@ class Dataset:
     @property
     def is_binary(self) -> bool:
         return self.num_classes is None
-
-
-def _unpickled_dataset(features, labels, *rest) -> Dataset:
-    """A pickled Dataset, checked and frozen again by its constructor.  An
-    unpickled array may view the pickle's bytes, so the features are copied
-    into an array of their own, as the constructor's int64 cast copies the
-    labels, and ``attacks._frozen`` holds for both."""
-    return Dataset(features.astype(np.float64), labels, *rest)
 
 
 def _unit_vector(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -187,13 +183,7 @@ def generate_separable(d: int, n: int, gamma: float, seed: int) -> Dataset:
                 if len(rows) == n:
                     break
         features = labels[:, None] * np.asarray(rows)
-    achieved = float(np.min(labels * (features @ u)))
-    return Dataset(
-        features=features,
-        labels=labels,
-        separator=u,
-        margin=achieved,
-    )
+    return Dataset(features=features, labels=labels, separator=u)
 
 
 def generate_equal_margin(
@@ -232,13 +222,7 @@ def generate_equal_margin(
         xis[2 * j + 1] = -v
     labels = _balanced_labels(rng, n)
     features = labels[:, None] * (margin * u[None, :] + jitter * xis)
-    achieved = float(np.min(labels * (features @ u)))
-    return Dataset(
-        features=features,
-        labels=labels,
-        separator=u,
-        margin=achieved,
-    )
+    return Dataset(features=features, labels=labels, separator=u)
 
 
 def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -252,16 +236,10 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
     test_idx, train_idx = perm[:n_test], perm[n_test:]
 
     def take(idx):
-        feats = dataset.features[idx]
-        labs = dataset.labels[idx]
-        margin = None
-        if dataset.separator is not None and dataset.is_binary:
-            margin = float(np.min(labs * (feats @ dataset.separator)))
         return Dataset(
-            features=feats,
-            labels=labs,
+            features=dataset.features[idx],
+            labels=dataset.labels[idx],
             separator=dataset.separator,
-            margin=margin,
             box=dataset.box,
             num_classes=dataset.num_classes,
         )

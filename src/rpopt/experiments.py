@@ -178,8 +178,8 @@ def parse_seeds(text) -> tuple:
 
 def parse_grid(text: str, check=float) -> list:
     """Comma-separated values, each converted by ``check``, which may also
-    range-check it; an element "a:b:n" expands to n log-spaced points from
-    a to b inclusive."""
+    range-check it; an element "a:b:n" expands to n >= 2 log-spaced points
+    from a to b inclusive."""
     values = []
     for part in str(text).split(","):
         part = part.strip()
@@ -190,6 +190,8 @@ def parse_grid(text: str, check=float) -> list:
             lo, hi, n = float(lo_s), float(hi_s), int(n_s)
             if not (0 < lo < math.inf and 0 < hi < math.inf):
                 raise ValueError("log-spaced grid endpoints must be finite and positive")
+            if n < 2:
+                raise ValueError(f"a log-spaced range takes n >= 2 points, got {part!r}")
             values.extend(check(v) for v in np.geomspace(lo, hi, n))
         else:
             values.append(check(part))

@@ -4,9 +4,10 @@
 may use (its affinity mask), at most one per job; with one CPU or one job
 they run in this process and none is started.  While a job runs, the
 loaded OpenBLAS runs one thread, so that its threads do not compete with
-the other jobs.  The jobs are the binary rows and multi-class cells of a
-sweep (see :mod:`rpopt.curvature`) and fig1's two seed stacks (see
-:mod:`rpopt.experiments`).
+the other jobs: a pool process sets this once, as it starts, and this
+process holds it around its list of jobs.  The jobs are the binary rows
+and multi-class cells of a sweep (see :mod:`rpopt.curvature`) and fig1's
+two seed stacks (see :mod:`rpopt.experiments`).
 
 The job function reaches each pool process once, when the process starts:
 the pool's initializer keeps it in ``_installed``, and then only the jobs
@@ -82,22 +83,19 @@ def _one_blas_thread():
         set_(before)
 
 
-def _run_one(fn, job):
-    """fn(job) with BLAS on one thread: each job, in a pool process or in
-    this one."""
-    with _one_blas_thread():
-        return fn(job)
-
-
 def _install(fn):
-    """The pool's initializer: keep fn for every job this process runs."""
+    """The pool's initializer: keep fn for every job this process runs, and
+    run the loaded OpenBLAS on one thread for the life of the process."""
     global _installed
     _installed = fn
+    control = _openblas_threads()
+    if control is not None:
+        control[1](1)
 
 
 def _run_installed(job):
     """The pool's task: the installed function on one job."""
-    return _run_one(_installed, job)
+    return _installed(job)
 
 
 def run_jobs(fn, jobs) -> list:
@@ -114,7 +112,8 @@ def run_jobs(fn, jobs) -> list:
     jobs = list(jobs)
     processes = min(len(jobs), usable_cpus())
     if processes <= 1:
-        return [_run_one(fn, job) for job in jobs]
+        with _one_blas_thread():
+            return [fn(job) for job in jobs]
     with ProcessPoolExecutor(processes, initializer=_install, initargs=(fn,)) as pool:
         try:
             return list(pool.map(_run_installed, jobs))

@@ -33,18 +33,18 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError, match="labels"):
             Dataset(features=np.eye(2) * 0.5, labels=np.array([-1, 2]))
 
-    def test_rejects_unachieved_margin(self):
-        with pytest.raises(ValueError, match="not achieved"):
-            Dataset(
-                features=np.array([[0.1, 0.0], [-0.1, 0.0]]),
-                labels=np.array([1, -1]),
-                separator=np.array([1.0, 0.0]),
-                margin=0.5,
-            )
-
-    def test_margin_requires_separator(self):
-        with pytest.raises(ValueError, match="separator"):
+    def test_margin_is_not_an_argument(self):
+        with pytest.raises(TypeError, match="margin"):
             Dataset(features=np.eye(2) * 0.5, labels=np.array([1, -1]), margin=0.1)
+
+    def test_margin_is_derived(self):
+        features = np.array([[0.1, 0.2], [-0.4, 0.0]])
+        ds = Dataset(features=features, labels=np.array([1, -1]), separator=np.array([1.0, 0.0]))
+        assert ds.margin == 0.1
+        # no separator, or class indices: no margin
+        assert Dataset(features=features, labels=np.array([1, -1])).margin is None
+        assert Dataset(features=features, labels=np.array([0, 1]),
+                       separator=np.array([1.0, 0.0])).margin is None
 
     def test_arrays_are_frozen(self, small_binary):
         with pytest.raises(ValueError):
@@ -70,6 +70,31 @@ class TestDatasetInvariants:
         else:
             assert np.array_equal(copy.separator, ds.separator)
         assert (copy.margin, copy.box, copy.num_classes) == (ds.margin, ds.box, ds.num_classes)
+
+    def test_the_separator_is_copied_and_frozen(self):
+        separator = np.array([1.0, 0.0])
+        ds = Dataset(features=np.array([[0.3, 0.1], [-0.2, 0.4]]), labels=np.array([1, -1]),
+                     separator=separator)
+        assert _frozen(ds.separator)
+        separator[:] = [0.0, 5.0]
+        assert ds.margin == 0.2
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_an_unpickled_array_is_copied_and_frozen(self, protocol):
+        source = pickle.loads(pickle.dumps(np.eye(3) * 0.5, protocol=protocol))
+        ds = Dataset(features=source, labels=np.array([0, 2, 1]))
+        assert _frozen(ds.features)
+        source[0, 0] = 0.25
+        assert ds.features[0, 0] == 0.5
+
+    def test_a_read_only_slice_is_copied_and_frozen(self):
+        source = np.eye(4) * 0.5
+        view = source[:3]
+        view.flags.writeable = False
+        ds = Dataset(features=view, labels=np.array([0, 2, 1]))
+        assert _frozen(ds.features)
+        source[0, 0] = 0.25
+        assert ds.features[0, 0] == 0.5
 
     def test_class_counting(self):
         ds = Dataset(features=np.eye(3) * 0.5, labels=np.array([0, 2, 1]))

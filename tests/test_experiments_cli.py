@@ -557,6 +557,41 @@ class TestCliInProcess:
         ds = load_csv(out)
         assert ds.n == 20
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (("--kind", "equal-margin", "--gamma", 0.5), "--gamma"),
+            (("--margin", 0.2), "--margin"),
+            (("--kind", "separable", "--margin", 0.2, "--jitter", 0.1), "--margin and --jitter"),
+            (("--jitter", 0.1), "--jitter"),
+        ],
+        ids=["equal-margin-gamma", "margin", "separable-margin-jitter", "jitter"],
+    )
+    def test_gen_data_rejects_a_flag_of_the_other_kind(self, run_cli, tmp_path, flags, named):
+        out = tmp_path / "data.csv"
+        code, _, err = run_cli("gen-data", "--d", 4, "--n", 20, *flags, "--out", out)
+        assert code == 1 and f"{named} cannot go with --kind" in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, given",
+        [
+            ((), ("--gamma", 0.3)),
+            (("--kind", "equal-margin"), ("--margin", 0.3, "--jitter", 0.01)),
+        ],
+        ids=["separable", "equal-margin"],
+    )
+    def test_gen_data_defaults_per_kind(self, run_cli, tmp_path, flags, given):
+        default, stated = tmp_path / "default.csv", tmp_path / "stated.csv"
+        code, text, _ = run_cli("gen-data", "--d", 4, "--n", 20, *flags, "--out", default)
+        assert code == 0
+        code, stated_text, _ = run_cli(
+            "gen-data", "--d", 4, "--n", 20, *flags, *given, "--out", stated
+        )
+        assert code == 0
+        assert default.read_bytes() == stated.read_bytes()
+        assert text.split(": ")[1] == stated_text.split(": ")[1]
+
     def test_train_roundtrip(self, run_cli, tmp_path):
         data = str(tmp_path / "data.csv")
         run_cli("gen-data", "--d", 4, "--n", 40, "--seed", 1, "--out", data)
@@ -747,35 +782,28 @@ class TestCliInProcess:
         )
 
     def test_dp_solver_roundtrip(self, run_cli):
-        code, out, _ = run_cli(
-            "dp", "--solve", "sigma", "--epsilon", 2.0, "--delta", 1e-5, "--steps", 100
-        )
+        code, out, _ = run_cli("dp", "--epsilon", 2.0, "--delta", 1e-5, "--steps", 100)
         assert code == 0
-        values = dict(
-            line.split(" = ") for line in out.strip().splitlines() if " = " in line
+        assert out == (
+            "sigma = 49.9858398438\nepsilon_achieved = 1.99999976825\norder = 12\n"
+            "implied_constant = 8.68097059253\n"
         )
-        assert float(values["sigma"]) == pytest.approx(49.98583984375, rel=1e-6)
-        assert int(values["order"]) == 12
-        code, out, _ = run_cli(
-            "dp", "--solve", "epsilon", "--sigma", values["sigma"],
-            "--delta", 1e-5, "--steps", 100,
-        )
+        code, out, _ = run_cli("dp", "--sigma", 49.98583984375, "--delta", 1e-5, "--steps", 100)
         assert code == 0
-        eps = float(dict(
-            line.split(" = ") for line in out.strip().splitlines() if " = " in line
-        )["epsilon"])
-        assert eps <= 2.0
+        assert out == "epsilon = 1.99999976825\norder = 12\nsensitivity = 2\n"
 
     def test_dp_missing_flag_exits_one(self, run_cli):
-        code, _, err = run_cli("dp", "--solve", "sigma", "--steps", 10)
-        assert code == 1 and "--epsilon" in err
-        code, _, err = run_cli("dp", "--solve", "epsilon", "--steps", 10)
-        assert code == 1 and "--sigma" in err
+        # exactly one of --sigma (solves epsilon) and --epsilon (solves sigma)
+        for flags, message in [
+            ((), "one of the arguments --sigma --epsilon is required"),
+            (("--sigma", 1, "--epsilon", 3), "not allowed with"),
+            (("--solve", "epsilon", "--sigma", 1), "--solve"),
+        ]:
+            code, out, err = run_cli("dp", *flags, "--steps", 10)
+            assert code == 1 and message in err and out == "", err
 
     def test_unreachable_epsilon_exits_one(self, run_cli):
-        code, _, err = run_cli(
-            "dp", "--solve", "sigma", "--epsilon", 0.01, "--delta", 1e-5, "--steps", 10
-        )
+        code, _, err = run_cli("dp", "--epsilon", 0.01, "--delta", 1e-5, "--steps", 10)
         assert code == 1 and "raise lambda_max" in err
 
     def test_experiment_and_verify_flow(self, run_cli, tmp_path):
@@ -1194,6 +1222,8 @@ _RANGE_FAULTS = [
     ("fig9-sweep", "eps_grid", "inf"),
     ("attack-eval", "budgets", "-0.1"),
     ("attack-eval", "budgets", "0,nan"),
+    ("fig8-sweep", "c_grid", "0,0.005:0.05:0"),
+    ("fig8-sweep", "k_grid", "0.1:3:1"),
 ]
 
 

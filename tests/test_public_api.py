@@ -5,19 +5,20 @@ removed from the package shows in this file's diff.  Each concept has one
 spelling: weights are float64 arrays, a bound is a series over steps of
 one of ``bounds._RATES``'s settings, a loss spec is ``LossSpec(c, p)``,
 the attack is ``pgd_batch``, and an eigen-solve returns the solver's
-report.  The second spellings listed below stay gone, and no module
-imports a name it never reads.
+report.  The second spellings listed below stay gone, no module imports a
+name it never reads, and no private helper goes uncalled.
 """
 
 import ast
 import dataclasses
+from collections import Counter
 from pathlib import Path
 from types import ModuleType
 
 import pytest
 
 import rpopt
-from rpopt import attacks, bounds, curvature, data, experiments, losses, optimizer
+from rpopt import attacks, bounds, curvature, data, experiments, jobs, losses, optimizer
 
 PUBLIC = [
     "AttackConfig",
@@ -97,6 +98,8 @@ REMOVED = [
     (losses.LossSpec, "nominal"),
     (losses.LossSpec, "adversarial"),
     (curvature, "_top_eigenpair"),
+    (data, "_unpickled_dataset"),
+    (jobs, "_run_one"),
     (experiments, "_float_or_none"),
     (optimizer.OptimizerConfig, "resolved_first_step_eta"),
     *[(owner, name) for owner in (rpopt, bounds) for name in _EXCESS_RISK],
@@ -108,6 +111,7 @@ REMOVED_FIELDS = [
     (optimizer.OptimizerConfig, "first_step_eta"),
     (optimizer.OptimizerConfig, "batch"),
     (data.Dataset, "name"),
+    (data.Dataset, "margin"),  # derived from the data, a property
 ]
 
 
@@ -147,3 +151,30 @@ def test_no_module_imports_a_name_it_never_reads():
                 continue
             unread += [f"{path.name}: {name}" for name in bound if name not in read]
     assert unread == []
+
+
+def _names_read(tree) -> Counter:
+    """How often each name is read in ``tree``, as a variable or an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def test_no_private_helper_goes_uncalled():
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(rpopt.__file__).parent.glob("*.py"))
+    }
+    read = sum((_names_read(tree) for tree in trees.values()), Counter())
+    uncalled = [
+        f"{name}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        # a read inside its own body (a recursive call) does not count
+        and read[node.name] == _names_read(node)[node.name]
+    ]
+    assert uncalled == []
